@@ -18,7 +18,6 @@
 #include "campaign/coordinator.hpp"
 #include "campaign/merge.hpp"
 #include "campaign/scheduler.hpp"
-#include "campaign/shard.hpp"
 #include "campaign/transport.hpp"
 #include "diff/campaign.hpp"
 #include "diff/runner.hpp"
@@ -317,30 +316,37 @@ void BM_CampaignSmall(benchmark::State& state) {
 }
 BENCHMARK(BM_CampaignSmall)->Unit(benchmark::kMillisecond);
 
-/// The same campaign as BM_CampaignSmall carved into N shards, each run on
+/// The same campaign as BM_CampaignSmall carved into N leases, each run on
 /// its own std::thread (single-threaded internally — the scale-out shape
-/// where a shard is one machine), then merged.  Compares against
+/// where a lease worker is one machine), then merged.  Compares against
 /// BM_CampaignSmall to price the orchestration layer and show the
-/// shard-level speedup.
+/// lease-level speedup.
 void BM_CampaignSharded(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
+  const int leases = static_cast<int>(state.range(0));
   diff::CampaignConfig cfg;
   cfg.num_programs = 16;
   cfg.inputs_per_program = 4;
   cfg.threads = 1;
+  const support::Json echo = campaign::config_to_json(cfg);
   for (auto _ : state) {
-    std::vector<campaign::ShardProgress> parts(static_cast<std::size_t>(shards));
+    std::vector<campaign::ResultBlock> blocks(static_cast<std::size_t>(leases));
     std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(shards));
-    for (int i = 0; i < shards; ++i) {
-      workers.emplace_back([&, i] {
-        campaign::ShardRunOptions options;
-        options.shard = {i, shards};
-        parts[static_cast<std::size_t>(i)] = campaign::run_shard(cfg, options);
+    workers.reserve(static_cast<std::size_t>(leases));
+    for (int k = 0; k < leases; ++k) {
+      workers.emplace_back([&, k] {
+        const auto [begin, end] =
+            campaign::lease_range(cfg.num_programs, leases, k);
+        diff::RangeOutcome out = diff::run_campaign_range(cfg, begin, end);
+        campaign::ResultBlock& block = blocks[static_cast<std::size_t>(k)];
+        block.config_echo = echo;
+        block.begin = begin;
+        block.end = end;
+        block.per_level = std::move(out.per_level);
+        block.records = std::move(out.records);
       });
     }
     for (auto& w : workers) w.join();
-    benchmark::DoNotOptimize(campaign::merge_shards(std::move(parts)));
+    benchmark::DoNotOptimize(campaign::merge_blocks(echo, std::move(blocks)));
   }
 }
 BENCHMARK(BM_CampaignSharded)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);

@@ -1,6 +1,5 @@
 #include "campaign/checkpoint.hpp"
 
-#include <filesystem>
 #include <stdexcept>
 
 #include "support/strings.hpp"
@@ -12,7 +11,6 @@ using support::JsonArray;
 
 namespace {
 
-constexpr const char* kShardFormat = "gpudiff-shard";
 constexpr const char* kLeaseFormat = "gpudiff-lease";
 constexpr const char* kResultsFormat = "gpudiff-campaign-results";
 
@@ -113,7 +111,8 @@ Json config_to_json(const diff::CampaignConfig& config) {
   j["platforms"] = std::move(platforms);
 
   // The full generator grammar: any change to it changes every generated
-  // program, so it is part of the fingerprint resume/merge validate.
+  // program, so it is part of the fingerprint the manifest check and the
+  // merge validate.
   const gen::GenConfig& g = config.gen;
   Json gj = Json::object();
   gj["max_expr_depth"] = g.max_expr_depth;
@@ -384,59 +383,6 @@ diff::DiscrepancyRecord record_from_json(const Json& j,
   return rec;
 }
 
-Json progress_to_json(const ShardProgress& progress) {
-  const bool legacy =
-      legacy_platform_pair(platform_names_from_echo(progress.config_echo));
-  Json j = Json::object();
-  j["format"] = kShardFormat;
-  j["version"] = 1;
-  j["config"] = progress.config_echo;
-  Json shard = Json::object();
-  shard["index"] = progress.shard.index;
-  shard["count"] = progress.shard.count;
-  j["shard"] = std::move(shard);
-  Json range = Json::object();
-  range["begin"] = static_cast<long long>(progress.begin);
-  range["end"] = static_cast<long long>(progress.end);
-  j["range"] = std::move(range);
-  j["cursor"] = static_cast<long long>(progress.cursor);
-  Json per_level = Json::array();
-  for (const auto& stats : progress.per_level)
-    per_level.push_back(stats_to_json(stats, legacy));
-  j["per_level"] = std::move(per_level);
-  Json records = Json::array();
-  for (const auto& rec : progress.records)
-    records.push_back(record_to_json(rec, legacy));
-  j["records"] = std::move(records);
-  return j;
-}
-
-ShardProgress progress_from_json(const Json& j) {
-  check_format(j, kShardFormat, "gpudiff shard checkpoint");
-  ShardProgress progress;
-  progress.config_echo = j.at("config");
-  const auto n_platforms =
-      platform_names_from_echo(progress.config_echo).size();
-  progress.shard.index = static_cast<int>(j.at("shard").at("index").as_int());
-  progress.shard.count = static_cast<int>(j.at("shard").at("count").as_int());
-  progress.shard.validate();
-  progress.begin = static_cast<std::uint64_t>(j.at("range").at("begin").as_int());
-  progress.end = static_cast<std::uint64_t>(j.at("range").at("end").as_int());
-  progress.cursor = static_cast<std::uint64_t>(j.at("cursor").as_int());
-  if (progress.begin > progress.end || progress.cursor < progress.begin ||
-      progress.cursor > progress.end)
-    throw std::runtime_error("campaign: checkpoint cursor out of range");
-  const auto n_levels = progress.config_echo.at("levels").as_array().size();
-  const auto& per_level = j.at("per_level").as_array();
-  if (per_level.size() != n_levels)
-    throw std::runtime_error("campaign: checkpoint level count mismatch");
-  for (const auto& stats : per_level)
-    progress.per_level.push_back(stats_from_json(stats, n_platforms - 1));
-  for (const auto& rec : j.at("records").as_array())
-    progress.records.push_back(record_from_json(rec, n_platforms));
-  return progress;
-}
-
 Json block_to_json(const ResultBlock& block, int lease_index,
                    int lease_count) {
   const bool legacy =
@@ -487,22 +433,6 @@ ResultBlock block_from_json(const Json& j, int* lease_index,
   for (const auto& rec : j.at("records").as_array())
     block.records.push_back(record_from_json(rec, n_platforms));
   return block;
-}
-
-std::string checkpoint_path(const std::string& dir, const ShardSpec& spec) {
-  spec.validate();
-  return dir + "/shard-" + std::to_string(spec.index) + "-of-" +
-         std::to_string(spec.count) + ".json";
-}
-
-void save_checkpoint(const std::string& dir, const ShardProgress& progress) {
-  std::filesystem::create_directories(dir);
-  support::write_file_atomic(checkpoint_path(dir, progress.shard),
-                             progress_to_json(progress).dump(1));
-}
-
-ShardProgress load_checkpoint(const std::string& path) {
-  return progress_from_json(Json::parse(support::read_file(path)));
 }
 
 Json results_to_json(const diff::CampaignResults& results,

@@ -1,19 +1,16 @@
 #pragma once
-// Checkpoint and result serialization for sharded campaigns.
+// Serialization for campaign documents: the config fingerprint, lease
+// result blocks and merged results reports.
 //
 // Everything here is deterministic: JSON objects keep sorted keys, counts
 // are integers, and floating-point payloads are the %.17g strings the
 // records already carry — so two runs that produce equal state produce
-// byte-equal files, which is what the shard-equivalence CI job diffs.
-//
-// Checkpoints are written with write_file_atomic (write to `<path>.tmp`,
-// then rename), so a kill mid-write leaves the previous snapshot intact
-// and `--resume` always finds a whole file.
+// byte-equal files, which is what the lease-drill and fleet CI jobs diff.
 
 #include <string>
+#include <vector>
 
 #include "campaign/merge.hpp"
-#include "campaign/shard.hpp"
 #include "diff/campaign.hpp"
 #include "support/json.hpp"
 
@@ -22,8 +19,8 @@ namespace gpudiff::campaign {
 /// Full configuration fingerprint: every field of CampaignConfig that
 /// affects results (seed, precision, counts, levels, record cap, the whole
 /// generator grammar, and the full spec of every selected platform) — but
-/// not `threads`, which never changes output.  Resume and merge compare
-/// fingerprints for equality; the platform set being part of the
+/// not `threads`, which never changes output.  The lease manifest check
+/// and the merge compare fingerprints for equality; the platform set being part of the
 /// fingerprint is what keeps a lease done-file a pure function of
 /// (fingerprint, range) when campaigns over different platform selections
 /// share nothing but a directory layout.
@@ -52,8 +49,8 @@ std::vector<std::string> platform_names_from_echo(
 
 /// Validate that `j` is a document of the given `format` with version in
 /// [1, max_version] ("format"/"version" keys); throws std::runtime_error
-/// naming `what` otherwise.  One rule for every campaign file —
-/// checkpoints, lease results, merged reports and the scheduler manifest.
+/// naming `what` otherwise.  One rule for every campaign file — lease
+/// results, merged reports and the scheduler manifest.
 /// Every format is still version 1 except campaign results, whose
 /// version 2 adds the embedded config fingerprint (see results_to_json).
 void check_format(const support::Json& j, const char* format,
@@ -72,26 +69,15 @@ support::Json record_to_json(const diff::DiscrepancyRecord& rec,
 diff::DiscrepancyRecord record_from_json(const support::Json& j,
                                          std::size_t n_platforms);
 
-support::Json progress_to_json(const ShardProgress& progress);
-ShardProgress progress_from_json(const support::Json& j);
-
 /// One completed lease result for the work-stealing scheduler
 /// (campaign/scheduler.hpp): the block plus its (index, count) position in
-/// the lease partition, so the merge can cross-check coverage.  Like every
-/// file in this header, serialization is deterministic — two workers that
-/// execute the same lease publish byte-identical documents.
+/// the lease partition, so the merge can cross-check coverage.
+/// Serialization is deterministic — two workers that execute the same
+/// lease publish byte-identical documents.
 support::Json block_to_json(const ResultBlock& block, int lease_index,
                             int lease_count);
 ResultBlock block_from_json(const support::Json& j, int* lease_index,
                             int* lease_count);
-
-/// `<dir>/shard-<i>-of-<N>.json`
-std::string checkpoint_path(const std::string& dir, const ShardSpec& spec);
-
-/// Atomic write-then-rename snapshot (creates `dir` if needed).
-void save_checkpoint(const std::string& dir, const ShardProgress& progress);
-/// Load and validate one checkpoint file (throws on malformed input).
-ShardProgress load_checkpoint(const std::string& path);
 
 /// Canonical JSON for a finished campaign: the artifact the CLI's --report
 /// writes and the CI equivalence job compares byte-for-byte.

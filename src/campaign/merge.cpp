@@ -1,10 +1,8 @@
 #include "campaign/merge.hpp"
 
 #include <algorithm>
-#include <filesystem>
-#include <iterator>
 #include <stdexcept>
-#include <string_view>
+#include <tuple>
 
 #include "campaign/checkpoint.hpp"
 
@@ -77,89 +75,6 @@ diff::CampaignResults merge_blocks(const support::Json& config_echo,
                                 max_records);
   }
   return results;
-}
-
-diff::CampaignResults merge_shards(std::vector<ShardProgress> parts) {
-  if (parts.empty())
-    throw std::runtime_error("merge_shards: no shard states to merge");
-  std::sort(parts.begin(), parts.end(),
-            [](const ShardProgress& a, const ShardProgress& b) {
-              return a.shard.index < b.shard.index;
-            });
-  const int count = parts.front().shard.count;
-  if (static_cast<std::size_t>(count) != parts.size())
-    throw std::runtime_error(
-        "merge_shards: have " + std::to_string(parts.size()) + " shards of " +
-        std::to_string(count));
-  const support::Json echo = parts.front().config_echo;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    const ShardProgress& p = parts[i];
-    if (p.shard.count != count || p.shard.index != static_cast<int>(i))
-      throw std::runtime_error("merge_shards: shard set does not cover 0.." +
-                               std::to_string(count - 1) + " exactly (saw " +
-                               to_string(p.shard) + ")");
-    if (!p.complete())
-      throw std::runtime_error(
-          "merge_shards: shard " + to_string(p.shard) + " is incomplete (" +
-          std::to_string(p.cursor - p.begin) + "/" +
-          std::to_string(p.end - p.begin) + " programs)");
-  }
-
-  std::vector<ResultBlock> blocks;
-  blocks.reserve(parts.size());
-  for (ShardProgress& p : parts) {
-    ResultBlock b;
-    b.config_echo = std::move(p.config_echo);
-    b.begin = p.begin;
-    b.end = p.end;
-    b.per_level = std::move(p.per_level);
-    b.records = std::move(p.records);
-    blocks.push_back(std::move(b));
-  }
-  try {
-    return merge_blocks(echo, std::move(blocks));
-  } catch (const std::runtime_error& e) {
-    // Re-badge block-core diagnostics so shard-mode callers see only the
-    // front end they actually used.
-    std::string what = e.what();
-    constexpr std::string_view prefix = "merge_blocks: ";
-    if (what.rfind(prefix, 0) == 0) what.erase(0, prefix.size());
-    throw std::runtime_error("merge_shards: " + what);
-  }
-}
-
-std::vector<ShardProgress> load_shards(const std::string& dir) {
-  std::vector<ShardProgress> parts;
-  if (!std::filesystem::is_directory(dir))
-    throw std::runtime_error("load_shards: not a directory: " + dir);
-  std::vector<std::string> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    // Crash litter from a killed checkpointer ("shard-*.json.tmp*" — never
-    // a whole checkpoint) must not be read as a shard; write_file_atomic
-    // means anything actually named *.json is whole.
-    if (name.find(".tmp") != std::string::npos) continue;
-    if (name.rfind("shard-", 0) == 0 && name.size() > 5 &&
-        name.compare(name.size() - 5, 5, ".json") == 0)
-      paths.push_back(entry.path().string());
-  }
-  std::sort(paths.begin(), paths.end());
-  parts.reserve(paths.size());
-  for (const auto& path : paths) {
-    try {
-      parts.push_back(load_checkpoint(path));
-    } catch (const std::exception& e) {
-      // Name the file: "parse error at byte 17" is useless across a
-      // directory of shards; "shard-3-of-8.json: ..." is actionable.
-      throw std::runtime_error("load_shards: " + path + ": " + e.what());
-    }
-  }
-  return parts;
-}
-
-diff::CampaignResults merge_checkpoint_dir(const std::string& dir) {
-  return merge_shards(load_shards(dir));
 }
 
 }  // namespace gpudiff::campaign

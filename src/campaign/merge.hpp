@@ -2,23 +2,19 @@
 // Merge stage: fold completed result blocks into one CampaignResults.
 //
 // For a fixed configuration the merged output is byte-identical to the
-// unsharded diff::run_campaign result: statistics are commutative sums
-// folded in program order, and records — each block keeps its own
+// single-process diff::run_campaign result: statistics are commutative
+// sums folded in program order, and records — each block keeps its own
 // canonical-order prefix — concatenate into the global canonical order
 // before the record cap is re-applied, so the cap keeps the lowest
 // (program_index, input_index, level) records no matter how the campaign
-// was carved up or interrupted.
+// was carved into leases or interrupted.
 //
-// Two front ends share one core:
-//   merge_blocks — any contiguous cover of [0, num_programs) by
-//     variable-size blocks (the work-stealing scheduler's lease results);
-//   merge_shards — the fixed i/N carve: validates the shard set, then
-//     folds the shards as blocks.
+// merge_blocks is the one core: merge_lease_dir (campaign/scheduler.hpp)
+// feeds it a lease directory's done files, and merge_shards
+// (campaign/shard.hpp) the in-memory runner's single block.
 
-#include <string>
 #include <vector>
 
-#include "campaign/shard.hpp"
 #include "diff/campaign.hpp"
 #include "support/json.hpp"
 
@@ -45,17 +41,5 @@ struct ResultBlock {
 /// campaign.
 diff::CampaignResults merge_blocks(const support::Json& config_echo,
                                    std::vector<ResultBlock> blocks);
-
-/// Fold completed shards into campaign results.  Validates that the parts
-/// share one configuration fingerprint, agree on the shard count, cover
-/// every index 0..N-1 exactly once and are all complete; throws
-/// std::runtime_error otherwise.
-diff::CampaignResults merge_shards(std::vector<ShardProgress> parts);
-
-/// Load every `shard-*-of-*.json` checkpoint in `dir`.
-std::vector<ShardProgress> load_shards(const std::string& dir);
-
-/// load_shards + merge_shards.
-diff::CampaignResults merge_checkpoint_dir(const std::string& dir);
 
 }  // namespace gpudiff::campaign

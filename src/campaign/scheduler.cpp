@@ -45,10 +45,15 @@ int lease_count(int num_programs, int lease_size) {
 
 std::pair<std::uint64_t, std::uint64_t> lease_range(int num_programs,
                                                     int count, int index) {
-  // One balanced-partition formula for the whole subsystem: the byte
-  // identity of merged results must never depend on two copies of the
-  // rounding math staying in sync.
-  return ShardSpec{index, count}.program_range(num_programs);
+  if (count <= 0 || index < 0 || index >= count)
+    throw std::invalid_argument("lease_range: index " + std::to_string(index) +
+                                " not in [0, " + std::to_string(count) + ")");
+  if (num_programs < 0)
+    throw std::invalid_argument("lease_range: negative program count");
+  const auto n = static_cast<std::uint64_t>(num_programs);
+  const auto i = static_cast<std::uint64_t>(index);
+  const auto c = static_cast<std::uint64_t>(count);
+  return {n * i / c, n * (i + 1) / c};
 }
 
 LeaseBoard::LeaseBoard(std::string dir, std::string worker_id)
@@ -497,34 +502,7 @@ bool campaign_complete(const std::string& dir) {
 }
 
 support::Json config_echo_of_dir(const std::string& dir) {
-  if (std::filesystem::exists(LeaseBoard::manifest_path(dir)))
-    return LeaseBoard::load_manifest(dir).at("config");
-  // Fixed-carve shard directory: every checkpoint embeds the same
-  // fingerprint (the merge validates that), so the lexicographically
-  // first one speaks for the campaign.
-  std::vector<std::string> paths;
-  if (!std::filesystem::is_directory(dir))
-    throw std::runtime_error("config_echo_of_dir: not a directory: " + dir);
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.find(".tmp") != std::string::npos) continue;
-    if (name.rfind("shard-", 0) == 0 && name.size() > 5 &&
-        name.compare(name.size() - 5, 5, ".json") == 0)
-      paths.push_back(entry.path().string());
-  }
-  if (paths.empty())
-    throw std::runtime_error(
-        "config_echo_of_dir: " + dir +
-        " holds neither a campaign manifest nor shard checkpoints");
-  std::sort(paths.begin(), paths.end());
-  try {
-    return support::Json::parse(support::read_file(paths.front()))
-        .at("config");
-  } catch (const std::exception& e) {
-    throw std::runtime_error("config_echo_of_dir: " + paths.front() + ": " +
-                             e.what());
-  }
+  return LeaseBoard::load_manifest(dir).at("config");
 }
 
 diff::CampaignResults merge_lease_dir(const std::string& dir,

@@ -1,10 +1,7 @@
 #pragma once
-// Work-stealing shard scheduler over a shared checkpoint directory.
+// Work-stealing lease scheduler over a shared directory.
 //
-// PR 3's fixed i/N carve hands every machine a same-sized slice of the
-// program range up front; one slow or dead machine strands its slice while
-// the rest idle.  This layer replaces the static carve with fine-grained
-// *leases*: the program range is split into K balanced contiguous ranges
+// A campaign's program range is split into K balanced contiguous *leases*
 // (lease_count / lease_range below), and N independent worker processes —
 // started by any job launcher, even
 //   for i in 0 1 2; do gpudiff-campaign --worker dir ... & done
@@ -12,7 +9,9 @@
 // through diff::run_campaign_range, and publish each lease's ResultBlock.
 // Heterogeneous machines self-balance: a fast machine simply claims more
 // leases, and a dead machine's lease is reclaimed once its heartbeat goes
-// stale.
+// stale.  A single worker is the durable one-machine run: re-running it
+// against the same directory skips every finished lease, so a crash costs
+// at most the lease in flight.
 //
 // Coordination protocol (all files live in the shared directory; see
 // support/lockfile.hpp for the primitives):
@@ -63,10 +62,11 @@ class LeaseTransport;  // campaign/transport.hpp
 /// `lease_size` (clamped to >= 1): ceil(n / lease_size), 0 when n == 0.
 int lease_count(int num_programs, int lease_size);
 
-/// Lease `index` of `count` over [0, n): the same balanced contiguous
-/// partition as ShardSpec::program_range — ranges are disjoint, cover
-/// exactly [0, n), and differ in size by at most one (so no lease exceeds
-/// the requested lease size).
+/// Lease `index` of `count` over [0, n): [n*index/count,
+/// n*(index+1)/count).  Ranges are disjoint, cover exactly [0, n), and
+/// differ in size by at most one (so no lease exceeds the requested lease
+/// size).  Throws std::invalid_argument unless 0 <= index < count and
+/// n >= 0.
 std::pair<std::uint64_t, std::uint64_t> lease_range(int num_programs,
                                                     int count, int index);
 
@@ -222,11 +222,10 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
 /// True when a manifest exists and every lease has a done file.
 bool campaign_complete(const std::string& dir);
 
-/// The configuration fingerprint a results directory was produced under:
-/// the manifest's "config" for a lease/coordinator directory, the first
-/// shard checkpoint's for a fixed-carve directory.  Throws if the
-/// directory holds neither.  This is what lets `--merge --report-v2`
-/// stamp the merged report with the fingerprint the store keys it by.
+/// The configuration fingerprint a lease or coordinator directory was
+/// produced under: its manifest's "config".  Throws if the directory has
+/// no manifest.  This is what lets `--merge DIR --report-v2` stamp the
+/// merged report with the fingerprint the store keys it by.
 support::Json config_echo_of_dir(const std::string& dir);
 
 struct LeaseMergeOptions {
@@ -239,10 +238,11 @@ struct LeaseMergeOptions {
 };
 
 /// Merge a completed lease directory into CampaignResults byte-identical
-/// to the unsharded diff::run_campaign output.  Throws if the manifest is
-/// missing, any lease is unfinished, or any block fails validation; a
-/// corrupt done file is reported with its file name (crash litter such as
-/// stale `*.tmp.*` publisher temps is never read as a done file).
+/// to the single-process diff::run_campaign output.  Throws if the
+/// manifest is missing, any lease is unfinished, or any block fails
+/// validation; a corrupt done file is reported with its file name.  Only
+/// `lease-<k>.done.json` files are read, so crash litter beside them
+/// (publisher temps, claims, steal tombstones) never reaches the merge.
 diff::CampaignResults merge_lease_dir(const std::string& dir,
                                       const LeaseMergeOptions& options = {});
 

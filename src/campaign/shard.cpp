@@ -1,125 +1,67 @@
 #include "campaign/shard.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <stdexcept>
+#include <string>
 
 #include "campaign/checkpoint.hpp"
 
 namespace gpudiff::campaign {
 
-void ShardSpec::validate() const {
-  if (count <= 0 || index < 0 || index >= count)
-    throw std::invalid_argument("shard: index " + std::to_string(index) +
-                                " not in [0, " + std::to_string(count) + ")");
-}
+namespace {
 
-std::pair<std::uint64_t, std::uint64_t> ShardSpec::program_range(
-    int num_programs) const {
-  validate();
-  if (num_programs < 0)
-    throw std::invalid_argument("shard: negative program count");
-  const auto n = static_cast<std::uint64_t>(num_programs);
-  const auto i = static_cast<std::uint64_t>(index);
-  const auto c = static_cast<std::uint64_t>(count);
-  return {n * i / c, n * (i + 1) / c};
-}
+/// Programs per block: the interval between on_progress / stop_requested
+/// polls, and the bound on the per-program state a run holds at once.
+constexpr std::uint64_t kBlockPrograms = 64;
 
-bool parse_shard(const std::string& text, ShardSpec* out) {
-  const auto slash = text.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= text.size())
-    return false;
-  const std::string idx = text.substr(0, slash);
-  const std::string cnt = text.substr(slash + 1);
-  const auto all_digits = [](const std::string& s) {
-    return !s.empty() &&
-           std::all_of(s.begin(), s.end(), [](char c) { return c >= '0' && c <= '9'; });
-  };
-  if (!all_digits(idx) || !all_digits(cnt)) return false;
-  ShardSpec spec;
-  try {
-    spec.index = std::stoi(idx);
-    spec.count = std::stoi(cnt);
-  } catch (const std::exception&) {
-    return false;
-  }
-  if (spec.count <= 0 || spec.index < 0 || spec.index >= spec.count) return false;
-  if (out != nullptr) *out = spec;
-  return true;
-}
-
-std::string to_string(const ShardSpec& spec) {
-  return std::to_string(spec.index) + "/" + std::to_string(spec.count);
-}
+}  // namespace
 
 ShardProgress run_shard(const diff::CampaignConfig& config,
                         const ShardRunOptions& options) {
-  const auto [begin, end] = options.shard.program_range(config.num_programs);
-
+  if (config.num_programs < 0)
+    throw std::invalid_argument("run_shard: negative program count");
   ShardProgress progress;
   progress.config_echo = config_to_json(config);
-  progress.shard = options.shard;
-  progress.begin = begin;
-  progress.end = end;
-  progress.cursor = begin;
+  progress.end = static_cast<std::uint64_t>(config.num_programs);
   progress.per_level.assign(config.levels.size(),
                             diff::LevelStats::zero(config.platforms.size()));
 
-  const std::string path =
-      options.checkpoint_dir.empty()
-          ? std::string()
-          : checkpoint_path(options.checkpoint_dir, options.shard);
-  if (!options.resume && !path.empty() && std::filesystem::exists(path)) {
-    // The most common restart mistake: a scheduler re-launches the same
-    // command line without --resume.  Silently restarting from program 0
-    // would overwrite hours of checkpointed work, so refuse instead.
-    throw std::runtime_error(
-        "run_shard: checkpoint already exists: " + path +
-        " (pass resume to continue it, or delete it to start fresh)");
-  }
-  if (options.resume) {
-    if (path.empty())
-      throw std::invalid_argument("run_shard: resume needs a checkpoint dir");
-    if (std::filesystem::exists(path)) {
-      ShardProgress loaded = load_checkpoint(path);
-      if (loaded.config_echo != progress.config_echo)
-        throw std::runtime_error(
-            "run_shard: checkpoint was written under a different campaign "
-            "configuration: " + path);
-      if (loaded.shard != options.shard || loaded.begin != begin ||
-          loaded.end != end)
-        throw std::runtime_error("run_shard: checkpoint shard mismatch: " + path);
-      progress = std::move(loaded);
-    }
-    // No checkpoint yet: a cold resume starts from the top.
-  }
-
-  // Snapshot the starting state up front: an empty-range shard (more
-  // shards than programs) still leaves a mergeable result file, and a kill
-  // before the first block boundary still finds a resumable checkpoint.
-  if (!path.empty()) save_checkpoint(options.checkpoint_dir, progress);
-
-  const auto every = static_cast<std::uint64_t>(
-      std::max(1, options.checkpoint_every));
+  // Blocks rather than one run_campaign_range call over everything: a
+  // range call holds every program's LevelStats until it folds them —
+  // about 1-3 KB per program, megabytes at paper scale.
   while (progress.cursor < progress.end) {
     if (options.stop_requested && options.stop_requested()) break;
     const std::uint64_t block_end =
-        std::min(progress.end, progress.cursor + every);
+        std::min(progress.end, progress.cursor + kBlockPrograms);
     diff::RangeOutcome block =
         diff::run_campaign_range(config, progress.cursor, block_end);
     for (std::size_t li = 0; li < progress.per_level.size(); ++li)
       progress.per_level[li].merge(block.per_level[li]);
     // Blocks arrive in program order, so appending the block's canonical
-    // prefix until the cap keeps exactly the shard's lowest
+    // prefix until the cap keeps exactly the lowest
     // (program, input, level) records.
     diff::append_capped_records(progress.records, std::move(block.records),
                                 config.max_records);
     progress.cursor = block_end;
-    if (!path.empty()) save_checkpoint(options.checkpoint_dir, progress);
     if (options.on_progress) options.on_progress(progress);
   }
   return progress;
+}
+
+diff::CampaignResults merge_shards(std::vector<ShardProgress> parts) {
+  if (parts.empty())
+    throw std::runtime_error("merge_shards: no campaign runs to merge");
+  const support::Json echo = parts.front().config_echo;
+  std::vector<ResultBlock> blocks;
+  blocks.reserve(parts.size());
+  for (ShardProgress& p : parts) {
+    if (!p.complete())
+      throw std::runtime_error(
+          "merge_shards: run is incomplete (" + std::to_string(p.cursor) +
+          "/" + std::to_string(p.end) + " programs)");
+    blocks.push_back(std::move(p));  // a complete run is just its block
+  }
+  return merge_blocks(echo, std::move(blocks));
 }
 
 }  // namespace gpudiff::campaign

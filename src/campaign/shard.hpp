@@ -1,91 +1,50 @@
 #pragma once
-// Campaign orchestration: sharded, checkpointed, resumable execution of
-// paper-scale differential campaigns.
+// The in-memory campaign runner: gpudiff-campaign's single-process mode.
 //
-// The paper's headline campaign is 652,600 runs; a single in-process loop
-// (diff::run_campaign) bounds throughput to one machine and loses all work
-// on a crash.  This layer splits the program-index range into deterministic
-// shards that any job launcher can distribute across machines, executes one
-// shard in checkpointed blocks, and (campaign/merge.hpp) folds the shard
-// states back into one CampaignResults that is byte-identical to the
-// unsharded run — per-program seeds derive from (seed, program_index), so
-// carving the index range loses nothing.
+// run_shard executes a whole campaign in fixed 64-program blocks, folding
+// each block's statistics and capped records into one running
+// ShardProgress, so a campaign never holds more than one block's
+// per-program LevelStats at once.  merge_shards turns the finished run into
+// CampaignResults byte-identical to diff::run_campaign.
 //
-//   ShardSpec   — "shard i of N": a contiguous program-index subrange
-//   ShardProgress — one shard's accumulated state + resume cursor
-//   run_shard   — the checkpointed shard executor
+// Nothing here touches the disk.  A campaign that must survive a crash or
+// spread across machines runs as lease workers instead
+// (campaign/scheduler.hpp): a single `--worker DIR` process is the durable
+// one-machine run, with --lease-size as its checkpoint granularity.
 
 #include <cstdint>
 #include <functional>
-#include <string>
-#include <utility>
 #include <vector>
 
+#include "campaign/merge.hpp"
 #include "diff/campaign.hpp"
-#include "support/json.hpp"
 
 namespace gpudiff::campaign {
 
-/// "Shard i of N": shard `index` owns the contiguous program-index range
-/// [n*i/N, n*(i+1)/N) of an n-program campaign.  The union over all shards
-/// is exactly [0, n) with no overlap, and ranges differ in size by at most
-/// one program.
-struct ShardSpec {
-  int index = 0;
-  int count = 1;
-
-  /// Throws std::invalid_argument unless 0 <= index < count.
-  void validate() const;
-  /// This shard's [begin, end) program-index range.
-  std::pair<std::uint64_t, std::uint64_t> program_range(int num_programs) const;
-
-  friend bool operator==(const ShardSpec&, const ShardSpec&) = default;
-};
-
-/// Parse "i/N" (e.g. "2/8").  Returns false on malformed or out-of-range.
-bool parse_shard(const std::string& text, ShardSpec* out);
-std::string to_string(const ShardSpec& spec);
-
-/// One shard's accumulated campaign state: everything a checkpoint persists
-/// and everything the merge stage needs.  `config_echo` is the full
-/// configuration fingerprint (campaign::config_to_json) — resume and merge
-/// both refuse state produced under a different configuration.
-struct ShardProgress {
-  support::Json config_echo;
-  ShardSpec shard;
-  std::uint64_t begin = 0;   ///< first program index owned by the shard
-  std::uint64_t end = 0;     ///< one past the last owned index
-  std::uint64_t cursor = 0;  ///< next program index to execute (resume point)
-  std::vector<diff::LevelStats> per_level;       ///< aligned with config levels
-  std::vector<diff::DiscrepancyRecord> records;  ///< canonical order, capped
+/// The run's accumulated state: the result block over [begin, end) plus
+/// the next program index to execute.
+struct ShardProgress : ResultBlock {
+  std::uint64_t cursor = 0;
 
   bool complete() const noexcept { return cursor >= end; }
 };
 
 struct ShardRunOptions {
-  ShardSpec shard;
-  /// Directory for write-then-rename checkpoint snapshots; empty disables
-  /// checkpointing (pure in-memory shard run).
-  std::string checkpoint_dir;
-  /// Programs executed between checkpoints.  Each block runs in parallel
-  /// (config.threads); block boundaries are the only resume points, so the
-  /// result is deterministic for any (threads, checkpoint_every, kill) mix.
-  int checkpoint_every = 64;
-  /// Pick up from this shard's checkpoint in checkpoint_dir if one exists
-  /// (no-op when none does — a cold resume simply starts from the top).
-  bool resume = false;
   /// Called after every completed block with the current progress.
   std::function<void(const ShardProgress&)> on_progress;
   /// Polled between blocks; returning true stops the run after the last
-  /// completed checkpoint (the graceful half of kill-and-resume).
+  /// completed block.  The partial state is not mergeable.
   std::function<bool()> stop_requested;
 };
 
-/// Execute one shard of `config`'s campaign.  Returns the shard state,
-/// which is complete() unless stop_requested interrupted it.  With a
-/// checkpoint_dir, the state on disk always matches a block boundary, so a
-/// killed process resumes with `resume = true` and loses at most one block.
+/// Execute `config`'s whole campaign in memory.  Returns the run's state,
+/// which is complete() unless stop_requested interrupted it.
 ShardProgress run_shard(const diff::CampaignConfig& config,
                         const ShardRunOptions& options);
+
+/// Fold complete runs into campaign results (merge_blocks over their
+/// blocks).  Throws std::runtime_error on an empty list or an interrupted
+/// run.
+diff::CampaignResults merge_shards(std::vector<ShardProgress> parts);
 
 }  // namespace gpudiff::campaign

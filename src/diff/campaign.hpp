@@ -12,7 +12,7 @@
 //   * run_campaign      — the whole [0, num_programs) range in one call;
 //   * run_campaign_range — any contiguous program-index subrange, the
 //     building block the campaign orchestration layer (src/campaign/) uses
-//     for sharding and checkpointed incremental execution.  Per-program
+//     for leases and block-wise in-memory execution.  Per-program
 //     seeds derive from (seed, program_index), so the union of subrange
 //     results is byte-identical to the single-range run.
 
@@ -36,7 +36,7 @@ struct CampaignConfig {
   int inputs_per_program = 7;   ///< paper: 24,750 runs / 3,540 programs
   bool hipify_converted = false;  ///< Tables VII/VIII mode
   /// The platform selection, element 0 the comparison baseline.  Part of
-  /// the configuration fingerprint: a lease/shard result is a pure
+  /// the configuration fingerprint: a lease result is a pure
   /// function of (fingerprint, range), and the fingerprint covers the full
   /// spec of every selected platform.
   std::vector<opt::PlatformSpec> platforms = opt::default_platforms();
@@ -45,8 +45,8 @@ struct CampaignConfig {
   unsigned threads = 0;         ///< 0 = hardware concurrency
   /// Cap on retained per-discrepancy records (statistics are never capped).
   /// Applied deterministically in canonical record order — lowest
-  /// (program_index, input_index, level) first — so a capped run, a merge
-  /// of capped shards and a resumed shard all retain the same records.
+  /// (program_index, input_index, level) first — so a capped run and a
+  /// merge of capped lease blocks retain the same records.
   std::size_t max_records = 50000;
 };
 
@@ -141,8 +141,8 @@ struct RangeOutcome {
 /// Move records from `src` onto the end of `dst` until `dst` holds `cap`
 /// of them.  Both sides must already be in canonical order with src's
 /// keys all above dst's; every capped-prefix composition in the campaign
-/// and sharding layers goes through this one helper so the cap invariant
-/// cannot drift between them.
+/// and orchestration layers goes through this one helper so the cap
+/// invariant cannot drift between them.
 void append_capped_records(std::vector<DiscrepancyRecord>& dst,
                            std::vector<DiscrepancyRecord>&& src,
                            std::size_t cap);

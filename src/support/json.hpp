@@ -118,9 +118,9 @@ std::string read_file(const std::string& path);
 void write_file(const std::string& path, std::string_view contents);
 /// Crash-safe write: the contents land in `path + temp_suffix` first and
 /// are renamed over `path` only after the write completes, so readers
-/// never observe a torn file (the campaign checkpoint requirement — a
-/// kill mid write leaves the previous checkpoint intact).  When several
-/// processes may write the same path concurrently (the scheduler's
+/// never observe a torn file (done files, reports and store documents all
+/// need this: a kill mid write leaves the previous file intact).  When
+/// several processes may write the same path concurrently (the scheduler's
 /// at-least-once duplicate publishes), each must pass its own unique
 /// temp_suffix or the racing writers can tear each other's temp file.
 void write_file_atomic(const std::string& path, std::string_view contents,

@@ -1,8 +1,9 @@
-// Tests for the campaign orchestration subsystem: deterministic shard
-// partitioning, checkpoint/resume, the merge stage and record-cap
-// semantics.  The load-bearing property throughout is byte-identity: the
-// canonical JSON of a merged sharded (or killed-and-resumed) campaign must
-// equal the unsharded diff::run_campaign output exactly.
+// Tests for the campaign orchestration subsystem: the lease partition,
+// the in-memory runner, lease-path equivalence, the merge stage and
+// record-cap semantics.  The load-bearing property throughout is
+// byte-identity: the canonical JSON of a merged lease directory (or of a
+// stopped-and-re-run worker) must equal the single-process
+// diff::run_campaign output exactly.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +28,6 @@ namespace {
 using namespace gpudiff;
 using campaign::ShardProgress;
 using campaign::ShardRunOptions;
-using campaign::ShardSpec;
 
 diff::CampaignConfig small_config(int programs = 45) {
   diff::CampaignConfig cfg;
@@ -41,16 +41,6 @@ std::string canonical(const diff::CampaignResults& results) {
   return campaign::results_to_json(results).dump(1);
 }
 
-diff::CampaignResults run_sharded(const diff::CampaignConfig& cfg, int count) {
-  std::vector<ShardProgress> parts;
-  for (int i = 0; i < count; ++i) {
-    ShardRunOptions options;
-    options.shard = {i, count};
-    parts.push_back(campaign::run_shard(cfg, options));
-  }
-  return campaign::merge_shards(std::move(parts));
-}
-
 /// A scratch directory removed on destruction.
 struct TempDir {
   std::filesystem::path path;
@@ -62,19 +52,31 @@ struct TempDir {
   std::string str() const { return path.string(); }
 };
 
+/// Run `cfg` as one lease worker over a fresh directory and merge it.
+diff::CampaignResults run_leased(const diff::CampaignConfig& cfg,
+                                 int lease_size) {
+  TempDir dir("gpudiff_leased");
+  campaign::WorkerOptions options;
+  options.dir = dir.str();
+  options.lease_size = lease_size;
+  options.worker_id = "w0";
+  EXPECT_TRUE(campaign::run_worker(cfg, options).campaign_complete);
+  return campaign::merge_lease_dir(dir.str());
+}
+
 // ---------------------------------------------------------------------------
-// shard partitioning
+// lease partitioning
 // ---------------------------------------------------------------------------
 
-TEST(ShardSpec, PartitionCoversRangeDisjointly) {
+TEST(LeasePartition, CoversRangeDisjointly) {
   for (int n : {0, 1, 5, 45, 354, 3540}) {
     for (int count : {1, 2, 3, 7, 64}) {
       std::uint64_t expected_begin = 0;
       for (int i = 0; i < count; ++i) {
-        const auto [begin, end] = ShardSpec{i, count}.program_range(n);
+        const auto [begin, end] = campaign::lease_range(n, count, i);
         EXPECT_EQ(begin, expected_begin) << n << " " << count << " " << i;
         EXPECT_LE(begin, end);
-        // Shard sizes are balanced to within one program.
+        // Lease sizes are balanced to within one program.
         const auto size = end - begin;
         EXPECT_LE(size, static_cast<std::uint64_t>(n) / count + 1);
         expected_begin = end;
@@ -84,11 +86,11 @@ TEST(ShardSpec, PartitionCoversRangeDisjointly) {
   }
 }
 
-// Property test over randomized geometries: both partitioners — the fixed
-// i/N shard carve and the scheduler's lease partitioner — must produce
-// ranges that are pairwise disjoint, cover exactly [0, n), and differ in
-// size by at most one.
-TEST(ShardSpec, RandomizedPartitionsAreDisjointCoveringAndBalanced) {
+// Property test over randomized geometries: the lease partition must
+// produce ranges that are pairwise disjoint, cover exactly [0, n), and
+// differ in size by at most one — for any partition count, and for the
+// count lease_count derives from a lease size.
+TEST(LeasePartition, RandomizedPartitionsAreDisjointCoveringAndBalanced) {
   support::Rng rng(20260726);
   const auto check_partition = [](int n, int count,
                                   const auto& range_of) {
@@ -105,17 +107,18 @@ TEST(ShardSpec, RandomizedPartitionsAreDisjointCoveringAndBalanced) {
       expected_begin = end;
     }
     ASSERT_EQ(expected_begin, static_cast<std::uint64_t>(n)) << "coverage";
-    if (count > 0)
+    if (count > 0) {
       ASSERT_LE(max_size - min_size, 1u)
           << "n=" << n << " count=" << count << " is unbalanced";
+    }
   };
 
   for (int trial = 0; trial < 300; ++trial) {
     const int n = static_cast<int>(rng.below(4000));
-    // Fixed carve: shard i of N.
+    // Any partition count, including more parts than programs.
     const int N = 1 + static_cast<int>(rng.below(48));
     check_partition(n, N, [&](int i) {
-      return ShardSpec{i, N}.program_range(n);
+      return campaign::lease_range(n, N, i);
     });
     // Lease partitioner: K = ceil(n / L) balanced ranges, none above L.
     const int L = 1 + static_cast<int>(rng.below(130));
@@ -131,6 +134,7 @@ TEST(ShardSpec, RandomizedPartitionsAreDisjointCoveringAndBalanced) {
 
   EXPECT_THROW(campaign::lease_range(10, 0, 0), std::invalid_argument);
   EXPECT_THROW(campaign::lease_range(10, 3, 3), std::invalid_argument);
+  EXPECT_THROW(campaign::lease_range(10, 3, -1), std::invalid_argument);
   EXPECT_THROW(campaign::lease_range(-1, 3, 0), std::invalid_argument);
   EXPECT_THROW(campaign::lease_count(-1, 4), std::invalid_argument);
   EXPECT_EQ(campaign::lease_count(0, 4), 0);
@@ -138,57 +142,53 @@ TEST(ShardSpec, RandomizedPartitionsAreDisjointCoveringAndBalanced) {
   EXPECT_EQ(campaign::lease_count(45, 0), 45) << "lease size clamps to >= 1";
 }
 
-TEST(ShardSpec, ValidatesAndParses) {
-  EXPECT_THROW(ShardSpec({2, 2}).validate(), std::invalid_argument);
-  EXPECT_THROW(ShardSpec({-1, 2}).validate(), std::invalid_argument);
-  EXPECT_THROW(ShardSpec({0, 0}).validate(), std::invalid_argument);
-
-  ShardSpec spec;
-  EXPECT_TRUE(campaign::parse_shard("2/8", &spec));
-  EXPECT_EQ(spec, (ShardSpec{2, 8}));
-  EXPECT_EQ(campaign::to_string(spec), "2/8");
-  for (const char* bad : {"", "3", "/4", "3/", "8/8", "-1/4", "a/4", "1/b", "1/2/3"})
-    EXPECT_FALSE(campaign::parse_shard(bad, nullptr)) << bad;
-}
-
 // ---------------------------------------------------------------------------
-// shard equivalence: merged == unsharded, byte for byte
+// lease equivalence: merged lease dir == single process, byte for byte
 // ---------------------------------------------------------------------------
 
-TEST(ShardEquivalence, MergeMatchesUnshardedByteForByte) {
-  const auto cfg = small_config();
-  const std::string direct = canonical(diff::run_campaign(cfg));
-  for (int count : {2, 3, 7}) {
-    EXPECT_EQ(canonical(run_sharded(cfg, count)), direct) << count << " shards";
+TEST(LeaseEquivalence, MergeMatchesSingleProcessForFp64Fp32AndHipify) {
+  auto fp32_hipify = small_config(30);
+  fp32_hipify.gen.precision = ir::Precision::FP32;
+  fp32_hipify.hipify_converted = true;
+  for (const diff::CampaignConfig& cfg : {small_config(), fp32_hipify}) {
+    const std::string direct = canonical(diff::run_campaign(cfg));
+    for (int lease_size : {1, 3, 7})
+      EXPECT_EQ(canonical(run_leased(cfg, lease_size)), direct)
+          << ir::to_string(cfg.gen.precision) << ", lease size "
+          << lease_size;
   }
 }
 
-TEST(ShardEquivalence, HoldsForFp32AndHipify) {
-  auto cfg = small_config(30);
-  cfg.gen.precision = ir::Precision::FP32;
-  cfg.hipify_converted = true;
-  EXPECT_EQ(canonical(run_sharded(cfg, 3)), canonical(diff::run_campaign(cfg)));
-}
+// ---------------------------------------------------------------------------
+// the in-memory runner
+// ---------------------------------------------------------------------------
 
-TEST(ShardEquivalence, MoreShardsThanProgramsStillMerges) {
-  const auto cfg = small_config(3);
-  EXPECT_EQ(canonical(run_sharded(cfg, 7)), canonical(diff::run_campaign(cfg)));
-  // The same over a checkpoint directory: empty-range shards must still
-  // write their (trivially complete) result files or the merge cannot
-  // account for them.
-  TempDir dir("gpudiff_empty_range_shards");
-  for (int i = 0; i < 7; ++i) {
-    ShardRunOptions options;
-    options.shard = {i, 7};
-    options.checkpoint_dir = dir.str();
-    campaign::run_shard(cfg, options);
-  }
-  EXPECT_EQ(canonical(campaign::merge_checkpoint_dir(dir.str())),
+TEST(InMemory, RunsInBlocksAndMergesOnlyCompleteRuns) {
+  const auto cfg = small_config(70);
+  ShardRunOptions options;
+  std::vector<std::uint64_t> cursors;
+  options.on_progress = [&](const ShardProgress& p) {
+    cursors.push_back(p.cursor);
+  };
+  const ShardProgress full = campaign::run_shard(cfg, options);
+  EXPECT_TRUE(full.complete());
+  EXPECT_EQ(cursors, (std::vector<std::uint64_t>{64, 70}))
+      << "the runner folds fixed 64-program blocks";
+  EXPECT_EQ(canonical(campaign::merge_shards({full})),
             canonical(diff::run_campaign(cfg)));
+
+  // A stop after the first block leaves a partial run the merge refuses.
+  options.stop_requested = [&] { return !cursors.empty(); };
+  cursors.clear();
+  const ShardProgress half = campaign::run_shard(cfg, options);
+  EXPECT_FALSE(half.complete());
+  EXPECT_EQ(half.cursor, 64u);
+  EXPECT_THROW(campaign::merge_shards({half}), std::runtime_error);
+  EXPECT_THROW(campaign::merge_shards({}), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
-// record-cap semantics under sharding
+// record-cap semantics under lease carving
 // ---------------------------------------------------------------------------
 
 TEST(RecordCap, AppliedDeterministicallyAtMergeTime) {
@@ -206,9 +206,11 @@ TEST(RecordCap, AppliedDeterministicallyAtMergeTime) {
     EXPECT_EQ(direct.records[i].input_index, uncapped.records[i].input_index);
     EXPECT_EQ(direct.records[i].level, uncapped.records[i].level);
   }
-  // And sharding does not change it, whichever shard the records fall into.
-  for (int count : {2, 3, 7})
-    EXPECT_EQ(canonical(run_sharded(cfg, count)), canonical(direct)) << count;
+  // And lease carving does not change it, whichever lease the records
+  // fall into.
+  for (int lease_size : {1, 3, 7})
+    EXPECT_EQ(canonical(run_leased(cfg, lease_size)), canonical(direct))
+        << "lease size " << lease_size;
 }
 
 TEST(RecordCap, CanonicalOrderIsProgramInputLevel) {
@@ -230,113 +232,37 @@ TEST(RecordCap, CanonicalOrderIsProgramInputLevel) {
 }
 
 // ---------------------------------------------------------------------------
-// checkpointing and resume
+// document serialization
 // ---------------------------------------------------------------------------
-
-TEST(Checkpoint, KillAndResumeIsByteIdenticalToUninterrupted) {
-  const auto cfg = small_config();
-  const std::string direct = canonical(diff::run_campaign(cfg));
-  TempDir dir("gpudiff_ckpt_resume");
-
-  // First run: stop after three 4-program blocks, as a SIGTERM would.
-  int blocks = 0;
-  ShardRunOptions options;
-  options.shard = {0, 1};
-  options.checkpoint_dir = dir.str();
-  options.checkpoint_every = 4;
-  options.on_progress = [&](const ShardProgress&) { ++blocks; };
-  options.stop_requested = [&] { return blocks >= 3; };
-  const ShardProgress killed = campaign::run_shard(cfg, options);
-  EXPECT_FALSE(killed.complete());
-  EXPECT_EQ(killed.cursor, 12u);
-  ASSERT_TRUE(std::filesystem::exists(
-      campaign::checkpoint_path(dir.str(), options.shard)));
-
-  // Second run: resume from the checkpoint and finish.
-  ShardRunOptions resume;
-  resume.shard = options.shard;
-  resume.checkpoint_dir = dir.str();
-  resume.checkpoint_every = 4;
-  resume.resume = true;
-  std::uint64_t first_resumed_block = 0;
-  resume.on_progress = [&](const ShardProgress& p) {
-    if (first_resumed_block == 0) first_resumed_block = p.cursor;
-  };
-  const ShardProgress finished = campaign::run_shard(cfg, resume);
-  EXPECT_TRUE(finished.complete());
-  // The resumed run picked up after the kill point instead of redoing work.
-  EXPECT_EQ(first_resumed_block, 16u);
-  EXPECT_EQ(canonical(campaign::merge_shards({finished})), direct);
-}
-
-TEST(Checkpoint, ResumeWithoutCheckpointStartsFresh) {
-  const auto cfg = small_config(10);
-  TempDir dir("gpudiff_ckpt_cold");
-  ShardRunOptions options;
-  options.shard = {0, 1};
-  options.checkpoint_dir = dir.str();
-  options.resume = true;
-  const ShardProgress progress = campaign::run_shard(cfg, options);
-  EXPECT_TRUE(progress.complete());
-  EXPECT_EQ(canonical(campaign::merge_shards({progress})),
-            canonical(diff::run_campaign(cfg)));
-}
-
-TEST(Checkpoint, NonResumeRefusesToOverwriteExistingCheckpoint) {
-  // A scheduler restarting the same command line without resume must not
-  // silently restart the shard from program 0 over checkpointed work.
-  const auto cfg = small_config(10);
-  TempDir dir("gpudiff_ckpt_overwrite");
-  ShardRunOptions options;
-  options.shard = {0, 1};
-  options.checkpoint_dir = dir.str();
-  campaign::run_shard(cfg, options);
-  EXPECT_THROW(campaign::run_shard(cfg, options), std::runtime_error);
-  options.resume = true;
-  EXPECT_NO_THROW(campaign::run_shard(cfg, options));
-}
 
 TEST(Checkpoint, RejectsForeignAndVersionedDocuments) {
   using support::Json;
-  EXPECT_THROW(campaign::progress_from_json(Json::parse("{}")),
-               std::runtime_error);
-  EXPECT_THROW(campaign::progress_from_json(Json::parse(R"({"format":"x"})")),
-               std::runtime_error);
-  EXPECT_THROW(campaign::progress_from_json(Json::parse(
-                   R"({"format":"gpudiff-shard","version":2})")),
-               std::runtime_error);
-  EXPECT_THROW(campaign::progress_from_json(Json::parse(
-                   R"({"format":"gpudiff-shard"})")),
-               std::runtime_error);
+  for (const char* doc :
+       {"{}", R"({"format":"x"})", R"({"format":"gpudiff-lease","version":2})",
+        R"({"format":"gpudiff-lease"})",
+        R"({"format":"gpudiff-campaign-manifest","version":1})"}) {
+    EXPECT_THROW(campaign::block_from_json(Json::parse(doc), nullptr, nullptr),
+                 std::runtime_error)
+        << doc;
+  }
   EXPECT_THROW(campaign::results_from_json(Json::parse(
-                   R"({"format":"gpudiff-shard","version":1})")),
+                   R"({"format":"gpudiff-lease","version":1})")),
                std::runtime_error);
-}
 
-TEST(Checkpoint, ResumeRejectsMismatchedConfig) {
-  auto cfg = small_config(10);
-  TempDir dir("gpudiff_ckpt_mismatch");
-  ShardRunOptions options;
-  options.shard = {0, 1};
-  options.checkpoint_dir = dir.str();
-  campaign::run_shard(cfg, options);
-
-  options.resume = true;
-  cfg.seed = 99;
-  EXPECT_THROW(campaign::run_shard(cfg, options), std::runtime_error);
-}
-
-TEST(Checkpoint, ProgressJsonRoundTrips) {
-  const auto cfg = small_config(12);
-  ShardRunOptions options;
-  options.shard = {1, 3};
-  const ShardProgress progress = campaign::run_shard(cfg, options);
-  const support::Json j = campaign::progress_to_json(progress);
-  const ShardProgress reloaded =
-      campaign::progress_from_json(support::Json::parse(j.dump()));
-  EXPECT_EQ(campaign::progress_to_json(reloaded).dump(), j.dump());
-  EXPECT_EQ(reloaded.cursor, progress.cursor);
-  EXPECT_EQ(reloaded.records.size(), progress.records.size());
+  // The manifest loader applies the same rule to campaign.json.
+  TempDir dir("gpudiff_foreign_manifest");
+  std::filesystem::create_directories(dir.path);
+  const std::string manifest = campaign::LeaseBoard::manifest_path(dir.str());
+  for (const char* doc :
+       {"{}", R"({"format":"x"})",
+        R"({"format":"gpudiff-campaign-manifest","version":2})",
+        R"({"format":"gpudiff-campaign-manifest"})",
+        R"({"format":"gpudiff-lease","version":1})"}) {
+    support::write_file(manifest, doc);
+    EXPECT_THROW(campaign::LeaseBoard::load_manifest(dir.str()),
+                 std::runtime_error)
+        << doc;
+  }
 }
 
 TEST(Checkpoint, ResultsJsonRoundTrips) {
@@ -355,61 +281,6 @@ TEST(Checkpoint, AtomicWriteLeavesNoTempFile) {
   support::write_file_atomic(path, "{\"x\": 1}\n");
   EXPECT_EQ(support::read_file(path), "{\"x\": 1}\n");
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-}
-
-// ---------------------------------------------------------------------------
-// merge validation
-// ---------------------------------------------------------------------------
-
-TEST(Merge, RejectsIncompleteAndMissingShards) {
-  const auto cfg = small_config(20);
-  ShardRunOptions options;
-  options.shard = {0, 2};
-  int blocks = 0;
-  options.checkpoint_every = 2;
-  options.on_progress = [&](const ShardProgress&) { ++blocks; };
-  options.stop_requested = [&] { return blocks >= 1; };
-  ShardProgress half = campaign::run_shard(cfg, options);
-  EXPECT_FALSE(half.complete());
-
-  ShardRunOptions full0;
-  full0.shard = {0, 2};
-  ShardRunOptions full1;
-  full1.shard = {1, 2};
-  const ShardProgress shard0 = campaign::run_shard(cfg, full0);
-  const ShardProgress shard1 = campaign::run_shard(cfg, full1);
-
-  EXPECT_THROW(campaign::merge_shards({shard0, half}), std::runtime_error);
-  EXPECT_THROW(campaign::merge_shards({shard0}), std::runtime_error);
-  EXPECT_THROW(campaign::merge_shards({shard0, shard0}), std::runtime_error);
-  EXPECT_THROW(campaign::merge_shards({}), std::runtime_error);
-  EXPECT_NO_THROW(campaign::merge_shards({shard1, shard0}));  // order-insensitive
-}
-
-TEST(Merge, RejectsMixedConfigurations) {
-  auto cfg = small_config(10);
-  ShardRunOptions s0;
-  s0.shard = {0, 2};
-  ShardRunOptions s1;
-  s1.shard = {1, 2};
-  const ShardProgress shard0 = campaign::run_shard(cfg, s0);
-  cfg.seed = 4321;
-  const ShardProgress shard1 = campaign::run_shard(cfg, s1);
-  EXPECT_THROW(campaign::merge_shards({shard0, shard1}), std::runtime_error);
-}
-
-TEST(Merge, LoadsShardsFromCheckpointDirectory) {
-  const auto cfg = small_config(21);
-  TempDir dir("gpudiff_merge_dir");
-  for (int i = 0; i < 3; ++i) {
-    ShardRunOptions options;
-    options.shard = {i, 3};
-    options.checkpoint_dir = dir.str();
-    options.checkpoint_every = 2;
-    campaign::run_shard(cfg, options);
-  }
-  EXPECT_EQ(canonical(campaign::merge_checkpoint_dir(dir.str())),
-            canonical(diff::run_campaign(cfg)));
 }
 
 // ---------------------------------------------------------------------------
@@ -447,10 +318,10 @@ diff::CampaignConfig three_platform_config(int programs = 30) {
   return cfg;
 }
 
-TEST(PlatformCampaign, ThreeWayCheckpointResumeMergeIsByteIdentical) {
-  // An N=3 campaign through the full orchestration stack: sharded
-  // execution, a kill after three blocks, resume, then merge — byte
-  // identical to the direct three-platform run.
+TEST(PlatformCampaign, ThreeWayStopAndRerunMergeIsByteIdentical) {
+  // An N=3 campaign through the lease path: a worker stopped after three
+  // leases (as SIGTERM would stop it), re-run to completion, then merged —
+  // byte identical to the direct three-platform run.
   const auto cfg = three_platform_config();
   const diff::CampaignResults direct = diff::run_campaign(cfg);
   EXPECT_EQ(direct.platforms,
@@ -458,28 +329,27 @@ TEST(PlatformCampaign, ThreeWayCheckpointResumeMergeIsByteIdentical) {
   EXPECT_EQ(direct.runs_total(), direct.comparisons_total() * 3);
   const std::string want = canonical(direct);
 
-  TempDir dir("gpudiff_n3_resume");
-  int blocks = 0;
-  ShardRunOptions options;
-  options.shard = {0, 2};
-  options.checkpoint_dir = dir.str();
-  options.checkpoint_every = 4;
-  options.on_progress = [&](const ShardProgress&) { ++blocks; };
-  options.stop_requested = [&] { return blocks >= 3; };
-  const ShardProgress killed = campaign::run_shard(cfg, options);
-  EXPECT_FALSE(killed.complete());
+  TempDir dir("gpudiff_n3_rerun");
+  int leases = 0;
+  campaign::WorkerOptions options;
+  options.dir = dir.str();
+  options.lease_size = 4;
+  options.worker_id = "w0";
+  options.on_lease = [&](const campaign::WorkerOptions::LeaseEvent&) {
+    ++leases;
+  };
+  options.stop_requested = [&] { return leases >= 3; };
+  const campaign::WorkerOutcome stopped = campaign::run_worker(cfg, options);
+  EXPECT_FALSE(stopped.campaign_complete);
+  EXPECT_EQ(stopped.leases_completed, 3);
 
-  ShardRunOptions resume = options;
-  resume.resume = true;
-  resume.on_progress = nullptr;
-  resume.stop_requested = nullptr;
-  const ShardProgress shard0 = campaign::run_shard(cfg, resume);
-  EXPECT_TRUE(shard0.complete());
-  ShardRunOptions s1;
-  s1.shard = {1, 2};
-  s1.checkpoint_dir = dir.str();
-  campaign::run_shard(cfg, s1);
-  EXPECT_EQ(canonical(campaign::merge_checkpoint_dir(dir.str())), want);
+  // The re-run executes only the leases the stopped worker left.
+  options.on_lease = nullptr;
+  options.stop_requested = nullptr;
+  const campaign::WorkerOutcome rerun = campaign::run_worker(cfg, options);
+  EXPECT_TRUE(rerun.campaign_complete);
+  EXPECT_EQ(rerun.leases_completed, campaign::lease_count(30, 4) - 3);
+  EXPECT_EQ(canonical(campaign::merge_lease_dir(dir.str())), want);
 }
 
 TEST(PlatformCampaign, ThreeWayWorkerFleetIsByteIdentical) {
@@ -499,9 +369,10 @@ TEST(PlatformCampaign, ThreeWayWorkerFleetIsByteIdentical) {
 }
 
 TEST(PlatformCampaign, FingerprintCoversThePlatformSet) {
-  // Same seed/counts, different platform selection: resume and merge must
-  // both refuse to mix the two, because a block is only a pure function of
-  // (fingerprint, range) when the fingerprint pins the platform set.
+  // Same seed/counts, different platform selection: the manifest check
+  // must refuse to mix the two in one lease directory, because a block is
+  // only a pure function of (fingerprint, range) when the fingerprint pins
+  // the platform set.
   const auto cfg2 = small_config(10);
   const auto cfg3 = [&] {
     auto c = three_platform_config(10);
@@ -511,12 +382,11 @@ TEST(PlatformCampaign, FingerprintCoversThePlatformSet) {
   EXPECT_NE(campaign::config_to_json(cfg2), campaign::config_to_json(cfg3));
 
   TempDir dir("gpudiff_platform_fingerprint");
-  ShardRunOptions options;
-  options.shard = {0, 1};
-  options.checkpoint_dir = dir.str();
-  campaign::run_shard(cfg2, options);
-  options.resume = true;
-  EXPECT_THROW(campaign::run_shard(cfg3, options), std::runtime_error);
+  campaign::WorkerOptions options;
+  options.dir = dir.str();
+  options.worker_id = "w0";
+  ASSERT_TRUE(campaign::run_worker(cfg2, options).campaign_complete);
+  EXPECT_THROW(campaign::run_worker(cfg3, options), std::runtime_error);
 }
 
 TEST(PlatformCampaign, ThreeWayResultsJsonRoundTrips) {

@@ -555,17 +555,23 @@ TEST(Coordinator, MergeNamesCorruptDoneFileAndQuarantineSetsItAside) {
   EXPECT_EQ(canonical(campaign::merge_lease_dir(dir.str())), direct);
 }
 
-TEST(Coordinator, ShardMergeSkipsStaleTempLitter) {
+TEST(Coordinator, LeaseMergeSkipsTempAndClaimLitter) {
   const auto cfg = small_config();
   TempDir dir("gpudiff_coord_tmplitter");
-  campaign::ShardRunOptions sopts;
-  sopts.checkpoint_dir = dir.str();
-  ASSERT_TRUE(campaign::run_shard(cfg, sopts).complete());
-  // Crash litter whose name would match the shard glob but for the ".tmp"
-  // marker: a killed checkpointer's half-written temp.
-  support::write_file(dir.str() + "/shard-0-of-1.json.tmp.999", "{\"trunc");
-  support::write_file(dir.str() + "/shard-junk.tmp.json", "not json at all");
-  EXPECT_EQ(canonical(campaign::merge_checkpoint_dir(dir.str())),
+  campaign::WorkerOptions wopts;
+  wopts.dir = dir.str();
+  wopts.lease_size = 8;
+  wopts.worker_id = "w0";
+  ASSERT_TRUE(campaign::run_worker(cfg, wopts).campaign_complete);
+  // Crash litter beside the done files: a killed publisher's half-written
+  // temp, a junk temp, a stale claim on a finished lease, a steal
+  // tombstone and a claim temp.  None of it may reach the merge.
+  support::write_file(dir.str() + "/lease-0.done.json.tmp.999", "{\"trunc");
+  support::write_file(dir.str() + "/lease-junk.tmp.json", "not json at all");
+  support::write_file(dir.str() + "/lease-1.claim", "{\"trunc");
+  support::write_file(dir.str() + "/lease-2.claim.stale.dead", "");
+  support::write_file(dir.str() + "/lease-3.claim.dead", "{}");
+  EXPECT_EQ(canonical(campaign::merge_lease_dir(dir.str())),
             canonical(diff::run_campaign(cfg)));
 }
 

@@ -1,14 +1,14 @@
-// Equivalence and fault-injection tests for the work-stealing shard
-// scheduler (campaign/scheduler.hpp).  The load-bearing property is the
-// same one the fixed-carve tests lock down, under much nastier execution
-// shapes: however a fleet of workers carves, steals, duplicates, dies or
-// is interrupted, the merged CampaignResults must be byte-identical to the
-// single-process diff::run_campaign output.
+// Equivalence and fault-injection tests for the work-stealing lease
+// scheduler (campaign/scheduler.hpp).  The load-bearing property: however
+// a fleet of workers carves, steals, duplicates, dies or is interrupted,
+// the merged CampaignResults must be byte-identical to the single-process
+// diff::run_campaign output.
 //
 // The fault-injection half drives the real gpudiff-campaign binary as a
 // child process (located via the GPUDIFF_CAMPAIGN_BIN environment
 // variable, wired up by CMake) so SIGKILL/SIGINT exercise the actual
-// signal-handler and process-death paths, not in-process simulations.
+// signal-handler and process-death paths, not in-process simulations, and
+// the command line's mode checks are tested where users meet them.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +26,6 @@
 #include "campaign/checkpoint.hpp"
 #include "campaign/merge.hpp"
 #include "campaign/scheduler.hpp"
-#include "campaign/shard.hpp"
 #include "diff/campaign.hpp"
 #include "support/json.hpp"
 #include "support/lockfile.hpp"
@@ -71,6 +70,19 @@ int count_files_with_suffix(const std::string& dir, const std::string& suffix) {
       ++n;
   }
   return n;
+}
+
+/// The ResultBlock a lease worker would publish for [begin, end).
+campaign::ResultBlock make_block(const diff::CampaignConfig& cfg,
+                                 std::uint64_t begin, std::uint64_t end) {
+  diff::RangeOutcome out = diff::run_campaign_range(cfg, begin, end);
+  campaign::ResultBlock block;
+  block.config_echo = campaign::config_to_json(cfg);
+  block.begin = begin;
+  block.end = end;
+  block.per_level = std::move(out.per_level);
+  block.records = std::move(out.records);
+  return block;
 }
 
 bool wait_until(const std::function<bool()>& pred, double seconds = 30.0) {
@@ -401,39 +413,33 @@ TEST(Scheduler, StopFlushesInFlightLeaseAndReleasesEveryClaim) {
 TEST(MergeBlocks, VariableSizedBlocksMatchUnsharded) {
   const auto cfg = small_config();
   const support::Json echo = campaign::config_to_json(cfg);
-  const auto make_block = [&](std::uint64_t begin, std::uint64_t end) {
-    diff::RangeOutcome out = diff::run_campaign_range(cfg, begin, end);
-    campaign::ResultBlock block;
-    block.config_echo = echo;
-    block.begin = begin;
-    block.end = end;
-    block.per_level = std::move(out.per_level);
-    block.records = std::move(out.records);
-    return block;
-  };
   // Deliberately irregular carve, including an empty block.
   std::vector<campaign::ResultBlock> blocks;
-  blocks.push_back(make_block(8, 30));
-  blocks.push_back(make_block(0, 7));
-  blocks.push_back(make_block(30, 30));
-  blocks.push_back(make_block(7, 8));
-  blocks.push_back(make_block(30, 45));
+  blocks.push_back(make_block(cfg, 8, 30));
+  blocks.push_back(make_block(cfg, 0, 7));
+  blocks.push_back(make_block(cfg, 30, 30));
+  blocks.push_back(make_block(cfg, 7, 8));
+  blocks.push_back(make_block(cfg, 30, 45));
   EXPECT_EQ(canonical(campaign::merge_blocks(echo, std::move(blocks))),
             canonical(diff::run_campaign(cfg)));
+
+  // More leases than programs: the empty ranges still merge.
+  const auto tiny = small_config(3);
+  std::vector<campaign::ResultBlock> tiny_blocks;
+  for (int k = 0; k < 7; ++k) {
+    const auto [begin, end] = campaign::lease_range(3, 7, k);
+    tiny_blocks.push_back(make_block(tiny, begin, end));
+  }
+  EXPECT_EQ(canonical(campaign::merge_blocks(campaign::config_to_json(tiny),
+                                             std::move(tiny_blocks))),
+            canonical(diff::run_campaign(tiny)));
 }
 
 TEST(MergeBlocks, RejectsGapsOverlapsAndForeignConfigs) {
   const auto cfg = small_config(10);
   const support::Json echo = campaign::config_to_json(cfg);
-  const auto make_block = [&](std::uint64_t begin, std::uint64_t end) {
-    diff::RangeOutcome out = diff::run_campaign_range(cfg, begin, end);
-    campaign::ResultBlock block;
-    block.config_echo = echo;
-    block.begin = begin;
-    block.end = end;
-    block.per_level = std::move(out.per_level);
-    block.records = std::move(out.records);
-    return block;
+  const auto block = [&](std::uint64_t begin, std::uint64_t end) {
+    return make_block(cfg, begin, end);
   };
   const auto merge_two = [&](campaign::ResultBlock a, campaign::ResultBlock b) {
     std::vector<campaign::ResultBlock> blocks;
@@ -442,25 +448,28 @@ TEST(MergeBlocks, RejectsGapsOverlapsAndForeignConfigs) {
     return campaign::merge_blocks(echo, std::move(blocks));
   };
   // Gap: [0,4) + [6,10).
-  EXPECT_THROW(merge_two(make_block(0, 4), make_block(6, 10)),
-               std::runtime_error);
+  EXPECT_THROW(merge_two(block(0, 4), block(6, 10)), std::runtime_error);
   // Overlap: [0,6) + [4,10).
-  EXPECT_THROW(merge_two(make_block(0, 6), make_block(4, 10)),
-               std::runtime_error);
+  EXPECT_THROW(merge_two(block(0, 6), block(4, 10)), std::runtime_error);
+  // The same block twice.
+  EXPECT_THROW(merge_two(block(0, 10), block(0, 10)), std::runtime_error);
   // Incomplete cover: [0,4) + [4,8).
-  EXPECT_THROW(merge_two(make_block(0, 4), make_block(4, 8)),
-               std::runtime_error);
-  // Foreign configuration fingerprint.
-  auto foreign = make_block(4, 10);
+  EXPECT_THROW(merge_two(block(0, 4), block(4, 8)), std::runtime_error);
+  // Foreign configuration fingerprints: an empty one, and a real block of
+  // the same range under another seed.
+  auto foreign = block(4, 10);
   foreign.config_echo = support::Json::object();
-  EXPECT_THROW(merge_two(make_block(0, 4), std::move(foreign)),
+  EXPECT_THROW(merge_two(block(0, 4), std::move(foreign)), std::runtime_error);
+  auto reseeded = small_config(10);
+  reseeded.seed = 4321;
+  EXPECT_THROW(merge_two(block(0, 4), make_block(reseeded, 4, 10)),
                std::runtime_error);
   // Empty block list is valid only for a 0-program campaign.
   EXPECT_THROW(campaign::merge_blocks(echo, {}), std::runtime_error);
   EXPECT_NO_THROW(campaign::merge_blocks(
       campaign::config_to_json(small_config(0)), {}));
-  // The valid carve still works.
-  EXPECT_EQ(canonical(merge_two(make_block(0, 4), make_block(4, 10))),
+  // The valid carve still works, in either order.
+  EXPECT_EQ(canonical(merge_two(block(4, 10), block(0, 4))),
             canonical(diff::run_campaign(cfg)));
 }
 
@@ -608,46 +617,51 @@ TEST(FaultInjection, SigintWorkerFlushesLeaseAndStrandsNothing) {
   EXPECT_EQ(canonical(campaign::merge_lease_dir(dir.str())), direct);
 }
 
-TEST(FaultInjection, SigintShardModeFlushesCheckpointAndResumes) {
-  // The shard-mode half of the SIGINT contract, through the real signal
-  // handler: the in-progress block is checkpointed before exit and a
-  // --resume continuation reproduces the uninterrupted bytes.
+/// Like wait_for_exit, but a child still running after `seconds` is
+/// SIGKILLed and reported as -1.
+int wait_for_exit_within(pid_t pid, double seconds) {
+  int status = 0;
+  const bool exited = wait_until(
+      [&] { return ::waitpid(pid, &status, WNOHANG) == pid; }, seconds);
+  if (exited) return status;
+  ::kill(pid, SIGKILL);
+  ::waitpid(pid, &status, 0);
+  return -1;
+}
+
+TEST(FaultInjection, ConflictingModesAreRefusedBeforeAnyWork) {
+  // A --coordinator worker never holds the merged results, so asking it
+  // for a report, tables or reductions must fail up front with exit 1 —
+  // not after the whole campaign has run, with the outputs dropped.  The
+  // three modes are exclusive the same way.  No coordinator listens on
+  // the address: a binary that started work would retry it until killed.
   if (campaign_binary() == nullptr)
     GTEST_SKIP() << "GPUDIFF_CAMPAIGN_BIN not set (run under CTest)";
-  const auto cfg = small_config();
-  const std::string direct = canonical(diff::run_campaign(cfg));
-  TempDir dir("gpudiff_sched_sigint_shard");
-
-  const pid_t pid = spawn_campaign(
-      {"--shard", "0/1", "--checkpoint-dir", dir.str(), "--checkpoint-every",
-       "1", "--programs", "45", "--inputs", "5", "--seed", "1234"});
-  ASSERT_GT(pid, 0);
-  const std::string ckpt =
-      campaign::checkpoint_path(dir.str(), campaign::ShardSpec{0, 1});
-  ASSERT_TRUE(wait_until([&] {
-    try {
-      return campaign::load_checkpoint(ckpt).cursor > 0;
-    } catch (const std::exception&) {
-      return false;  // not written yet
-    }
-  })) << "shard never checkpointed a block";
-  ASSERT_EQ(::kill(pid, SIGINT), 0);
-  const int status = wait_for_exit(pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_TRUE(WEXITSTATUS(status) == 3 || WEXITSTATUS(status) == 0)
-      << "unexpected exit code " << WEXITSTATUS(status);
-
-  // The checkpoint on disk is whole and resumable.
-  const campaign::ShardProgress after = campaign::load_checkpoint(ckpt);
-  EXPECT_GT(after.cursor, 0u);
-  campaign::ShardRunOptions resume;
-  resume.shard = {0, 1};
-  resume.checkpoint_dir = dir.str();
-  resume.checkpoint_every = 1;
-  resume.resume = true;
-  const campaign::ShardProgress finished = campaign::run_shard(cfg, resume);
-  EXPECT_TRUE(finished.complete());
-  EXPECT_EQ(canonical(campaign::merge_shards({finished})), direct);
+  TempDir dir("gpudiff_sched_modes");
+  const std::string report = dir.str() + "-report.json";
+  std::filesystem::remove(report);
+  const std::string coordinator = "127.0.0.1:1";
+  const std::vector<std::vector<std::string>> refused = {
+      {"--coordinator", coordinator, "--report", report},
+      {"--coordinator", coordinator, "--tables"},
+      {"--coordinator", coordinator, "--reduce-exemplars"},
+      {"--coordinator", coordinator, "--worker", dir.str()},
+      {"--merge", dir.str(), "--worker", dir.str()},
+      {"--merge", dir.str(), "--coordinator", coordinator},
+  };
+  for (auto args : refused) {
+    std::string line;
+    for (const auto& a : args) line += a + " ";
+    args.insert(args.end(), {"--programs", "45"});
+    const pid_t pid = spawn_campaign(args);
+    ASSERT_GT(pid, 0);
+    const int status = wait_for_exit_within(pid, 10.0);
+    ASSERT_NE(status, -1) << line << ": still running after 10 s";
+    ASSERT_TRUE(WIFEXITED(status)) << line;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << line;
+    EXPECT_FALSE(std::filesystem::exists(dir.str())) << line;
+    EXPECT_FALSE(std::filesystem::exists(report)) << line;
+  }
 }
 
 }  // namespace

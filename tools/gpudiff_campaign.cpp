@@ -1,28 +1,28 @@
-// gpudiff-campaign: sharded, checkpointed, resumable campaign runner.
+// gpudiff-campaign: differential-testing campaigns, in one process or as
+// a fleet of lease workers.
 //
-// One binary covers the whole paper-scale workflow (ISSUE: campaign
-// orchestration).  Each shard of a campaign can run on a different machine
-// under any job launcher; checkpoints make a killed shard resumable; the
-// merge stage folds completed shards into the exact results an unsharded
-// run would produce and feeds the Table IV-X reporters.
+// Without a directory a campaign runs in memory and reports when it
+// finishes.  To survive crashes or spread across machines it runs as
+// lease workers instead: each worker claims fine-grained leases from a
+// shared directory (--worker DIR) or from a TCP coordinator
+// (--coordinator HOST:PORT), and --merge DIR folds the finished leases
+// into the exact results a single-process run produces, feeding the
+// Table IV-X reporters.
 //
-//   # one machine, one process
+//   # one machine, one process, in memory
 //   gpudiff-campaign --programs 354 --report results.json
 //
-//   # eight machines (or eight slots of a job array), fixed carve
-//   gpudiff-campaign --shard $I/8 --checkpoint-dir ckpt --programs 3540
-//   # ... after a crash on shard 3:
-//   gpudiff-campaign --shard 3/8 --checkpoint-dir ckpt --programs 3540 --resume
-//   # when all shards are complete:
-//   gpudiff-campaign --merge --checkpoint-dir ckpt --report results.json --tables
+//   # one machine, durable: a kill costs at most the lease in flight, and
+//   # re-running the same command skips every finished lease
+//   gpudiff-campaign --worker lease-dir --programs 3540 --lease-size 64
 //
-//   # self-balancing fleet: any number of workers, heterogeneous machines,
-//   # no carve — each claims fine-grained leases from the shared dir, and a
-//   # dead worker's lease is stolen once its heartbeat goes stale
+//   # self-balancing fleet: any number of workers, heterogeneous machines
+//   # — each claims leases from the shared dir, and a dead worker's lease
+//   # is stolen once its heartbeat goes stale
 //   for i in 0 1 2; do
 //     gpudiff-campaign --worker lease-dir --programs 3540 &
 //   done; wait
-//   gpudiff-campaign --merge --checkpoint-dir lease-dir --report results.json
+//   gpudiff-campaign --merge lease-dir --report results.json --tables
 //
 //   # the same fleet without a shared filesystem: a TCP coordinator owns
 //   # the lease board (durable state dir, restartable after SIGKILL), and
@@ -33,25 +33,23 @@
 //   for host in a b c; do
 //     ssh $host gpudiff-campaign --coordinator head:7070 --programs 3540 &
 //   done; wait
-//   gpudiff-campaign --merge --checkpoint-dir coord-state --report results.json
+//   gpudiff-campaign --merge coord-state --report results.json
 //
-// SIGINT/SIGTERM stop the run gracefully: shard mode checkpoints at the
-// next block boundary, worker mode finishes and publishes the in-flight
-// lease and releases every claim it holds — interrupted processes never
-// strand claimed work, and never lose more than one block/lease of it.
+// SIGINT/SIGTERM stop the run gracefully: an in-memory run stops at the
+// next 64-program block and keeps nothing; a worker finishes and
+// publishes the in-flight lease and releases every claim it holds, so an
+// interrupted worker never strands claimed work.
 
 #include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
-#include <filesystem>
 #include <string>
 
 #include <unistd.h>
 
 #include "campaign/checkpoint.hpp"
-#include "campaign/merge.hpp"
 #include "campaign/scheduler.hpp"
 #include "campaign/shard.hpp"
 #include "diff/report.hpp"
@@ -69,13 +67,9 @@ using namespace gpudiff;
 
 std::atomic<bool> g_stop{false};
 
-/// Shared by the option definition and the worker-mode conflict check (a
-/// value equal to the default is indistinguishable from "not passed", so
-/// an explicit --checkpoint-every 64 slips through — the harmless edge of
-/// a presence-blind parser).
-constexpr std::int64_t kDefaultCheckpointEvery = 64;
-
 void handle_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
+
+bool stop_requested() { return g_stop.load(std::memory_order_relaxed); }
 
 // Machine-readable registry dump: the same field spelling as the
 // config fingerprint (campaign::config_to_json), plus the blurb — so
@@ -115,7 +109,14 @@ void list_platforms() {
   std::fputs(t.render().c_str(), stdout);
 }
 
-void print_summary(const diff::CampaignResults& results) {
+// Everything a finished campaign produces, on whichever path it finished
+// (in-memory run, completing worker, --merge): the summary, the optional
+// tables and report, and the optional exemplar reduction.  `echo` is the
+// campaign's config fingerprint; `dir` is its lease directory, empty for
+// an in-memory run.
+void finish_campaign(const support::CliParser& cli,
+                     const diff::CampaignResults& results,
+                     const support::Json& echo, const std::string& dir) {
   std::printf("programs            %d\n", results.num_programs);
   std::printf("inputs per program  %d\n", results.inputs_per_program);
   std::printf("comparisons         %llu\n",
@@ -126,40 +127,39 @@ void print_summary(const diff::CampaignResults& results) {
               static_cast<unsigned long long>(results.discrepancies_total()),
               results.discrepancy_percent());
   std::printf("records retained    %zu\n", results.records.size());
-}
-
-// `temp_suffix` must be process-unique when several workers may finish a
-// campaign simultaneously and write the same report path: their contents
-// are byte-identical (deterministic results), but a shared temp file
-// could be torn mid-race.
-void emit_results(const diff::CampaignResults& results,
-                  const std::string& report_path, bool tables,
-                  const support::Json* config_echo = nullptr,
-                  const std::string& temp_suffix = ".tmp") {
-  print_summary(results);
-  if (tables) {
+  if (cli.get_flag("tables")) {
     std::fputs(diff::render_per_level(results, "Discrepancies per level").c_str(),
                stdout);
     std::fputs(diff::render_adjacency(results, "Outcome adjacency").c_str(),
                stdout);
   }
+  const std::string& report_path = cli.get_string("report");
   if (!report_path.empty()) {
+    // Every worker that finishes a fleet's campaign writes the same
+    // report path.  The contents are byte-identical, but a shared temp
+    // file could be torn mid-race, so the temp name is per process.
     support::write_file_atomic(
         report_path,
-        campaign::results_to_json(results, config_echo).dump(1) + "\n",
-        temp_suffix);
+        campaign::results_to_json(results,
+                                  cli.get_flag("report-v2") ? &echo : nullptr)
+                .dump(1) +
+            "\n",
+        ".tmp." + std::to_string(::getpid()));
     std::printf("report written to %s\n", report_path.c_str());
   }
-}
+  if (!cli.get_flag("reduce-exemplars")) return;
 
-// The --reduce-exemplars hook: shrink the exemplar records of finished
-// results to 1-minimal reproducer bundles (same selection rule as a store
-// population, so the bundles line up with what gpudiff-serve reports).
-void reduce_exemplars_of(const diff::CampaignConfig& config,
-                         const diff::CampaignResults& results,
-                         const std::string& out_dir, int max_exemplars) {
+  // Shrink the exemplar records to 1-minimal reproducer bundles (the same
+  // selection rule as a store population, so the bundles line up with what
+  // gpudiff-serve reports).  The reducer re-derives programs and inputs,
+  // so it needs the full campaign definition: the fingerprint.
+  diff::CampaignConfig config = campaign::config_from_json(echo);
+  config.threads = static_cast<unsigned>(cli.get_int("threads"));
+  std::string out_dir = cli.get_string("reduce-out");
+  if (out_dir.empty()) out_dir = dir.empty() ? "reduced" : dir + "/reduced";
   const std::vector<reduce::RecordRef> reduced = reduce::reduce_exemplars(
-      config, results.records, out_dir, max_exemplars,
+      config, results.records, out_dir,
+      static_cast<int>(cli.get_int("max-exemplars")),
       [](const reduce::Reduction& r) {
         std::printf("[reduce] %s: %llu -> %llu statements, %llu -> %llu "
                     "nodes (%llu checks), %s\n",
@@ -181,7 +181,8 @@ void reduce_exemplars_of(const diff::CampaignConfig& config,
 int main(int argc, char** argv) {
   support::CliParser cli(
       "gpudiff-campaign",
-      "Sharded, checkpointed, resumable differential-testing campaigns");
+      "Differential-testing campaigns, in memory or as resumable lease "
+      "workers");
   cli.add_int("programs", 'p', "number of random programs in the campaign", 354);
   cli.add_int("inputs", 'i', "inputs per program", 7);
   cli.add_int("seed", 'S', "campaign seed", 42);
@@ -198,19 +199,18 @@ int main(int argc, char** argv) {
   cli.add_flag("hipify", "test the HIPIFY-converted binding (Tables VII/VIII)");
   cli.add_int("threads", 't', "worker threads (0 = hardware concurrency)", 0);
   cli.add_int("max-records", 'm', "cap on retained discrepancy records", 50000);
-  cli.add_string("shard", 's', "this process's shard as i/N (e.g. 2/8)", "0/1");
-  cli.add_string("checkpoint-dir", 'd',
-                 "directory for checkpoints and shard results", "");
-  cli.add_int("checkpoint-every", 'k', "programs per checkpoint block",
-              kDefaultCheckpointEvery);
-  cli.add_flag("resume", "continue from this shard's checkpoint if present");
-  cli.add_flag("merge",
-               "merge completed shards from --checkpoint-dir instead of running");
+  cli.add_string("merge", 0,
+                 "merge the finished leases of this lease or coordinator "
+                 "state directory instead of running",
+                 "");
   cli.add_string("worker", 'w',
                  "run as a self-balancing work-stealing worker against this "
-                 "shared lease directory",
+                 "shared lease directory (re-running skips finished leases)",
                  "");
-  cli.add_int("lease-size", 'L', "programs per lease in --worker mode", 16);
+  cli.add_int("lease-size", 'L',
+              "programs per lease: the unit of stealing, of progress and of "
+              "work lost to a kill",
+              16);
   cli.add_double("heartbeat", 'H', "seconds between lease heartbeats", 5.0);
   cli.add_double("stale-after", 'A',
                  "steal a lease whose heartbeat is older than this many "
@@ -229,7 +229,9 @@ int main(int argc, char** argv) {
   cli.add_flag("quarantine",
                "--merge only: set corrupt lease done files aside as "
                "*.quarantined instead of aborting on the first one");
-  cli.add_flag("progress", "print progress after every checkpoint block");
+  cli.add_flag("progress",
+               "print progress after every 64-program block, or after every "
+               "lease in worker mode");
   cli.add_string("report", 'r', "write canonical results JSON to this path", "");
   cli.add_flag("report-v2",
                "write the version-2 report superset (embedded config "
@@ -242,7 +244,7 @@ int main(int argc, char** argv) {
                "gpudiff-reduce)");
   cli.add_string("reduce-out", 'O',
                  "bundle directory for --reduce-exemplars (default: "
-                 "<checkpoint/lease dir>/reduced, or ./reduced)",
+                 "<lease dir>/reduced, or ./reduced)",
                  "");
   cli.add_int("max-exemplars", 'E',
               "exemplar records per (pair, class) for --reduce-exemplars "
@@ -258,66 +260,41 @@ int main(int argc, char** argv) {
         list_platforms();
       return 0;
     }
-    const std::string checkpoint_dir = cli.get_string("checkpoint-dir");
-    const std::string report_path = cli.get_string("report");
-    const bool tables = cli.get_flag("tables");
-    const bool report_v2 = cli.get_flag("report-v2");
-    const bool reduce_exemplars = cli.get_flag("reduce-exemplars");
-    const int max_exemplars = static_cast<int>(cli.get_int("max-exemplars"));
-
-    if (cli.get_flag("merge")) {
-      if (checkpoint_dir.empty()) {
-        std::fprintf(stderr, "gpudiff-campaign: --merge needs --checkpoint-dir\n");
-        return 1;
-      }
-      // A lease directory (worker mode) carries a manifest; a fixed-carve
-      // shard directory holds bare shard-i-of-N checkpoints.
-      const bool lease_dir = std::filesystem::exists(
-          campaign::LeaseBoard::manifest_path(checkpoint_dir));
-      campaign::LeaseMergeOptions mopts;
-      mopts.quarantine = cli.get_flag("quarantine");
-      // The merged results do not carry the fingerprint; the directory
-      // that produced them does.
-      support::Json echo;
-      if (report_v2 || reduce_exemplars)
-        echo = campaign::config_echo_of_dir(checkpoint_dir);
-      const diff::CampaignResults results =
-          lease_dir ? campaign::merge_lease_dir(checkpoint_dir, mopts)
-                    : campaign::merge_checkpoint_dir(checkpoint_dir);
-      emit_results(results, report_path, tables, report_v2 ? &echo : nullptr);
-      if (reduce_exemplars) {
-        // The reducer re-derives programs and inputs, so it needs the full
-        // campaign definition — the directory's config fingerprint is the
-        // only trustworthy source in merge mode.
-        std::string out = cli.get_string("reduce-out");
-        if (out.empty()) out = checkpoint_dir + "/reduced";
-        reduce_exemplars_of(campaign::config_from_json(echo), results, out,
-                            max_exemplars);
-      }
-      return 0;
-    }
-
-    campaign::ShardSpec shard;
-    if (!campaign::parse_shard(cli.get_string("shard"), &shard)) {
-      std::fprintf(stderr, "gpudiff-campaign: bad --shard '%s' (want i/N)\n",
-                   cli.get_string("shard").c_str());
-      return 1;
-    }
+    const std::string merge_dir = cli.get_string("merge");
     const std::string worker_dir = cli.get_string("worker");
     const std::string coordinator = cli.get_string("coordinator");
-    if (!worker_dir.empty() && !coordinator.empty()) {
+    if (!merge_dir.empty() + !worker_dir.empty() + !coordinator.empty() > 1) {
       std::fprintf(stderr,
-                   "gpudiff-campaign: --worker (shared directory) and "
-                   "--coordinator (TCP) are two transports for the same lease "
-                   "protocol; pass one or the other\n");
+                   "gpudiff-campaign: --merge, --worker and --coordinator are "
+                   "separate modes; pass one of them\n");
       return 1;
     }
-    if (shard.count > 1 && checkpoint_dir.empty() && worker_dir.empty() &&
-        coordinator.empty()) {
+    // The outputs finish_campaign writes beyond the summary.
+    const bool wants_outputs = !cli.get_string("report").empty() ||
+                               cli.get_flag("tables") ||
+                               cli.get_flag("reduce-exemplars");
+    if (!coordinator.empty() && wants_outputs) {
+      // A TCP worker never holds the done blocks (they live in the
+      // coordinator's state directory), so refuse before any work runs
+      // rather than silently dropping the outputs at the end.
       std::fprintf(stderr,
-                   "gpudiff-campaign: a multi-shard run needs --checkpoint-dir "
-                   "(the shard state is the merge input)\n");
+                   "gpudiff-campaign: --report, --tables and "
+                   "--reduce-exemplars need the merged results; a "
+                   "--coordinator worker has none, so run --merge against "
+                   "the coordinator's state directory\n");
       return 1;
+    }
+
+    if (!merge_dir.empty()) {
+      campaign::LeaseMergeOptions mopts;
+      mopts.quarantine = cli.get_flag("quarantine");
+      const diff::CampaignResults results =
+          campaign::merge_lease_dir(merge_dir, mopts);
+      // The merged results do not carry the fingerprint; the directory
+      // that produced them does.
+      finish_campaign(cli, results, campaign::config_echo_of_dir(merge_dir),
+                      merge_dir);
+      return 0;
     }
 
     diff::CampaignConfig config;
@@ -329,7 +306,7 @@ int main(int argc, char** argv) {
     config.max_records = static_cast<std::size_t>(cli.get_int("max-records"));
     // Strict platform parsing: an unknown or duplicate name aborts with a
     // message naming the entry and the registry (exit 1, not a stack
-    // trace), before any directory or checkpoint is touched.
+    // trace), before any lease directory is touched.
     try {
       config.platforms = opt::parse_platform_list(cli.get_string("platforms"));
     } catch (const std::exception& e) {
@@ -350,7 +327,7 @@ int main(int argc, char** argv) {
     // engine-invariant by construction, so the engine name must never leak
     // into reports or fingerprints — but a perf triage needs to know what
     // actually ran.  An invalid GPUDIFF_SIMD override throws here, before
-    // any directory or checkpoint is touched.
+    // any lease directory is touched.
     std::fprintf(stderr, "gpudiff-campaign: vm engine %s (%s)\n",
                  vgpu::to_string(vgpu::simd_engine()),
                  support::cpu_features().to_string().c_str());
@@ -359,25 +336,6 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, handle_signal);
 
     if (!worker_dir.empty() || !coordinator.empty()) {
-      if (cli.get_string("shard") != "0/1") {
-        std::fprintf(stderr,
-                     "gpudiff-campaign: --worker replaces the fixed --shard "
-                     "carve; pass one or the other\n");
-        return 1;
-      }
-      if (!checkpoint_dir.empty() || cli.get_flag("resume") ||
-          cli.get_int("checkpoint-every") != kDefaultCheckpointEvery) {
-        // Refuse rather than silently drop: worker mode has no mid-lease
-        // checkpoint/resume (the lease directory itself is the durable
-        // state, an interrupted lease simply re-executes, and durability
-        // granularity is --lease-size).
-        std::fprintf(stderr,
-                     "gpudiff-campaign: --checkpoint-dir/--checkpoint-every/"
-                     "--resume are shard-mode flags; --worker keeps all its "
-                     "state in the lease directory (granularity: "
-                     "--lease-size)\n");
-        return 1;
-      }
       campaign::WorkerOptions wopts;
       wopts.dir = worker_dir;
       wopts.coordinator = coordinator;
@@ -386,9 +344,7 @@ int main(int argc, char** argv) {
       wopts.heartbeat_seconds = cli.get_double("heartbeat");
       wopts.stale_after_seconds = cli.get_double("stale-after");
       wopts.worker_id = cli.get_string("worker-id");
-      wopts.stop_requested = [] {
-        return g_stop.load(std::memory_order_relaxed);
-      };
+      wopts.stop_requested = stop_requested;
       if (cli.get_flag("progress")) {
         wopts.on_lease = [](const campaign::WorkerOptions::LeaseEvent& ev) {
           std::printf("[worker] lease %d done (programs [%llu, %llu))%s\n",
@@ -415,97 +371,49 @@ int main(int argc, char** argv) {
                                        : worker_dir.c_str());
         return 3;
       }
-      if (worker_dir.empty()) {
-        // TCP mode: the done blocks live in the coordinator's state
-        // directory (same layout as a lease directory) — merge there.
+      if (!coordinator.empty()) {
+        // The done blocks live in the coordinator's state directory (same
+        // layout as a lease directory): merge there.
         std::printf("campaign complete; merge on the coordinator host with "
-                    "--merge --checkpoint-dir <coordinator state dir>\n");
-        if (!report_path.empty() || tables)
-          std::fprintf(stderr,
-                       "gpudiff-campaign: --report/--tables need the merged "
-                       "results; run --merge against the coordinator's state "
-                       "directory\n");
-      } else if (!report_path.empty() || tables || reduce_exemplars) {
+                    "--merge <coordinator state dir>\n");
+      } else if (wants_outputs) {
         // Deterministic outputs make this safe in a fleet: every worker
-        // that gets here writes byte-identical results (each through its
-        // own temp file) — and with --reduce-exemplars, byte-identical
-        // bundles (atomic per-file writes).
-        const support::Json echo = campaign::config_to_json(config);
-        const diff::CampaignResults results =
-            campaign::merge_lease_dir(worker_dir);
-        emit_results(results, report_path, tables,
-                     report_v2 ? &echo : nullptr,
-                     ".tmp." + std::to_string(::getpid()));
-        if (reduce_exemplars) {
-          std::string out = cli.get_string("reduce-out");
-          if (out.empty()) out = worker_dir + "/reduced";
-          reduce_exemplars_of(config, results, out, max_exemplars);
-        }
+        // that gets here writes byte-identical reports and bundles.
+        finish_campaign(cli, campaign::merge_lease_dir(worker_dir),
+                        campaign::config_to_json(config), worker_dir);
       } else {
-        std::printf("campaign complete; merge with --merge --checkpoint-dir "
-                    "%s\n",
+        std::printf("campaign complete; merge with --merge %s\n",
                     worker_dir.c_str());
       }
       return 0;
     }
 
     campaign::ShardRunOptions options;
-    options.shard = shard;
-    options.checkpoint_dir = checkpoint_dir;
-    options.checkpoint_every = static_cast<int>(cli.get_int("checkpoint-every"));
-    options.resume = cli.get_flag("resume");
-    options.stop_requested = [] {
-      return g_stop.load(std::memory_order_relaxed);
-    };
+    options.stop_requested = stop_requested;
     if (cli.get_flag("progress")) {
       options.on_progress = [](const campaign::ShardProgress& p) {
         std::uint64_t discrepancies = 0;
         for (const auto& stats : p.per_level)
           discrepancies += stats.discrepancy_total();
-        std::printf("[shard %s] programs %llu/%llu, discrepancies %llu\n",
-                    campaign::to_string(p.shard).c_str(),
-                    static_cast<unsigned long long>(p.cursor - p.begin),
-                    static_cast<unsigned long long>(p.end - p.begin),
+        std::printf("[campaign] programs %llu/%llu, discrepancies %llu\n",
+                    static_cast<unsigned long long>(p.cursor),
+                    static_cast<unsigned long long>(p.end),
                     static_cast<unsigned long long>(discrepancies));
         std::fflush(stdout);
       };
     }
-
-    const campaign::ShardProgress progress = campaign::run_shard(config, options);
+    campaign::ShardProgress progress = campaign::run_shard(config, options);
     if (!progress.complete()) {
-      if (checkpoint_dir.empty()) {
-        std::printf("shard %s interrupted at program %llu/%llu; no "
-                    "--checkpoint-dir was given, so the completed work is "
-                    "discarded\n",
-                    campaign::to_string(shard).c_str(),
-                    static_cast<unsigned long long>(progress.cursor - progress.begin),
-                    static_cast<unsigned long long>(progress.end - progress.begin));
-      } else {
-        std::printf("shard %s interrupted; checkpointed through program "
-                    "%llu/%llu, rerun with --resume to continue\n",
-                    campaign::to_string(shard).c_str(),
-                    static_cast<unsigned long long>(progress.cursor - progress.begin),
-                    static_cast<unsigned long long>(progress.end - progress.begin));
-      }
+      std::printf("campaign interrupted at program %llu/%llu; an in-memory "
+                  "run keeps nothing (run it as --worker DIR to make it "
+                  "resumable)\n",
+                  static_cast<unsigned long long>(progress.cursor),
+                  static_cast<unsigned long long>(progress.end));
       return 3;
     }
-    if (shard.count == 1) {
-      const support::Json echo = campaign::config_to_json(config);
-      const diff::CampaignResults results = campaign::merge_shards({progress});
-      emit_results(results, report_path, tables, report_v2 ? &echo : nullptr);
-      if (reduce_exemplars) {
-        std::string out = cli.get_string("reduce-out");
-        if (out.empty())
-          out = checkpoint_dir.empty() ? "reduced" : checkpoint_dir + "/reduced";
-        reduce_exemplars_of(config, results, out, max_exemplars);
-      }
-    } else {
-      std::printf("shard %s complete (%llu programs); merge all shards with "
-                  "--merge --checkpoint-dir %s\n",
-                  campaign::to_string(shard).c_str(),
-                  static_cast<unsigned long long>(progress.end - progress.begin),
-                  checkpoint_dir.c_str());
-    }
+    const support::Json echo = progress.config_echo;
+    finish_campaign(cli, campaign::merge_shards({std::move(progress)}), echo,
+                    "");
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gpudiff-campaign: %s\n", e.what());

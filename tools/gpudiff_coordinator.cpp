@@ -7,7 +7,7 @@
 // layout: kill the coordinator at any moment, restart it on the same
 // --dir, and it recovers every claim and every published lease block;
 // when the fleet finishes, merge the directory directly with
-//   gpudiff-campaign --merge --checkpoint-dir coord-state ...
+//   gpudiff-campaign --merge coord-state ...
 //
 // The coordinator is campaign-agnostic until the first worker's hello
 // seeds the manifest; after that, hellos carrying a different campaign

@@ -5,14 +5,15 @@
 //
 // Run from a Release build and record a JSON trajectory point:
 //   cmake --preset release && cmake --build --preset release --target bench
-//   ./build-release/bench/perf_framework \
-//       --benchmark_out=BENCH_$(git rev-parse --short HEAD).json \
-//       --benchmark_out_format=json
+//   out=BENCH_$(git rev-parse --short HEAD).json
+//   ./build-release/bench/perf_framework --benchmark_out=$out --benchmark_out_format=json
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <filesystem>
 #include <thread>
+#include <vector>
 
 #include "campaign/checkpoint.hpp"
 #include "campaign/coordinator.hpp"
@@ -29,6 +30,7 @@
 #include "store/store.hpp"
 #include "support/cpu.hpp"
 #include "support/json.hpp"
+#include "support/rng.hpp"
 #include "vgpu/bytecode.hpp"
 #include "vgpu/interp.hpp"
 #include "vmath/core/kernels.hpp"
@@ -431,42 +433,64 @@ void BM_FullComparison(benchmark::State& state) {
 }
 BENCHMARK(BM_FullComparison);
 
+/// A fixed, seeded table of inputs for the scalar math benchmarks to cycle
+/// over, so the measured input range does not depend on the iteration
+/// count.  Log-uniform in [lo, hi) when `log_scale`, uniform otherwise.
+constexpr std::size_t kInputTableSize = 1024;  // power of two: i & (size - 1)
+
+std::vector<double> input_table(std::uint64_t seed, double lo, double hi,
+                                bool log_scale) {
+  support::Rng rng(seed);
+  std::vector<double> xs(kInputTableSize);
+  for (double& x : xs)
+    x = log_scale ? lo * std::pow(hi / lo, rng.uniform01()) : rng.uniform(lo, hi);
+  return xs;
+}
+
+/// The fmod case study's dividend range: one binade from x = 1.59e289, so
+/// every input takes the same ~1980-bit quotient walk against 1.5793e-307.
+std::vector<double> fmod_dividends() { return input_table(4, 1.59e289, 3.18e289, true); }
+
 void BM_SinMediumRange(benchmark::State& state) {
-  double x = 12345.678;
+  // Cody-Waite reduction only: |x| stays below 2^20 * pi/2.
+  const std::vector<double> xs = input_table(1, 1.0e4, 1.0e6, false);
+  std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        vmath::core::sin64(x, vmath::core::ReduceStyle::CodyWaite3));
-    x += 1.0;
+        vmath::core::sin64(xs[i++ & (kInputTableSize - 1)],
+                           vmath::core::ReduceStyle::CodyWaite3));
   }
 }
 BENCHMARK(BM_SinMediumRange);
 
 void BM_SinPayneHanek(benchmark::State& state) {
-  double x = 1.0e300;
+  const std::vector<double> xs = input_table(2, 1.0e300, 1.6e308, true);
+  std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        vmath::core::sin64(x, vmath::core::ReduceStyle::CodyWaite3));
-    x *= 1.0000001;
-    if (x > 1.6e308) x = 1.0e300;
+        vmath::core::sin64(xs[i++ & (kInputTableSize - 1)],
+                           vmath::core::ReduceStyle::CodyWaite3));
   }
 }
 BENCHMARK(BM_SinPayneHanek);
 
 void BM_FmodExact(benchmark::State& state) {
-  double x = 1.59e289;
+  const std::vector<double> xs = fmod_dividends();
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(vmath::core::fmod_exact(x, 1.5793e-307));
-    x *= 1.0000001;
+    benchmark::DoNotOptimize(
+        vmath::core::fmod_exact(xs[i++ & (kInputTableSize - 1)], 1.5793e-307));
   }
 }
 BENCHMARK(BM_FmodExact);
 
 void BM_FmodNvChunked(benchmark::State& state) {
   const auto& lib = vmath::nv_libdevice();
-  double x = 1.59e289;
+  const std::vector<double> xs = fmod_dividends();
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lib.call64(ir::MathFn::Fmod, x, 1.5793e-307));
-    x *= 1.0000001;
+    benchmark::DoNotOptimize(
+        lib.call64(ir::MathFn::Fmod, xs[i++ & (kInputTableSize - 1)], 1.5793e-307));
   }
 }
 BENCHMARK(BM_FmodNvChunked);
@@ -483,10 +507,13 @@ BENCHMARK(BM_Exp64);
 
 void BM_FastSinf(benchmark::State& state) {
   const auto& lib = vmath::nv_fast();
-  float x = 0.0f;
+  std::vector<float> xs;
+  for (const double x : input_table(3, -1.0e3, 1.0e3, false))
+    xs.push_back(static_cast<float>(x));
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lib.call32(ir::MathFn::Sin, x));
-    x += 0.01f;
+    benchmark::DoNotOptimize(
+        lib.call32(ir::MathFn::Sin, xs[i++ & (kInputTableSize - 1)]));
   }
 }
 BENCHMARK(BM_FastSinf);

@@ -347,7 +347,7 @@ Reduction reduce_record(const diff::CampaignConfig& config,
       config, original, record.program_index, record.input_index);
 
   Search s{config, record, args,
-           verdict_of(original, config, record.level, args), original};
+           verdict_of(original, config, record.level, args), original, 0, {}};
   ++s.checks;  // the verdict_of above
   if (!s.target.discrepant())
     throw std::runtime_error(

@@ -24,6 +24,8 @@ CpuFeatures probe() noexcept {
     std::uint32_t lo, hi;
     __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(0));
     f.os_ymm = (lo & 0x6) == 0x6;
+    if (__get_cpuid_count(0xD, 1, &eax, &ebx, &ecx, &edx))
+      f.xinuse = (eax & (1u << 2)) != 0;
   }
   if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx))
     f.avx2 = (ebx & (1u << 5)) != 0;
@@ -59,6 +61,18 @@ std::string CpuFeatures::to_string() const {
 const CpuFeatures& cpu_features() noexcept {
   static const CpuFeatures features = probe();
   return features;
+}
+
+UpperYmm upper_ymm_state() noexcept {
+#if defined(__x86_64__) || defined(_M_X64)
+  if (!cpu_features().xinuse) return UpperYmm::Unknown;
+  // XGETBV(1): XCR0 & XINUSE; bit 2 is the YMM_Hi128 state component.
+  std::uint32_t lo, hi;
+  __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(1));
+  return (lo & 0x4) != 0 ? UpperYmm::Dirty : UpperYmm::Clean;
+#else
+  return UpperYmm::Unknown;
+#endif
 }
 
 SimdOverride simd_override() {

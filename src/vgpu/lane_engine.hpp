@@ -38,6 +38,8 @@
 // * Math-library calls, approximate FP32 division, array subscripts and
 //   loop bookkeeping run per-lane scalar code — for calls and approx
 //   division literally through Fpu — so they cannot diverge from run_one.
+//   The Fpu paths are reached through the out-of-line fpu_* functions
+//   below, never instantiated here (see "VEX confinement").
 // * Per-lane op/cycle counts: uniform mode accumulates shared counters,
 //   masked mode per-lane extras; a lane's final count is the sum.
 //
@@ -48,6 +50,18 @@
 // returns false without writing outputs; the caller re-runs the group
 // through the scalar interpreter in input order so the exception and the
 // partially-written outputs match sequential run_batch semantics exactly.
+//
+// ## VEX confinement
+//
+// bytecode_simd_avx2.cpp compiles this header with -mavx2 -mfma.  An
+// inline function that TU uses but does not inline is emitted there as a
+// VEX-encoded weak copy, and the linker may keep that copy for baseline
+// callers too, which then fault on a host without AVX2.  The scalar
+// Fpu<T> methods and std::vector growth are such functions, so the engine
+// never calls them directly: per-lane fallbacks go through the fpu_*
+// functions and scratch sizing through size_lane_scratch, all defined in
+// bytecode_simd.cpp at the baseline ISA.  tools/check_vex.py (a CI step)
+// checks the built objects.
 
 #include <algorithm>
 #include <cstdint>
@@ -59,7 +73,6 @@
 #include "fp/exceptions.hpp"
 #include "ir/program.hpp"
 #include "vgpu/bytecode.hpp"
-#include "vgpu/fpu.hpp"
 #include "vgpu/simd.hpp"
 #include "vmath/mathlib.hpp"
 
@@ -100,6 +113,21 @@ struct VmAccess {
 }  // namespace detail
 
 namespace lane {
+
+// Per-lane scalar fallbacks: exactly the scalar VM's Fpu operations,
+// compiled once in bytecode_simd.cpp (see "VEX confinement" above).
+double fpu_mul(const fp::FpEnv& env, double a, double b, fp::ExceptionFlags& ef) noexcept;
+float fpu_mul(const fp::FpEnv& env, float a, float b, fp::ExceptionFlags& ef) noexcept;
+double fpu_div(const fp::FpEnv& env, double a, double b, fp::ExceptionFlags& ef) noexcept;
+float fpu_div(const fp::FpEnv& env, float a, float b, fp::ExceptionFlags& ef) noexcept;
+/// Library call, Fpu::note_call_result and FTZ: the scalar VM's Call path.
+double fpu_call(const vmath::MathLib& lib, ir::MathFn fn, const fp::FpEnv& env,
+                double a, double b, fp::ExceptionFlags& ef);
+float fpu_call(const vmath::MathLib& lib, ir::MathFn fn, const fp::FpEnv& env,
+               float a, float b, fp::ExceptionFlags& ef);
+/// Grow `ls` (never shrink) to hold one `width`-wide group of `bp`.
+void size_lane_scratch(const BytecodeProgram& bp, int width,
+                       ExecContext::LaneScratch& ls);
 
 template <class L>
 class Engine {
@@ -237,7 +265,7 @@ class Engine {
   /// Re-run lanes in `fix` through the scalar Fpu operation `op`,
   /// overwriting their result lanes and OR-ing their exact flags (the
   /// vector formulas' flags are a subset, so OR lands on the scalar set).
-  template <typename FpuOp>
+  using FpuOp = T (*)(const fp::FpEnv&, T, T, fp::ExceptionFlags&) noexcept;
   void lane_fix(vec a0, vec b0, vec& res, vec& fl, unsigned fix, FpuOp op) const {
     alignas(32) T ab[W], bb[W], rb[W], fb[W];
     L::storeu(ab, a0);
@@ -247,8 +275,7 @@ class Engine {
     for (int l = 0; l < W; ++l) {
       if (!(fix >> l & 1u)) continue;
       fp::ExceptionFlags ef;
-      Fpu<T> fpu(env_, ef);
-      rb[l] = op(fpu, ab[l], bb[l]);
+      rb[l] = op(env_, ab[l], bb[l], ef);
       fb[l] = fp::from_bits<T>(
           static_cast<Bits>(fp::to_bits(fb[l]) | ef.raw()));
     }
@@ -278,8 +305,7 @@ class Engine {
     vec res = vftz(L::blend(nm, nan_result(na, a, b), r), fl);
     const unsigned fix = suspect_lanes(a, b, r, active);
     if (fix != 0)
-      lane_fix(a0, b0, res, fl, fix,
-               [](Fpu<T>& fpu, T x, T y) { return fpu.mul(x, y); });
+      lane_fix(a0, b0, res, fl, fix, fpu_mul);
     return res;
   }
 
@@ -311,8 +337,7 @@ class Engine {
     vec res = vftz(L::blend(nm, nan_result(na, a, b), r), fl);
     const unsigned fix = suspect_lanes(a, b, r, active);
     if (fix != 0)
-      lane_fix(a0, b0, res, fl, fix,
-               [](Fpu<T>& fpu, T x, T y) { return fpu.div(x, y); });
+      lane_fix(a0, b0, res, fl, fix, fpu_div);
     return res;
   }
 
@@ -339,35 +364,28 @@ class Engine {
 
   // ---- lane state plumbing ----
 
-  template <typename V>
-  static typename V::value_type* grow(V& v, std::size_t n) {
-    if (v.size() < n) v.resize(n);
-    return v.data();
-  }
-
   void bind(const KernelArgs* inputs) {
     auto& ls = ctx_.lane;
+    size_lane_scratch(bp_, W, ls);
     const std::vector<int>& ap = detail::VmAccess::array_params(bp_);
     const std::size_t slots = ap.size();
     const std::size_t np = static_cast<std::size_t>(num_params_);
-    const std::size_t nregs =
-        static_cast<std::size_t>(detail::VmAccess::num_regs(bp_));
     if constexpr (sizeof(T) == 4) {
-      regs_ = grow(ls.regs32, nregs * W);
-      args_ = grow(ls.args32, np * W);
-      ints_fp_ = grow(ls.ints_fp32, np * W);
-      base_ = grow(ls.base32, slots * W);
-      arrays_ = grow(ls.arrays32, slots * W * ir::kArrayExtent);
-      slot_epoch_ = grow(ls.slot_epoch32, slots * W);
+      regs_ = ls.regs32.data();
+      args_ = ls.args32.data();
+      ints_fp_ = ls.ints_fp32.data();
+      base_ = ls.base32.data();
+      arrays_ = ls.arrays32.data();
+      slot_epoch_ = ls.slot_epoch32.data();
     } else {
-      regs_ = grow(ls.regs64, nregs * W);
-      args_ = grow(ls.args64, np * W);
-      ints_fp_ = grow(ls.ints_fp64, np * W);
-      base_ = grow(ls.base64, slots * W);
-      arrays_ = grow(ls.arrays64, slots * W * ir::kArrayExtent);
-      slot_epoch_ = grow(ls.slot_epoch64, slots * W);
+      regs_ = ls.regs64.data();
+      args_ = ls.args64.data();
+      ints_fp_ = ls.ints_fp64.data();
+      base_ = ls.base64.data();
+      arrays_ = ls.arrays64.data();
+      slot_epoch_ = ls.slot_epoch64.data();
     }
-    ints_ = grow(ls.ints, np * W);
+    ints_ = ls.ints.data();
 
     // Pack the group structure-of-arrays, lane-minor, with the scalar
     // path's exact conversions.
@@ -814,18 +832,9 @@ class Engine {
       const T a = regs_[static_cast<std::size_t>(in.a) * W + l];
       const T b =
           in.op == BcOp::Call2 ? regs_[static_cast<std::size_t>(in.b) * W + l] : T(0);
-      T r;
-      if constexpr (sizeof(T) == 4) {
-        r = mathlib_->call32(static_cast<ir::MathFn>(in.u16), a, b);
-      } else {
-        r = mathlib_->call64(static_cast<ir::MathFn>(in.u16), a, b);
-      }
       fp::ExceptionFlags ef;
-      Fpu<T> fpu(env_, ef);
-      const bool non_nan = !fp::is_nan_bits(a) && !fp::is_nan_bits(b);
-      const bool finite = fp::is_finite_bits(a) && fp::is_finite_bits(b);
-      fpu.note_call_result(r, non_nan, finite);
-      regs_[static_cast<std::size_t>(in.dst) * W + l] = fp::apply_ftz(r, env_, &ef);
+      regs_[static_cast<std::size_t>(in.dst) * W + l] =
+          fpu_call(*mathlib_, static_cast<ir::MathFn>(in.u16), env_, a, b, ef);
       fb[l] |= ef.raw();
     }
     load_flags(fb);
@@ -841,8 +850,7 @@ class Engine {
       const T a = regs_[static_cast<std::size_t>(in.a) * W + l];
       const T b = regs_[static_cast<std::size_t>(in.b) * W + l];
       fp::ExceptionFlags ef;
-      Fpu<T> fpu(env_, ef);
-      regs_[static_cast<std::size_t>(in.dst) * W + l] = fpu.div(a, b);
+      regs_[static_cast<std::size_t>(in.dst) * W + l] = fpu_div(env_, a, b, ef);
       fb[l] |= ef.raw();
     }
     load_flags(fb);
@@ -858,8 +866,7 @@ class Engine {
     for (int l = 0; l < W; ++l) {
       if (!(bits >> l & 1u)) continue;
       fp::ExceptionFlags ef;
-      Fpu<T> fpu(env_, ef);
-      cb[l] = fpu.div(cb[l], vb[l]);
+      cb[l] = fpu_div(env_, cb[l], vb[l], ef);
       fb[l] |= ef.raw();
     }
     load_flags(fb);

@@ -36,11 +36,12 @@ class Disassembler {
     out_ += nv_ ? ".visible .entry compute(...)\n{\n"
                 : "compute:                      ; @compute\n";
     comp_reg_ = fresh();
-    emit_line(nv_ ? support::format("ld.param%s %s, [comp];", suffix(), reg(comp_reg_))
-                  : support::format("%s = s_load %s [comp]", reg(comp_reg_), vsuffix()));
+    const std::string comp = reg(comp_reg_);
+    emit_line(nv_ ? support::format("ld.param%s %s, [comp];", suffix(), comp.c_str())
+                  : support::format("%s = s_load %s [comp]", comp.c_str(), vsuffix()));
     walk_body(std::span<const StmtId>(p.body()));
-    emit_line(nv_ ? support::format("// vprintf(\"%%.17g\", %s)", reg(comp_reg_))
-                  : support::format("; printf \"%%.17g\", %s", reg(comp_reg_)));
+    emit_line(nv_ ? support::format("// vprintf(\"%%.17g\", %s)", comp.c_str())
+                  : support::format("; printf \"%%.17g\", %s", comp.c_str()));
     out_ += nv_ ? "}\n" : "s_endpgm\n";
     return out_;
   }
@@ -208,7 +209,7 @@ class Disassembler {
         const int p = emit_bool(e.kid[0]);
         const int r = fresh();
         emit_line(nv_ ? support::format("selp%s %s, 1.0, 0.0, %s; // if-conversion",
-                                        reg(r).c_str(), preg(p).c_str())
+                                        suffix(), reg(r).c_str(), preg(p).c_str())
                       : support::format("v_cndmask %s, 0, 1.0, %s ; if-conversion",
                                         reg(r).c_str(), preg(p).c_str()));
         return r;

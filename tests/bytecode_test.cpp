@@ -4,13 +4,19 @@
 // optimization level, for both toolchains, both precisions and both
 // HIPIFY modes.  Also pins the VM-specific lowering details (read-only
 // array elision, short-circuit accounting, subscript clamping) and proves
-// fixed-seed campaign output is backend-independent.
+// fixed-seed campaign output is backend-independent.  Finally, checks that
+// no engine entry hands process-global state back changed (upper-YMM
+// state, MXCSR).
 
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <stdexcept>
 #include <vector>
+
+#if defined(__x86_64__) || defined(_M_X64)
+#include <xmmintrin.h>
+#endif
 
 #include "diff/campaign.hpp"
 #include "diff/runner.hpp"
@@ -576,6 +582,170 @@ TEST(BytecodeLanes, BatchThrowLeavesNoStaleOutputs) {
           << support::to_string(mode) << " input " << i;
       EXPECT_EQ(out[i].op_count, 0u)
           << support::to_string(mode) << " input " << i;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Engine state hygiene: an entry must hand back the process-global vector
+// and FP-environment state it was given.  Dirty upper-YMM halves make
+// every later SSE instruction on the thread pay a merge penalty, which
+// slows all scalar code that follows an AVX2 group; the MXCSR control
+// bits hold the rounding mode, DAZ/FTZ and exception masks every scalar
+// path relies on.
+// ---------------------------------------------------------------------------
+
+/// The control bits of the calling thread's MXCSR (0 off x86-64).  Bits
+/// 0-5 are sticky status flags that any FP arithmetic sets, so they are
+/// masked out.
+unsigned read_mxcsr_control() {
+#if defined(__x86_64__) || defined(_M_X64)
+  return _mm_getcsr() & ~0x3Fu;
+#else
+  return 0;
+#endif
+}
+
+/// Return the upper YMM halves to their initial state.  VZEROUPPER is a
+/// VEX instruction, so it runs only when XINUSE reports dirty state, which
+/// implies the host has AVX.
+void clear_upper_ymm() {
+#if defined(__x86_64__) || defined(_M_X64)
+  if (support::upper_ymm_state() == support::UpperYmm::Dirty)
+    __asm__ volatile("vzeroupper");
+#endif
+}
+
+enum class HygieneShape { LaneProfitable, Loop, TrapGroup, ThrowingBatch };
+
+const char* to_string(HygieneShape shape) {
+  switch (shape) {
+    case HygieneShape::LaneProfitable: return "lane-profitable";
+    case HygieneShape::Loop: return "loop";
+    case HygieneShape::TrapGroup: return "trap-group";
+    case HygieneShape::ThrowingBatch: return "throwing-batch";
+  }
+  return "?";
+}
+
+/// Parameters: comp, one scalar x, one int trip count n.
+///  * LaneProfitable — comp /= x; comp += sin(x) * x (the auto-dispatch
+///    verdict takes the lane path);
+///  * Loop — for (n) comp /= x; comp *= 1.125;
+///  * TrapGroup — if (x != 0) x[0] = 1 (a store to a scalar parameter,
+///    lowered to a Trap); comp += 2, so the group holding the one input
+///    with x != 0 returns through the engine's trap exit;
+///  * ThrowingBatch — comp += f(x) for a library function id outside
+///    MathFn, so the library call throws from inside the engine.
+Program hygiene_program(Precision precision, HygieneShape shape) {
+  Arena A;
+  std::vector<Param> params{{ParamKind::Comp, "comp"},
+                            {ParamKind::Scalar, "var_1"},
+                            {ParamKind::Int, "var_2"}};
+  std::vector<StmtId> body;
+  switch (shape) {
+    case HygieneShape::LaneProfitable:
+      body.push_back(make_assign_comp(A, AssignOp::Div, make_param(A, 1)));
+      body.push_back(make_assign_comp(
+          A, AssignOp::Add,
+          make_bin(A, BinOp::Mul, make_call(A, MathFn::Sin, make_param(A, 1)),
+                   make_param(A, 1))));
+      break;
+    case HygieneShape::Loop: {
+      const std::vector<StmtId> loop{
+          make_assign_comp(A, AssignOp::Div, make_param(A, 1))};
+      body.push_back(make_for(A, 0, 2, loop));
+      body.push_back(make_assign_comp(A, AssignOp::Mul, make_literal(A, 1.125)));
+      break;
+    }
+    case HygieneShape::TrapGroup: {
+      const std::vector<StmtId> guarded{
+          make_store_array(A, 1, make_literal(A, 0.0), make_literal(A, 1.0))};
+      body.push_back(make_if(
+          A, make_cmp(A, CmpOp::Ne, make_param(A, 1), make_literal(A, 0.0)),
+          guarded));
+      body.push_back(make_assign_comp(A, AssignOp::Add, make_literal(A, 2.0)));
+      break;
+    }
+    case HygieneShape::ThrowingBatch:
+      body.push_back(make_assign_comp(
+          A, AssignOp::Add, make_call(A, static_cast<MathFn>(200), make_param(A, 1))));
+      break;
+  }
+  return Program(precision, std::move(params), std::move(A), std::move(body));
+}
+
+TEST(BytecodeLanes, EntryLeavesVectorStateClean) {
+  // Every engine x precision x shape: if the upper YMM halves are clean at
+  // entry they are clean after it, however the entry ends (return, trap
+  // re-run, throw), and the MXCSR control bits are unchanged.  Hosts that
+  // cannot report XINUSE skip; hosts without AVX2 check the engines they
+  // can run.
+  if (support::upper_ymm_state() == support::UpperYmm::Unknown)
+    GTEST_SKIP() << "XGETBV(1) unavailable: upper-YMM state cannot be read";
+  clear_upper_ymm();
+  if (support::upper_ymm_state() != support::UpperYmm::Clean)
+    GTEST_SKIP() << "VZEROUPPER did not clear XINUSE bit 2 on this host";
+
+  // Subnormals (both precisions), zeros, infinities and NaN reach the
+  // engines' per-lane scalar fallbacks as well as the vector paths.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double values[] = {0.5, -3.0,  1e-310, 100.0, -1e300, 0.0,     1e308, kNan,
+                           2.0, 1e-40, -0.0,   kInf,  3.5,    -1e-320, 7.0,   1.0};
+  struct Engine {
+    const char* name;
+    vgpu::ExecBackend backend;
+    support::SimdOverride simd;
+  };
+  std::vector<Engine> engines{{"tree", vgpu::ExecBackend::TreeWalk,
+                               support::SimdOverride::Off}};
+  for (const support::SimdOverride mode : runnable_engines())
+    engines.push_back({support::to_string(mode), vgpu::ExecBackend::Bytecode, mode});
+
+  for (const Precision precision : {Precision::FP32, Precision::FP64}) {
+    for (const HygieneShape shape :
+         {HygieneShape::LaneProfitable, HygieneShape::Loop,
+          HygieneShape::TrapGroup, HygieneShape::ThrowingBatch}) {
+      const opt::Executable exe = compile_o0(hygiene_program(precision, shape));
+      if (shape == HygieneShape::LaneProfitable) {
+        ASSERT_TRUE(exe.bytecode().lane_profitable());
+      }
+      std::vector<vgpu::KernelArgs> inputs;
+      for (std::size_t i = 0; i < std::size(values); ++i) {
+        double x = values[i];
+        if (shape == HygieneShape::TrapGroup) x = i == 9 ? 1.0 : 0.0;
+        vgpu::KernelArgs args;
+        args.fp = {1.5, x, 0.0};
+        args.ints = {0, 0, static_cast<int>(i % 5)};  // trip counts 0..4
+        inputs.push_back(args);
+      }
+      const bool throws = shape == HygieneShape::TrapGroup ||
+                          shape == HygieneShape::ThrowingBatch;
+      for (const Engine& engine : engines) {
+        const std::string where =
+            std::string(engine.name) +
+            (precision == Precision::FP32 ? " FP32 " : " FP64 ") + to_string(shape);
+        vgpu::set_exec_backend(engine.backend);
+        ScopedEngine eng(engine.simd);
+        std::vector<vgpu::RunResult> out(inputs.size());
+        vgpu::ExecContext ctx;
+        clear_upper_ymm();
+        const unsigned mxcsr = read_mxcsr_control();
+        bool threw = false;
+        try {
+          vgpu::run_kernel_batch(exe, inputs, out.data(), ctx);
+        } catch (const std::exception&) {
+          threw = true;
+        }
+        const support::UpperYmm after = support::upper_ymm_state();
+        const unsigned mxcsr_after = read_mxcsr_control();
+        vgpu::set_exec_backend(vgpu::ExecBackend::Bytecode);
+        EXPECT_EQ(threw, throws) << where;
+        EXPECT_EQ(after, support::UpperYmm::Clean)
+            << where << ": upper YMM halves left dirty";
+        EXPECT_EQ(mxcsr_after, mxcsr) << where << ": MXCSR control bits changed";
+      }
     }
   }
 }

@@ -118,8 +118,12 @@ TEST(Generator, RespectsExprDepthLimit) {
       // Depth limit applies to value expressions; conditions add a
       // comparison + two depth-2 operand trees on top, and the array
       // subscript adds one more level.
-      if (s.a) EXPECT_LE(expr_depth(p.arena(), s.a), 3 + 3);
-      if (s.b) EXPECT_LE(expr_depth(p.arena(), s.b), 3 + 3);
+      if (s.a) {
+        EXPECT_LE(expr_depth(p.arena(), s.a), 3 + 3);
+      }
+      if (s.b) {
+        EXPECT_LE(expr_depth(p.arena(), s.b), 3 + 3);
+      }
     });
   }
 }

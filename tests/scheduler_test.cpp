@@ -558,9 +558,10 @@ TEST(FaultInjection, SigkilledWorkerIsReclaimedByteForByte) {
   rescue.worker_id = "rescuer";
   const WorkerOutcome outcome = campaign::run_worker(cfg, rescue);
   EXPECT_TRUE(outcome.campaign_complete);
-  if (orphaned_claim)
+  if (orphaned_claim) {
     EXPECT_GE(outcome.leases_stolen, 1)
         << "post-kill snapshot was:\n" << snapshot;
+  }
   // Whatever the kill window hit — mid-lease (stolen) or between publish
   // and release (reaped) — the rescuer leaves no claim behind.
   EXPECT_EQ(count_files_with_suffix(dir.str(), ".claim"), 0);
@@ -598,11 +599,12 @@ TEST(FaultInjection, SigintWorkerFlushesLeaseAndStrandsNothing) {
   // Every published done file is whole (atomic write-then-rename).
   for (const auto& entry : std::filesystem::directory_iterator(dir.str())) {
     const std::string name = entry.path().filename().string();
-    if (name.rfind("lease-", 0) == 0 && name.find(".done.json") != std::string::npos)
+    if (name.rfind("lease-", 0) == 0 && name.find(".done.json") != std::string::npos) {
       EXPECT_NO_THROW(campaign::block_from_json(
           support::Json::parse(support::read_file(entry.path().string())),
           nullptr, nullptr))
           << name;
+    }
   }
 
   // With every claim released, a finisher needs no staleness window at all.

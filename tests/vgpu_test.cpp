@@ -396,6 +396,63 @@ TEST(PseudoAsm, MarksIfConversion) {
   EXPECT_EQ(nv.find("if-conversion"), std::string::npos);
 }
 
+TEST(PseudoAsm, HeaderAndFooterNameTheCompRegister) {
+  // comp is the first register allocated (number 1), so its name is fixed
+  // per dialect and precision: the header loads it, the footer prints it.
+  struct Case {
+    opt::Toolchain tc;
+    Precision precision;
+    const char* header;
+    const char* footer;
+  };
+  const Case cases[] = {
+      {opt::Toolchain::Nvcc, Precision::FP64,
+       ".visible .entry compute(...)\n{\n  ld.param.f64 %fd1, [comp];\n",
+       "  // vprintf(\"%.17g\", %fd1)\n}\n"},
+      {opt::Toolchain::Nvcc, Precision::FP32,
+       ".visible .entry compute(...)\n{\n  ld.param.f32 %f1, [comp];\n",
+       "  // vprintf(\"%.17g\", %f1)\n}\n"},
+      {opt::Toolchain::Hipcc, Precision::FP64,
+       "; @compute\n  v[2:3] = s_load b64 [comp]\n",
+       "  ; printf \"%.17g\", v[2:3]\ns_endpgm\n"},
+      {opt::Toolchain::Hipcc, Precision::FP32,
+       "; @compute\n  v1 = s_load b32 [comp]\n",
+       "  ; printf \"%.17g\", v1\ns_endpgm\n"},
+  };
+  for (const Case& c : cases) {
+    ProgramBuilder b(c.precision);
+    Arena& A = b.arena();
+    const int x = b.add_scalar_param();
+    b.assign_comp(AssignOp::Add, make_param(A, x));
+    const std::string text =
+        disassemble(opt::compile(b.build(), {c.tc, opt::OptLevel::O0, false}));
+    EXPECT_NE(text.find(c.header), std::string::npos) << text;
+    EXPECT_TRUE(text.ends_with(c.footer)) << text;
+  }
+}
+
+TEST(PseudoAsm, BoolToFpSelectNamesItsOperands) {
+  // A materialized predicate, (double)(x > 0): the nvcc dialect prints a
+  // selp with its type suffix, destination and predicate register.
+  ProgramBuilder b(Precision::FP64);
+  Arena& A = b.arena();
+  const int x = b.add_scalar_param();
+  b.assign_comp(AssignOp::Add,
+                make_bool_to_fp(A, make_cmp(A, CmpOp::Gt, make_param(A, x),
+                                            make_literal(A, 0.0))));
+  const Program p = b.build();
+  const std::string nv =
+      disassemble(opt::compile(p, {opt::Toolchain::Nvcc, opt::OptLevel::O0, false}));
+  EXPECT_NE(nv.find("\n  selp.f64 %fd4, 1.0, 0.0, %p1; // if-conversion\n"),
+            std::string::npos)
+      << nv;
+  const std::string amd =
+      disassemble(opt::compile(p, {opt::Toolchain::Hipcc, opt::OptLevel::O0, false}));
+  EXPECT_NE(amd.find("\n  v_cndmask v[8:9], 0, 1.0, s[2:3] ; if-conversion\n"),
+            std::string::npos)
+      << amd;
+}
+
 TEST(PseudoAsm, LoopsRenderLabels) {
   const Program p = sample_program();
   const std::string nv =

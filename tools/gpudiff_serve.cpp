@@ -3,8 +3,7 @@
 // One binary covers the store workflow end to end:
 //
 //   # fold campaign reports and BENCH files into the store under a commit
-//   gpudiff-serve --store db --commit abc1234 \
-//       --ingest results.json,BENCH_abc1234.json
+//   gpudiff-serve --store db --commit abc1234 --ingest results.json,BENCH_abc1234.json
 //
 //   # local queries (no daemon needed)
 //   gpudiff-serve --store db --summary

@@ -146,22 +146,37 @@ void BM_BatchedSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedSweep)->Unit(benchmark::kMicrosecond);
 
+/// Two 32-input sets for one program, to alternate between: a persistent
+/// SweepContext copies the results of a kernel it already ran on the same
+/// input set (vgpu::BatchReuse), so re-running one (kernel, inputs) pair
+/// would time a table lookup instead of the sweep.
+void make_input_sets(const gen::InputGenerator& ig, const ir::Program& p,
+                     std::uint64_t program_index,
+                     std::vector<vgpu::KernelArgs> (&sets)[2]) {
+  for (int set = 0; set < 2; ++set) {
+    sets[set].clear();
+    for (int ii = 0; ii < 32; ++ii)
+      sets[set].push_back(ig.generate(p, program_index, 32 * set + ii));
+  }
+}
+
 /// The same sweep over a generated program with a stored-to array
 /// parameter: the shape the lazy array materialization targets (the
 /// per-input 256-element broadcast is hoisted; the extent-wide fill only
 /// happens if a store executes).  Program 2 of seed 42 carries a guarded
-/// array store.
+/// array store.  Alternates between two input sets (see make_input_sets).
 void BM_BatchedSweepStoredArray(benchmark::State& state) {
   gen::GenConfig cfg;
   gen::Generator g(cfg, 42);
   gen::InputGenerator ig(42);
   const ir::Program p = g.generate(2);
   const auto pair = diff::compile_pair(p, opt::OptLevel::O2);
-  std::vector<vgpu::KernelArgs> inputs;
-  for (int ii = 0; ii < 32; ++ii) inputs.push_back(ig.generate(p, 2, ii));
+  std::vector<vgpu::KernelArgs> inputs[2];
+  make_input_sets(ig, p, 2, inputs);
   diff::SweepContext sweep;
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(diff::compare_batch(pair, inputs, sweep));
+    benchmark::DoNotOptimize(diff::compare_batch(pair, inputs[i++ % 2], sweep));
   }
 }
 BENCHMARK(BM_BatchedSweepStoredArray)->Unit(benchmark::kMicrosecond);
@@ -170,7 +185,8 @@ BENCHMARK(BM_BatchedSweepStoredArray)->Unit(benchmark::kMicrosecond);
 /// against the first N registry platforms (N = 2 is the paper pair).  Per
 /// comparison the runner executes one VM loop per platform, so wall time
 /// should scale linearly in N — the per-platform marginal cost the
-/// registry refactor promises to keep flat.
+/// registry refactor promises to keep flat.  Alternates between two input
+/// sets (see make_input_sets).
 void BM_CompareNWay(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto& registry = opt::platform_registry();
@@ -181,11 +197,12 @@ void BM_CompareNWay(benchmark::State& state) {
   gen::InputGenerator ig(42);
   const ir::Program p = g.generate(11);
   const auto set = diff::compile_set(p, specs, opt::OptLevel::O2);
-  std::vector<vgpu::KernelArgs> inputs;
-  for (int ii = 0; ii < 32; ++ii) inputs.push_back(ig.generate(p, 11, ii));
+  std::vector<vgpu::KernelArgs> inputs[2];
+  make_input_sets(ig, p, 11, inputs);
   diff::SweepContext sweep;
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(diff::compare_batch(set, inputs, sweep));
+    benchmark::DoNotOptimize(diff::compare_batch(set, inputs[i++ % 2], sweep));
   }
 }
 BENCHMARK(BM_CompareNWay)->Arg(2)->Arg(3)->Arg(4)->Unit(benchmark::kMicrosecond);
@@ -221,9 +238,10 @@ struct BenchEngine {
   bool ok = false;
 };
 
-/// Raw batched VM throughput per lane engine: 32 inputs through
-/// run_kernel_batch on one compiled platform, no diff layer — the
-/// speedup here is the lane engine itself.
+/// Raw batched VM throughput per lane engine: 32 inputs through the bare
+/// engine entry (BytecodeProgram::run_batch, which never copies a result)
+/// on one compiled platform, no diff layer — the speedup here is the lane
+/// engine itself.
 void BM_RunBatchSimd(benchmark::State& state) {
   BenchEngine engine(state);
   if (!engine.ok) return;
@@ -247,9 +265,10 @@ void BM_RunBatchSimd(benchmark::State& state) {
     leg.out.resize(leg.inputs.size());
     legs.push_back(std::move(leg));
   }
+  vgpu::ExecContext ctx;
   for (auto _ : state) {
     for (Leg& leg : legs) {
-      vgpu::run_kernel_batch(leg.exe, leg.inputs, leg.out.data());
+      leg.exe.bytecode().run_batch(leg.inputs, ctx, leg.out.data());
       benchmark::DoNotOptimize(leg.out.data());
     }
     benchmark::ClobberMemory();
@@ -260,7 +279,8 @@ BENCHMARK(BM_RunBatchSimd)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
 /// BM_BatchedSweep with the engine pinned per run: the campaign-shaped
 /// sweep (compare_batch, both pair platforms) under each lane engine.
 /// Identical workload to BM_BatchedSweep, so off-vs-avx2 here is the
-/// end-to-end campaign speedup of the SIMD PR.
+/// end-to-end campaign speedup of the SIMD PR.  The two legs bring
+/// different input sets, so every call misses the batch-reuse table.
 void BM_BatchedSweepSimd(benchmark::State& state) {
   BenchEngine engine(state);
   if (!engine.ok) return;
@@ -289,6 +309,38 @@ void BM_BatchedSweepSimd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BatchedSweepSimd)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
+
+/// A campaign's per-program sweep: one program's five levels on the
+/// paper pair over 7 inputs through one persistent SweepContext, a new
+/// program each iteration (all compiled up front).  O1, O2 and O3 usually
+/// lower to one kernel per toolchain, so run_kernel_batch runs each
+/// distinct kernel once and copies the rest: the shape batch reuse is for.
+void BM_SweepAllLevels(benchmark::State& state) {
+  gen::GenConfig cfg;
+  gen::Generator g(cfg, 42);
+  gen::InputGenerator ig(42);
+  struct Sweep {
+    std::vector<diff::CompiledSet> levels;
+    std::vector<vgpu::KernelArgs> inputs;
+  };
+  std::vector<Sweep> programs;
+  for (std::uint64_t pi = 0; pi < 64; ++pi) {
+    const ir::Program p = g.generate(pi);
+    Sweep program;
+    for (const auto level : opt::kAllOptLevels)
+      program.levels.push_back(diff::compile_pair(p, level));
+    for (int ii = 0; ii < 7; ++ii) program.inputs.push_back(ig.generate(p, pi, ii));
+    programs.push_back(std::move(program));
+  }
+  diff::SweepContext sweep;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const Sweep& program = programs[next++ % programs.size()];
+    for (const diff::CompiledSet& set : program.levels)
+      benchmark::DoNotOptimize(diff::compare_batch(set, program.inputs, sweep));
+  }
+}
+BENCHMARK(BM_SweepAllLevels)->Unit(benchmark::kMicrosecond);
 
 void BM_UnbatchedSweep(benchmark::State& state) {
   gen::GenConfig cfg;

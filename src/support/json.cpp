@@ -215,8 +215,18 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // The parser recurses once per open container, so the cap is what
+        // keeps a line of brackets from exhausting the stack.  A throw
+        // abandons the whole parse, so depth_ needs no unwinding.
+        if (++depth_ > kMaxJsonDepth)
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+               " levels");
+        Json v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Json(parse_string());
       case 't': if (consume_word("true")) return Json(true); fail("bad literal");
       case 'f': if (consume_word("false")) return Json(false); fail("bad literal");
@@ -341,6 +351,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< containers open at pos_
 };
 
 }  // namespace

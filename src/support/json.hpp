@@ -34,6 +34,16 @@ class JsonParseError : public std::runtime_error {
   std::size_t offset_;
 };
 
+/// Deepest container nesting Json::parse accepts; deeper input fails with
+/// a JsonParseError naming the cap.  The deepest document the repository
+/// writes is a serialized program: its expression trees nest 20 levels at
+/// the default generator configuration and 26 after optimization
+/// (reassociation lengthens chains), so a metadata file, reduction bundle
+/// or wire message stays under 30.  The cap leaves room for hand-written
+/// configurations with deeper expressions while bounding the parser's
+/// recursion.
+inline constexpr int kMaxJsonDepth = 256;
+
 /// A JSON value: null, bool, number (double or int64), string, array, object.
 class Json {
  public:
@@ -94,7 +104,8 @@ class Json {
   /// Serialize. `indent` < 0 means compact one-line output.
   std::string dump(int indent = -1) const;
 
-  /// Parse a complete JSON document (throws JsonParseError).
+  /// Parse a complete JSON document (throws JsonParseError, also for
+  /// nesting deeper than kMaxJsonDepth).
   static Json parse(std::string_view text);
 
  private:

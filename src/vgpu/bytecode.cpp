@@ -1,6 +1,8 @@
 #include "vgpu/bytecode.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
 #include "support/cpu.hpp"
@@ -505,7 +507,142 @@ BytecodeProgram compile_bytecode(const ir::Program& program, const fp::FpEnv& en
   }
   constexpr std::uint64_t kMinVecScore = 8;
   out.lane_profitable_ = !has_loop && vec_score >= kMinVecScore;
+  out.digest_ = out.compute_digest();
   return out;
+}
+
+namespace {
+
+/// Three-words-per-step hash.  The multiplies are independent of the
+/// chain, which carries only a rotate and an add, so a step costs a few
+/// cycles.  Multiplying by an odd constant and adding to the rotated state
+/// are both bijections, so sequences that differ in one word never
+/// collide.  It only filters same_kernel() calls: cheap, not strong.
+class WordDigest {
+ public:
+  void add(std::uint64_t w0, std::uint64_t w1 = 0, std::uint64_t w2 = 0) noexcept {
+    h_ = std::rotl(h_, 23) + ((w0 * 0x9e3779b97f4a7c15ull) ^
+                              (w1 * 0xc2b2ae3d27d4eb4full) ^
+                              (w2 * 0x165667b19e3779f9ull));
+  }
+  std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t u32(std::int32_t v) noexcept {
+  return static_cast<std::uint32_t>(v);
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& x, const std::vector<T>& y) noexcept {
+  return x.size() == y.size() &&
+         (x.empty() || std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0);
+}
+
+}  // namespace
+
+std::uint64_t BytecodeProgram::compute_digest() const noexcept {
+  WordDigest d;
+  // Field by field: BcInsn has padding bytes, so its raw bytes are not a
+  // function of its value.
+  for (const BcInsn& in : code_)
+    d.add(static_cast<std::uint64_t>(in.op) | std::uint64_t{in.aux} << 8 |
+              std::uint64_t{in.sense} << 16 | std::uint64_t{in.u16} << 24,
+          u32(in.dst) | u32(in.a) << 32, u32(in.b) | u32(in.c) << 32);
+  for (std::size_t i = 0; i < consts64_.size(); ++i)
+    d.add(fp::to_bits(consts64_[i]), fp::to_bits(consts32_[i]));
+  for (const int p : array_params_) d.add(u32(p));
+  d.add(static_cast<std::uint64_t>(precision_) |
+            std::uint64_t{env_.ftz32} << 8 | std::uint64_t{env_.daz32} << 9 |
+            std::uint64_t{env_.ftz64} << 10 | std::uint64_t{env_.daz64} << 11 |
+            std::uint64_t{env_.naive_minmax} << 12 |
+            static_cast<std::uint64_t>(env_.div32) << 16,
+        reinterpret_cast<std::uintptr_t>(mathlib_));
+  d.add(u32(num_params_), u32(num_regs_), u32(num_temps_));
+  d.add(cyc_div_, cyc_call_);
+  return d.value();
+}
+
+bool BytecodeProgram::same_kernel(const BytecodeProgram& other) const noexcept {
+  // lane_profitable_ follows from code_ and cyc_div_; it is compared
+  // anyway because it steers the engine choice.
+  return digest_ == other.digest_ && code_ == other.code_ &&
+         same_bits(consts64_, other.consts64_) &&
+         same_bits(consts32_, other.consts32_) &&
+         array_params_ == other.array_params_ &&
+         precision_ == other.precision_ && env_ == other.env_ &&
+         mathlib_ == other.mathlib_ && num_params_ == other.num_params_ &&
+         num_regs_ == other.num_regs_ && num_temps_ == other.num_temps_ &&
+         cyc_div_ == other.cyc_div_ && cyc_call_ == other.cyc_call_ &&
+         lane_profitable_ == other.lane_profitable_;
+}
+
+bool BatchReuse::lookup(const BytecodeProgram& program, Engine engine,
+                        std::span<const KernelArgs> inputs, RunResult* out) {
+  if (same_inputs(inputs)) {
+    const std::size_t n = inputs.size();
+    for (std::size_t k = 0; k < entries_.size(); ++k) {
+      const BytecodeProgram& seen = *entries_[k].program;
+      if (entries_[k].engine != engine || seen.digest() != program.digest() ||
+          (&seen != &program && !seen.same_kernel(program)))
+        continue;
+      std::copy_n(results_.data() + k * n, n, out);
+      ++batches_reused;
+      return true;
+    }
+  } else {
+    remember(inputs);
+  }
+  ++batches_run;
+  return false;
+}
+
+void BatchReuse::record(std::shared_ptr<const BytecodeProgram> program,
+                        Engine engine, const RunResult* out) {
+  if (entries_.size() >= kMaxKernels) return;
+  entries_.push_back({std::move(program), engine});
+  results_.insert(results_.end(), out, out + input_count_);
+}
+
+bool BatchReuse::same_inputs(std::span<const KernelArgs> inputs) const {
+  if (inputs.size() != input_count_) return false;
+  // Bit patterns, not values: +0.0 and -0.0 differ, NaN payloads count.
+  // The counts are checked before the values they cover, so the walk
+  // stays inside the buffer.  Each input's values are compared without
+  // branches (the loops vectorize), with an exit after every input.
+  const std::uint64_t* word = input_words_.data();
+  for (const KernelArgs& args : inputs) {
+    const std::size_t n_fp = args.fp.size();
+    const std::size_t n_int = args.ints.size();
+    if (word[0] != n_fp || word[1] != n_int) return false;
+    word += 2;
+    std::uint64_t diff = 0;
+    for (std::size_t j = 0; j < n_fp; ++j) diff |= word[j] ^ fp::to_bits(args.fp[j]);
+    word += n_fp;
+    for (std::size_t j = 0; j < n_int; ++j)
+      diff |= word[j] ^ static_cast<std::uint32_t>(args.ints[j]);
+    word += n_int;
+    if (diff != 0) return false;
+  }
+  return true;
+}
+
+void BatchReuse::remember(std::span<const KernelArgs> inputs) {
+  entries_.clear();
+  results_.clear();
+  std::size_t words = 0;
+  for (const KernelArgs& args : inputs) words += 2 + args.fp.size() + args.ints.size();
+  input_words_.resize(words);  // capacity is kept across input sets
+  std::uint64_t* word = input_words_.data();
+  for (const KernelArgs& args : inputs) {
+    *word++ = args.fp.size();
+    *word++ = args.ints.size();
+    for (const double v : args.fp) *word++ = fp::to_bits(v);
+    for (const int v : args.ints) *word++ = static_cast<std::uint32_t>(v);
+  }
+  input_count_ = inputs.size();
 }
 
 template <typename T>

@@ -29,12 +29,15 @@
 // (vgpu::run_kernel_tree, or globally via vgpu::set_exec_backend).
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "fp/bits.hpp"
 #include "fp/env.hpp"
 #include "ir/program.hpp"
+#include "opt/platform.hpp"
+#include "support/cpu.hpp"
 #include "vgpu/args.hpp"
 #include "vgpu/interp.hpp"
 #include "vmath/mathlib.hpp"
@@ -117,6 +120,81 @@ struct BcInsn {
   std::int32_t a = 0;
   std::int32_t b = 0;
   std::int32_t c = 0;
+
+  /// Field by field: the struct has padding, so never compare raw bytes.
+  friend bool operator==(const BcInsn&, const BcInsn&) = default;
+};
+
+/// Which execution engine run_batch uses for full lane-width groups.  All
+/// engines are bit-identical by contract (values, exception flags,
+/// op/cycle counts) — the choice is invisible to reports, fingerprints
+/// and merged campaign bytes.
+enum class SimdEngine : std::uint8_t {
+  Off,      ///< plain one-input-at-a-time interpreter loop
+  Scalar1,  ///< lane engine, portable backend, width 1 (pure reference)
+  Scalar,   ///< lane engine, portable backend, natural widths (4 / 8)
+  Avx2,     ///< lane engine, AVX2+FMA backend (4 x double / 8 x float)
+};
+
+class BytecodeProgram;
+
+/// The batches already run on one input set, so that a later batch of an
+/// identical kernel on the same inputs copies their results instead of
+/// executing (vgpu::run_kernel_batch).  A campaign sweep compiles every
+/// program at five levels, and O1, O2 and O3 usually lower to the same
+/// kernel.
+///
+/// The key is the kernel's content (BytecodeProgram::same_kernel, with the
+/// digest as a filter), the engine, and the input set: the table keeps the
+/// bit patterns of the last input set it saw and forgets every entry when
+/// a batch brings a different one.  Inputs compare bit for bit, so +0.0
+/// and -0.0 are different inputs.  The engine is part of the key so that
+/// engine-differential checks never compare a result with itself.  Only
+/// completed batches are recorded, at most kMaxKernels per input set (one
+/// sweep: every level on every platform); past that, batches just run.
+/// Entries hold their program through the Executable's shared lowering,
+/// so a later program can never alias a remembered one by address.
+class BatchReuse {
+ public:
+  static constexpr std::size_t kMaxKernels =
+      std::size(opt::kAllOptLevels) * opt::kMaxPlatforms;
+
+  /// The engine a batch runs under.
+  struct Engine {
+    support::SimdOverride requested;  ///< the GPUDIFF_SIMD override
+    SimdEngine resolved;              ///< what simd_engine() chose
+    friend bool operator==(const Engine&, const Engine&) = default;
+  };
+
+  /// Copy the results of `program` on `inputs` under `engine` into `out`
+  /// and return true if that batch was recorded.  Otherwise return false,
+  /// first forgetting every entry if `inputs` is not the remembered set.
+  bool lookup(const BytecodeProgram& program, Engine engine,
+              std::span<const KernelArgs> inputs, RunResult* out);
+
+  /// Record the results of the batch whose lookup() just missed and which
+  /// completed.  A no-op once the table holds kMaxKernels entries.
+  void record(std::shared_ptr<const BytecodeProgram> program, Engine engine,
+              const RunResult* out);
+
+  /// Diagnostics only (tests, engine counters): never part of a report.
+  std::uint64_t batches_run = 0;     ///< lookups that missed
+  std::uint64_t batches_reused = 0;  ///< lookups that copied results
+
+ private:
+  bool same_inputs(std::span<const KernelArgs> inputs) const;
+  void remember(std::span<const KernelArgs> inputs);
+
+  struct Entry {
+    std::shared_ptr<const BytecodeProgram> program;
+    Engine engine;
+  };
+  std::vector<Entry> entries_;
+  std::vector<RunResult> results_;  ///< entry-major, one per input
+  /// The remembered input set as one flat buffer of bit patterns: per
+  /// input, its fp count and int count, then its fp values, then its ints.
+  std::vector<std::uint64_t> input_words_;
+  std::size_t input_count_ = 0;
 };
 
 /// Reusable per-thread execution state.  run_bytecode grows the buffers to
@@ -155,6 +233,10 @@ struct ExecContext {
     std::vector<int> ints;
     std::vector<std::uint64_t> slot_epoch64, slot_epoch32;
   } lane;
+
+  /// Results vgpu::run_kernel_batch may copy instead of executing; the
+  /// bare BytecodeProgram::run_batch never reads or writes it.
+  BatchReuse reuse;
 };
 
 namespace detail {
@@ -179,6 +261,17 @@ class BytecodeProgram {
   /// results are bit-identical either way; only throughput differs.
   bool lane_profitable() const noexcept { return lane_profitable_; }
 
+  /// 64-bit digest of every field execution reads, computed once by
+  /// compile_bytecode.  Identical kernels have equal digests; the converse
+  /// only usually holds, so a match is confirmed with same_kernel().
+  std::uint64_t digest() const noexcept { return digest_; }
+
+  /// Whether `other` executes exactly as this program does on every input:
+  /// the same instructions, constants (by bit pattern), array slots,
+  /// precision, FP environment, math library, register layout and cycle
+  /// model.
+  bool same_kernel(const BytecodeProgram& other) const noexcept;
+
   /// Execute once.  Throws std::runtime_error on argument/parameter count
   /// mismatch; numerical misbehaviour never throws.
   RunResult run(const KernelArgs& args, ExecContext& ctx) const;
@@ -195,6 +288,9 @@ class BytecodeProgram {
   /// a throw (argument mismatch, trap mid-batch) the span holds only
   /// defined values: completed results for inputs that ran, RunResult{}
   /// for the rest — never stale memory.
+  ///
+  /// This is the bare engine entry: it always executes.  Campaign code
+  /// goes through vgpu::run_kernel_batch, which skips batches already run.
   void run_batch(std::span<const KernelArgs> inputs, ExecContext& ctx,
                  RunResult* out) const;
 
@@ -213,6 +309,7 @@ class BytecodeProgram {
                       RunResult* out) const;
   template <typename T>
   void prepare(ExecContext& ctx) const;
+  std::uint64_t compute_digest() const noexcept;
 
   std::vector<BcInsn> code_;
   std::vector<double> consts64_;
@@ -227,6 +324,7 @@ class BytecodeProgram {
   std::uint64_t cyc_div_ = 16;   ///< issue cycles per divide (CycleModel)
   std::uint64_t cyc_call_ = 24;  ///< issue cycles per library call
   bool lane_profitable_ = true;  ///< auto-dispatch verdict, see getter
+  std::uint64_t digest_ = 0;     ///< see digest()
 };
 
 /// Lower an optimized program once.  Never throws for malformed IR:
@@ -237,17 +335,6 @@ class BytecodeProgram {
 /// even for unreachable malformed statements.
 BytecodeProgram compile_bytecode(const ir::Program& program, const fp::FpEnv& env,
                                  const vmath::MathLib* mathlib);
-
-/// Which execution engine run_batch uses for full lane-width groups.  All
-/// engines are bit-identical by contract (values, exception flags,
-/// op/cycle counts) — the choice is invisible to reports, fingerprints
-/// and merged campaign bytes.
-enum class SimdEngine : std::uint8_t {
-  Off,      ///< plain one-input-at-a-time interpreter loop
-  Scalar1,  ///< lane engine, portable backend, width 1 (pure reference)
-  Scalar,   ///< lane engine, portable backend, natural widths (4 / 8)
-  Avx2,     ///< lane engine, AVX2+FMA backend (4 x double / 8 x float)
-};
 
 /// Resolve the engine from the GPUDIFF_SIMD override (support/cpu.hpp) and
 /// the host CPU: unset means AVX2 when compiled in and usable, else Off.

@@ -1,11 +1,13 @@
 #include "vgpu/interp.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
 
+#include "support/cpu.hpp"
 #include "vgpu/bytecode.hpp"
 #include "vgpu/fpu.hpp"
 #include "vmath/core/kernels.hpp"
@@ -268,6 +270,19 @@ class Interp {
   std::vector<int> loop_vars_;
 };
 
+/// The engine run_batch will run under, the key batch reuse needs.
+/// Resolving it throws on a forced AVX2 the host cannot run, and
+/// run_batch's contract (no stale outputs after a throw) holds for that
+/// throw too.
+BatchReuse::Engine batch_engine(std::span<RunResult> out) {
+  try {
+    return {support::simd_override(), simd_engine()};
+  } catch (...) {
+    std::fill(out.begin(), out.end(), RunResult{});
+    throw;
+  }
+}
+
 std::atomic<ExecBackend> g_backend{[] {
   const char* env = std::getenv("GPUDIFF_EXEC");
   return env && std::strcmp(env, "tree") == 0 ? ExecBackend::TreeWalk
@@ -318,12 +333,18 @@ RunResult run_kernel(const opt::Executable& exe, const KernelArgs& args) {
 void run_kernel_batch(const opt::Executable& exe,
                       std::span<const KernelArgs> inputs, RunResult* out,
                       ExecContext& ctx) {
+  // The tree-walk oracle always executes: it is what the VM is checked
+  // against, so it neither reads nor feeds the reuse table.
   if (exec_backend() == ExecBackend::TreeWalk) {
     for (std::size_t i = 0; i < inputs.size(); ++i)
       out[i] = run_kernel_tree(exe, inputs[i]);
     return;
   }
-  exe.bytecode().run_batch(inputs, ctx, out);
+  const BytecodeProgram& program = exe.bytecode();
+  const BatchReuse::Engine engine = batch_engine({out, inputs.size()});
+  if (ctx.reuse.lookup(program, engine, inputs, out)) return;
+  program.run_batch(inputs, ctx, out);
+  ctx.reuse.record(exe.bytecode_cache, engine, out);
 }
 
 void run_kernel_batch(const opt::Executable& exe,

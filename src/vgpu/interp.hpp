@@ -81,15 +81,22 @@ RunResult run_kernel_tree(const opt::Executable& exe, const KernelArgs& args,
 /// validates arguments and sizes its ExecContext once per batch instead of
 /// once per run, which is the campaign sweep shape (ROADMAP "batched input
 /// sweeps").
+///
+/// Each distinct kernel runs once per input set: the context remembers the
+/// last input set and the results of every kernel run on it under the
+/// current engine (vgpu::BatchReuse), and a batch of an identical kernel
+/// (by content) on bit-identical inputs copies those results instead of
+/// executing.  A copy is bit-identical to a fresh run.  This overload uses
+/// a per-thread context.
 void run_kernel_batch(const opt::Executable& exe,
                       std::span<const KernelArgs> inputs, RunResult* out);
 
 struct ExecContext;  // vgpu/bytecode.hpp
 
 /// Batch execution with a caller-owned ExecContext, for callers that sweep
-/// many (program, level) batches on one thread and want the VM scratch
-/// reused across all of them (the campaign driver's SweepContext).  The
-/// tree-walk backend ignores the context.
+/// many (program, level) batches on one thread and want the VM scratch and
+/// the reuse table shared by all of them (the campaign driver's
+/// SweepContext).  The tree-walk backend ignores the context.
 void run_kernel_batch(const opt::Executable& exe,
                       std::span<const KernelArgs> inputs, RunResult* out,
                       ExecContext& ctx);

@@ -164,20 +164,25 @@ struct U256 {
     }
   }
 
-  /// Bits [hi_bit .. hi_bit-count+1] as an integer (count <= 53).
+  /// Bits [hi_bit .. hi_bit-count+1] as an integer (count <= 53).  Bits
+  /// below 0 (and above 255) read as 0.
   std::uint64_t extract(int hi_bit, int count) const {
     const int lo_bit = hi_bit - count + 1;
-    std::uint64_t out = 0;
-    // Gather from words; lo_bit may be negative (treat below-range as 0).
-    for (int b = hi_bit; b >= lo_bit; --b) {
-      out <<= 1;
-      if (b >= 0 && b < 256) {
-        const int wi = b / 64;
-        const int bi = b % 64;
-        out |= (q[wi] >> bi) & 1u;
-      }
-    }
-    return out;
+    const std::uint64_t mask = (std::uint64_t{1} << count) - 1;
+    if (hi_bit < 0) return 0;
+    // A window reaching below bit 0 is the window at bit 0 shifted up.
+    if (lo_bit < 0) return (bits_from(0) << -lo_bit) & mask;
+    return bits_from(lo_bit) & mask;
+  }
+
+  /// The 64 bits starting at bit `lo` (lo >= 0), two words shifted and
+  /// merged.
+  std::uint64_t bits_from(int lo) const {
+    const int wi = lo / 64;
+    const int sh = lo % 64;
+    const std::uint64_t low = wi < 4 ? q[wi] >> sh : 0;
+    const std::uint64_t high = sh != 0 && wi + 1 < 4 ? q[wi + 1] << (64 - sh) : 0;
+    return low | high;
   }
 };
 

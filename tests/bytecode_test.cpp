@@ -587,6 +587,247 @@ TEST(BytecodeLanes, BatchThrowLeavesNoStaleOutputs) {
 }
 
 // ---------------------------------------------------------------------------
+// Batch reuse (vgpu::BatchReuse): run_kernel_batch runs each distinct
+// kernel once per input set and copies its results for later batches of an
+// identical kernel.  A copy must be indistinguishable from a fresh run.
+// ---------------------------------------------------------------------------
+
+/// comp = comp / var_1: a kernel whose result shows the sign of a zero
+/// input (1 / +0 = +inf, 1 / -0 = -inf).
+opt::Executable divide_by_param() {
+  ProgramBuilder b(Precision::FP64);
+  Arena& A = b.arena();
+  const int x = b.add_scalar_param();
+  b.assign_comp(AssignOp::Div, make_param(A, x));
+  return compile_o0(b.build());
+}
+
+vgpu::KernelArgs comp_and(double comp, double x) {
+  vgpu::KernelArgs args;
+  args.fp = {comp, x};
+  args.ints = {0, 0};
+  return args;
+}
+
+TEST(BytecodeReuse, SweepThroughOneContextMatchesFreshContexts) {
+  // The campaign shape: every level of every registry platform over one
+  // input set, through one context, with each level's executables dropped
+  // before the next level compiles (so a new program can land at a freed
+  // one's address).  Each result must equal the bare engine's on a fresh
+  // context, under every engine, in both precisions.
+  const auto& platforms = opt::platform_registry();
+  for (const Precision precision : {Precision::FP64, Precision::FP32}) {
+    gen::GenConfig cfg;
+    cfg.precision = precision;
+    const gen::Generator generator(cfg, 4242);
+    const gen::InputGenerator input_gen(4242);
+    for (const support::SimdOverride mode : runnable_engines()) {
+      ScopedEngine eng(mode);
+      vgpu::ExecContext shared;
+      std::uint64_t batches = 0;
+      for (std::uint64_t pi = 0; pi < 6; ++pi) {
+        const Program program = generator.generate(pi);
+        std::vector<vgpu::KernelArgs> inputs;
+        for (int ii = 0; ii < 7; ++ii)
+          inputs.push_back(input_gen.generate(program, pi, ii));
+        for (const opt::OptLevel level : opt::kAllOptLevels) {
+          for (const opt::PlatformSpec& spec : platforms) {
+            const opt::Executable exe = opt::compile(program, spec, level);
+            std::vector<vgpu::RunResult> got(inputs.size());
+            vgpu::run_kernel_batch(exe, inputs, got.data(), shared);
+            ++batches;
+            vgpu::ExecContext fresh;
+            std::vector<vgpu::RunResult> ref(inputs.size());
+            exe.bytecode().run_batch(inputs, fresh, ref.data());
+            for (std::size_t ii = 0; ii < inputs.size(); ++ii) {
+              expect_identical(got[ii], ref[ii],
+                               std::string(support::to_string(mode)) +
+                                   " program " + std::to_string(pi) +
+                                   " input " + std::to_string(ii) + " " +
+                                   spec.name + " " + exe.description());
+              if (HasFailure()) return;
+            }
+          }
+        }
+      }
+      EXPECT_EQ(shared.reuse.batches_run + shared.reuse.batches_reused, batches);
+      EXPECT_GT(shared.reuse.batches_reused, 0u) << support::to_string(mode);
+    }
+  }
+}
+
+TEST(BytecodeReuse, FixedProgramRunsEachDistinctKernelOnce) {
+  // One program's sweep over the paper pair: O1, O2 and O3 lower to one
+  // kernel per toolchain, so each toolchain runs O0, O1 and O3+FM and
+  // copies O2 and O3.  The count is also derived independently from
+  // same_kernel(), and a second sweep of freshly compiled executables
+  // (new lowerings, same content) copies everything.
+  gen::GenConfig cfg;
+  const gen::Generator generator(cfg, 77);
+  const gen::InputGenerator input_gen(77);
+  const Program program = generator.generate(3);
+  std::vector<vgpu::KernelArgs> inputs;
+  for (int ii = 0; ii < 7; ++ii) inputs.push_back(input_gen.generate(program, 3, ii));
+  const auto platforms = opt::default_platforms();
+
+  std::vector<opt::Executable> all;
+  for (const opt::OptLevel level : opt::kAllOptLevels)
+    for (const opt::PlatformSpec& spec : platforms)
+      all.push_back(opt::compile(program, spec, level));
+  std::uint64_t distinct = 0;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    bool seen = false;
+    for (std::size_t j = 0; j < i && !seen; ++j)
+      seen = all[j].bytecode().same_kernel(all[i].bytecode());
+    if (!seen) ++distinct;
+  }
+  EXPECT_EQ(distinct, 6u);
+
+  for (const support::SimdOverride mode : runnable_engines()) {
+    ScopedEngine eng(mode);
+    vgpu::ExecContext ctx;
+    std::vector<vgpu::RunResult> out(inputs.size());
+    for (const opt::Executable& exe : all)
+      vgpu::run_kernel_batch(exe, inputs, out.data(), ctx);
+    EXPECT_EQ(ctx.reuse.batches_run, distinct) << support::to_string(mode);
+    EXPECT_EQ(ctx.reuse.batches_reused, all.size() - distinct)
+        << support::to_string(mode);
+    for (const opt::OptLevel level : opt::kAllOptLevels)
+      for (const opt::PlatformSpec& spec : platforms)
+        vgpu::run_kernel_batch(opt::compile(program, spec, level), inputs,
+                               out.data(), ctx);
+    EXPECT_EQ(ctx.reuse.batches_run, distinct) << support::to_string(mode);
+    EXPECT_EQ(ctx.reuse.batches_reused, 2 * all.size() - distinct)
+        << support::to_string(mode);
+  }
+}
+
+TEST(BytecodeReuse, TableStopsRecordingAtOneSweep) {
+  // kMaxKernels distinct kernels fill the table; one more still runs but
+  // is not recorded, so it runs again, while the first is still copied.
+  std::vector<opt::Executable> kernels;
+  for (std::size_t k = 0; k <= vgpu::BatchReuse::kMaxKernels; ++k) {
+    ProgramBuilder b(Precision::FP64);
+    Arena& A = b.arena();
+    b.assign_comp(AssignOp::Add, make_literal(A, static_cast<double>(k)));
+    kernels.push_back(compile_o0(b.build()));
+  }
+  vgpu::KernelArgs args;
+  args.fp = {0.5};
+  args.ints = {0};
+  const vgpu::KernelArgs inputs[] = {args};
+  vgpu::RunResult out[1];
+  vgpu::ExecContext ctx;
+  for (const opt::Executable& exe : kernels) {
+    vgpu::run_kernel_batch(exe, inputs, out, ctx);
+  }
+  EXPECT_EQ(ctx.reuse.batches_run, kernels.size());
+  vgpu::run_kernel_batch(kernels.front(), inputs, out, ctx);
+  EXPECT_EQ(ctx.reuse.batches_reused, 1u);
+  EXPECT_EQ(out[0].value, 0.5);
+  vgpu::run_kernel_batch(kernels.back(), inputs, out, ctx);
+  EXPECT_EQ(ctx.reuse.batches_run, kernels.size() + 1);
+  EXPECT_EQ(out[0].value, 0.5 + static_cast<double>(vgpu::BatchReuse::kMaxKernels));
+}
+
+TEST(BytecodeReuse, SignedZeroInputsAreDifferentInputs) {
+  // KernelArgs::operator== compares doubles with ==, under which +0.0 and
+  // -0.0 are equal; the table compares bit patterns, so the second batch
+  // runs and gets -inf, not the first batch's +inf.
+  const opt::Executable exe = divide_by_param();
+  const vgpu::KernelArgs pos[] = {comp_and(1.0, 2.0), comp_and(1.0, 0.0)};
+  const vgpu::KernelArgs neg[] = {comp_and(1.0, 2.0), comp_and(1.0, -0.0)};
+  vgpu::ExecContext ctx;
+  vgpu::RunResult out[2];
+  vgpu::run_kernel_batch(exe, pos, out, ctx);
+  EXPECT_EQ(out[1].value, std::numeric_limits<double>::infinity());
+  vgpu::run_kernel_batch(exe, neg, out, ctx);
+  EXPECT_EQ(out[1].value, -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(ctx.reuse.batches_run, 2u);
+  EXPECT_EQ(ctx.reuse.batches_reused, 0u);
+  // Back to +0.0: a changed input set forgets the old one's results, so
+  // this runs too (and is right).
+  vgpu::run_kernel_batch(exe, pos, out, ctx);
+  EXPECT_EQ(out[1].value, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(ctx.reuse.batches_run, 3u);
+}
+
+TEST(BytecodeReuse, EngineSwitchAndTreeWalkReuseNothing) {
+  const opt::Executable exe = divide_by_param();
+  const vgpu::KernelArgs inputs[] = {comp_and(3.0, 7.0), comp_and(-1.0, 0.0),
+                                     comp_and(1e-310, 3.0), comp_and(5.0, 5.0),
+                                     comp_and(2.0, -0.0)};
+  vgpu::RunResult out[5];
+  vgpu::ExecContext ctx;
+  const auto engines = runnable_engines();
+  // Each engine runs the batch itself, even though every other engine has
+  // already recorded it for the same kernel and inputs.
+  for (const support::SimdOverride mode : engines) {
+    ScopedEngine eng(mode);
+    vgpu::run_kernel_batch(exe, inputs, out, ctx);
+  }
+  EXPECT_EQ(ctx.reuse.batches_run, engines.size());
+  EXPECT_EQ(ctx.reuse.batches_reused, 0u);
+  {
+    ScopedEngine eng(engines.front());
+    vgpu::run_kernel_batch(exe, inputs, out, ctx);  // same engine: copied
+  }
+  EXPECT_EQ(ctx.reuse.batches_reused, 1u);
+
+  // The tree-walk oracle neither reads nor writes the table.
+  vgpu::set_exec_backend(vgpu::ExecBackend::TreeWalk);
+  vgpu::run_kernel_batch(exe, inputs, out, ctx);
+  vgpu::run_kernel_batch(exe, inputs, out, ctx);
+  vgpu::set_exec_backend(vgpu::ExecBackend::Bytecode);
+  EXPECT_EQ(ctx.reuse.batches_run, engines.size());
+  EXPECT_EQ(ctx.reuse.batches_reused, 1u);
+  for (std::size_t i = 0; i < std::size(inputs); ++i)
+    expect_identical(out[i], vgpu::run_kernel_tree(exe, inputs[i]),
+                     "tree input " + std::to_string(i));
+}
+
+TEST(BytecodeReuse, TrappingBatchIsNotRecordedAndThrowsAgain) {
+  // Input 2 stores to a non-array parameter.  The batch throws on every
+  // call (no failure is ever copied), keeps run_batch's output contract,
+  // and a batch of the same kernel on clean inputs is recorded as usual.
+  Arena A;
+  std::vector<Param> params{{ParamKind::Comp, "comp"},
+                            {ParamKind::Scalar, "var_1"}};
+  std::vector<StmtId> guarded;
+  guarded.push_back(
+      make_store_array(A, 1, make_literal(A, 0.0), make_literal(A, 1.0)));
+  std::vector<StmtId> body;
+  body.push_back(make_if(
+      A, make_cmp(A, CmpOp::Ne, make_param(A, 1), make_literal(A, 0.0)),
+      guarded));
+  body.push_back(make_assign_comp(A, AssignOp::Add, make_literal(A, 2.0)));
+  const opt::Executable exe = compile_o0(
+      Program(Precision::FP64, std::move(params), std::move(A), std::move(body)));
+  const vgpu::KernelArgs trapping[] = {comp_and(1.0, 0.0), comp_and(2.0, 0.0),
+                                       comp_and(3.0, 1.0), comp_and(4.0, 0.0)};
+  const vgpu::KernelArgs clean[] = {comp_and(1.0, 0.0), comp_and(2.0, 0.0)};
+  vgpu::ExecContext ctx;
+  for (int attempt = 1; attempt <= 2; ++attempt) {
+    vgpu::RunResult out[4];
+    out[3].op_count = 99;  // stale memory the contract must erase
+    EXPECT_THROW(vgpu::run_kernel_batch(exe, trapping, out, ctx),
+                 std::runtime_error);
+    EXPECT_EQ(out[0].value, 3.0);
+    EXPECT_EQ(out[1].value, 4.0);
+    EXPECT_EQ(out[2].op_count, 0u);
+    EXPECT_EQ(out[3].op_count, 0u);
+    EXPECT_EQ(ctx.reuse.batches_run, static_cast<std::uint64_t>(attempt));
+    EXPECT_EQ(ctx.reuse.batches_reused, 0u);
+  }
+  vgpu::RunResult out[2];
+  vgpu::run_kernel_batch(exe, clean, out, ctx);
+  vgpu::run_kernel_batch(exe, clean, out, ctx);
+  EXPECT_EQ(ctx.reuse.batches_run, 3u);
+  EXPECT_EQ(ctx.reuse.batches_reused, 1u);
+  EXPECT_EQ(out[1].value, 4.0);
+}
+
+// ---------------------------------------------------------------------------
 // Engine state hygiene: an entry must hand back the process-global vector
 // and FP-environment state it was given.  Dirty upper-YMM halves make
 // every later SSE instruction on the thread pay a merge penalty, which

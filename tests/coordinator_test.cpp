@@ -296,6 +296,33 @@ TEST(Coordinator, RefusesWireVersionMismatchFatally) {
   coordinator.stop();
 }
 
+TEST(Coordinator, DeepNestingLineRefusedCoordinatorKeepsServing) {
+  TempDir state("gpudiff_coord_deep");
+  TempDir journal("gpudiff_coord_deep_journal");
+  CoordinatorOptions copts;
+  copts.dir = state.str();
+  Coordinator coordinator(copts);
+  coordinator.start();
+
+  // One pre-hello line of 2,000,000 '[' used to overflow the parser's
+  // stack and kill the coordinator.  It is refused: the connection closes
+  // without an answer.
+  net::Socket s = net::connect_tcp("127.0.0.1", coordinator.port(), 2.0);
+  ASSERT_TRUE(s.valid());
+  ASSERT_EQ(s.send_all(std::string(2000000, '[') + "\n", 10.0),
+            net::IoStatus::Ok);
+  support::Json resp;
+  EXPECT_NE(net::recv_message(s, &resp, 10.0), net::IoStatus::Ok);
+
+  // A fresh worker connection still gets its hello and manifest answered.
+  const auto cfg = small_config(45);
+  TcpLeaseTransport worker(
+      transport_options(coordinator.port(), "w-after", journal.str()));
+  EXPECT_NO_THROW(worker.publish_or_verify_manifest(
+      campaign::config_to_json(cfg), 4, campaign::lease_count(45, 4)));
+  coordinator.stop();
+}
+
 // ---------------------------------------------------------------------------
 // Durability: a coordinator restarted on its state directory recovers
 // every claim and every done block.

@@ -473,6 +473,32 @@ TEST(StoreServe, HelloRefusesVersionMismatchesFatally) {
   server.stop();
 }
 
+TEST(StoreServe, DeepNestingLineRefusedDaemonKeepsServing) {
+  TempDir dir("gpudiff_store_deep");
+  const std::string db = dir.file("db");
+  store::ingest(db, "c1", {kGoldenReport});
+  store::ServeOptions options;
+  options.dir = db;
+  store::StoreServer server(options);
+  server.start();
+
+  // One pre-hello line of 2,000,000 '[' used to overflow the parser's
+  // stack and kill the daemon.  It is refused: the connection closes
+  // without an answer.
+  net::Socket socket = net::connect_tcp("127.0.0.1", server.port(), 5.0);
+  ASSERT_TRUE(socket.valid());
+  ASSERT_EQ(socket.send_all(std::string(2000000, '[') + "\n", 10.0),
+            net::IoStatus::Ok);
+  Json response;
+  EXPECT_NE(net::recv_message(socket, &response, 10.0), net::IoStatus::Ok);
+
+  // A fresh connection is still answered.
+  Json ping = Json::object();
+  ping["op"] = "ping";
+  EXPECT_TRUE(client_query(server.port(), ping).at("ok").as_bool());
+  server.stop();
+}
+
 TEST(StoreServe, ConcurrentClientsSeeIdenticalAnswers) {
   TempDir dir("gpudiff_store_conc");
   const std::string db = dir.file("db");

@@ -190,6 +190,34 @@ TEST(Json, ParseErrors) {
   EXPECT_THROW(Json::parse("[1] trailing"), JsonParseError);
 }
 
+TEST(Json, NestingCapIsANamedError) {
+  // Alternating arrays and objects, `depth` containers deep around a 1.
+  const auto nested = [](int depth) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += i % 2 ? "{\"k\":" : "[";
+    text += "1";
+    for (int i = depth - 1; i >= 0; --i) text += i % 2 ? "}" : "]";
+    return text;
+  };
+  const Json at_cap = Json::parse(nested(kMaxJsonDepth));
+  EXPECT_EQ(at_cap.dump(), nested(kMaxJsonDepth));
+  const std::string named =
+      "nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels";
+  try {
+    (void)Json::parse(nested(kMaxJsonDepth + 1));
+    FAIL() << "nesting past the cap must not parse";
+  } catch (const JsonParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(named), std::string::npos) << e.what();
+  }
+  // The line that used to exhaust the stack of the daemons' parser.
+  try {
+    (void)Json::parse(std::string(2000000, '['));
+    FAIL() << "2,000,000 '[' must not parse";
+  } catch (const JsonParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(named), std::string::npos) << e.what();
+  }
+}
+
 TEST(Json, UnicodeEscapes) {
   EXPECT_EQ(Json::parse("\"\\u0041\"").as_string(), "A");
   EXPECT_EQ(Json::parse("\"\\u00e9\"").as_string(), "\xc3\xa9");

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <initializer_list>
 
 #include "fp/bits.hpp"
 #include "fp/hexfloat.hpp"
@@ -78,6 +80,58 @@ TEST(Reduce, Pio2DoubleDouble) {
   core::pio2_dd(&hi, &lo);
   EXPECT_EQ(hi, 1.5707963267948966);
   EXPECT_NEAR(lo, 6.123233995736766e-17, 1e-30);
+}
+
+/// FNV-1a over the bits of (x, hi, lo, quadrant) of rem_pio2 for seeded
+/// arguments: 50 per binade from the Payne-Hanek bound (2^20 * pi/2, in
+/// binade 2^20) to 2^1023, both signs, plus the end points.
+std::uint64_t rem_pio2_digest(std::size_t* count) {
+  constexpr double kPayneHanekMin = 1647099.0;  // reduce.cpp's bound
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (w >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  std::size_t n = 0;
+  const auto add = [&](double x) {
+    const core::Reduced r =
+        core::rem_pio2(x, core::ReduceStyle::CodyWaite3);
+    mix(fp::to_bits(x));
+    mix(fp::to_bits(r.hi));
+    mix(fp::to_bits(r.lo));
+    mix(static_cast<std::uint64_t>(r.quadrant));
+    ++n;
+  };
+  support::Rng rng(0x7E3A9D21u);
+  for (std::uint64_t e = 20; e <= 1023; ++e) {
+    for (int k = 0; k < 50; ++k) {
+      double x;
+      do {
+        const std::uint64_t mant = rng.next() & ((std::uint64_t{1} << 52) - 1);
+        x = fp::from_bits<double>(((e + 1023) << 52) | mant);
+      } while (x < kPayneHanekMin);
+      add(x);
+      add(-x);
+    }
+  }
+  for (const double x : {kPayneHanekMin, DBL_MAX}) {
+    add(x);
+    add(-x);
+  }
+  *count = n;
+  return h;
+}
+
+TEST(Reduce, PayneHanekBitsLocked) {
+  // The huge-argument reduction is exact, so its bits are a fixed function
+  // of the argument; this digest was taken with the bit-at-a-time window
+  // extraction that the two-word shift replaced.
+  std::size_t count = 0;
+  const std::uint64_t digest = rem_pio2_digest(&count);
+  EXPECT_EQ(count, 100404u);
+  EXPECT_EQ(digest, 0x9477c248ae246fc9ull);
 }
 
 // ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@
 #include "opt/platform.hpp"
 #include "reduce/reduce.hpp"
 #include "store/store.hpp"
-#include "support/cpu.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "vgpu/bytecode.hpp"
@@ -207,46 +206,10 @@ void BM_CompareNWay(benchmark::State& state) {
 }
 BENCHMARK(BM_CompareNWay)->Arg(2)->Arg(3)->Arg(4)->Unit(benchmark::kMicrosecond);
 
-/// Engine axis for the SIMD benchmarks: 0=off 1=scalar1 2=scalar 3=avx2.
-support::SimdOverride bench_engine(std::int64_t arg) {
-  switch (arg) {
-    case 0: return support::SimdOverride::Off;
-    case 1: return support::SimdOverride::Scalar1;
-    case 2: return support::SimdOverride::Scalar;
-    default: return support::SimdOverride::Avx2;
-  }
-}
-
-/// Pin the lane engine for one benchmark run; restores on destruction.
-/// Returns false (and skips the benchmark) when the engine cannot run on
-/// this host/build, so the JSON trajectory stays comparable across hosts.
-struct BenchEngine {
-  explicit BenchEngine(benchmark::State& state)
-      : saved(support::simd_override()) {
-    const support::SimdOverride mode = bench_engine(state.range(0));
-    support::set_simd_override(mode);
-    try {
-      (void)vgpu::simd_engine();
-      state.SetLabel(support::to_string(mode));
-      ok = true;
-    } catch (const std::exception&) {
-      state.SkipWithError("engine unavailable on this host");
-    }
-  }
-  ~BenchEngine() { support::set_simd_override(saved); }
-  const support::SimdOverride saved;
-  bool ok = false;
-};
-
-/// Raw batched VM throughput per lane engine: 32 inputs through the bare
-/// engine entry (BytecodeProgram::run_batch, which never copies a result)
-/// on one compiled platform, no diff layer — the speedup here is the lane
-/// engine itself.
-void BM_RunBatchSimd(benchmark::State& state) {
-  BenchEngine engine(state);
-  if (!engine.ok) return;
-  // Both precisions, like a campaign sweep: fp64 groups are 4 lanes wide
-  // and fp32 groups 8, so the pair prices the engine at both widths.
+/// Raw batched VM throughput: 32 inputs through BytecodeProgram::run_batch
+/// (which never copies a result) on one compiled platform, no diff layer,
+/// in both precisions like a campaign sweep.
+void BM_RunBatch(benchmark::State& state) {
   struct Leg {
     opt::Executable exe;
     std::vector<vgpu::KernelArgs> inputs;
@@ -274,19 +237,13 @@ void BM_RunBatchSimd(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_RunBatchSimd)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RunBatch)->Unit(benchmark::kMicrosecond);
 
-/// BM_BatchedSweep with the engine pinned per run: the campaign-shaped
-/// sweep (compare_batch, both pair platforms) under each lane engine.
-/// Identical workload to BM_BatchedSweep, so off-vs-avx2 here is the
-/// end-to-end campaign speedup of the SIMD PR.  The two legs bring
-/// different input sets, so every call misses the batch-reuse table.
-void BM_BatchedSweepSimd(benchmark::State& state) {
-  BenchEngine engine(state);
-  if (!engine.ok) return;
-  // Both precisions through the pair sweep — the campaign runs fp64 and
-  // fp32 programs alike, so the off-vs-avx2 ratio here is the end-to-end
-  // speedup a campaign sees on lane-friendly programs.
+/// The campaign-shaped sweep (compare_batch, both pair platforms) over an
+/// FP64 and an FP32 program.  The two legs bring different input sets, so
+/// every call misses the batch-reuse table: this prices the miss path
+/// (input compare and forget) on top of execution.
+void BM_BatchedSweepReuseMiss(benchmark::State& state) {
   struct Leg {
     diff::CompiledSet pair;
     std::vector<vgpu::KernelArgs> inputs;
@@ -308,7 +265,7 @@ void BM_BatchedSweepSimd(benchmark::State& state) {
       benchmark::DoNotOptimize(diff::compare_batch(leg.pair, leg.inputs, sweep));
   }
 }
-BENCHMARK(BM_BatchedSweepSimd)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BatchedSweepReuseMiss)->Unit(benchmark::kMicrosecond);
 
 /// A campaign's per-program sweep: one program's five levels on the
 /// paper pair over 7 inputs through one persistent SweepContext, a new

@@ -25,9 +25,9 @@
 //
 // Everything here is deterministic: candidate enumeration is in canonical
 // pre-order, acceptance is a pure function of the differential check, and
-// the differential check is bit-identical across SIMD lane engines and VM
-// backends (the repo-wide invariant) — so the same record always reduces
-// to the same bytes, which reduce_test and the CI reduce-drill job lock.
+// the differential check is bit-identical across VM backends (the
+// repo-wide invariant) — so the same record always reduces to the same
+// bytes, which reduce_test and the CI reduce-drill job lock.
 
 #include <cstdint>
 #include <optional>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <filesystem>
 #include <stdexcept>
 #include <tuple>
@@ -191,31 +192,72 @@ double to_nanoseconds(double value, const std::string& unit) {
   throw std::runtime_error("unknown benchmark time unit \"" + unit + "\"");
 }
 
+/// The median of `v`; sorts it.
+double median_of(std::vector<double>& v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+}
+
+/// Sample standard deviation over the mean (Google Benchmark's `cv`).
+double cv_of(const std::vector<double>& v) {
+  double mean = 0.0;
+  for (const double x : v) mean += x;
+  mean /= static_cast<double>(v.size());
+  double squares = 0.0;
+  for (const double x : v) squares += (x - mean) * (x - mean);
+  if (mean == 0.0) return 0.0;
+  return std::sqrt(squares / static_cast<double>(v.size() - 1)) / mean;
+}
+
 /// Fold one Google-Benchmark JSON file into a perf document's "benchmarks"
-/// object.  Aggregate rows (mean/median/stddev of repetitions) are
-/// skipped; per-iteration rows conflict-check against any prior entry of
-/// the same name (two BENCH files for one commit must agree where they
-/// overlap).
+/// object.  Aggregate rows (mean/median/stddev/cv of repetitions) are
+/// skipped.  A name with one iteration row keeps that row's times and
+/// iteration count; a name with N > 1 rows (--benchmark_repetitions=N)
+/// gets the median real and CPU times, the total iteration count,
+/// `repetitions` N and `real_time_cv`.  Entries conflict-check against
+/// any prior entry of the same name (two BENCH files for one commit must
+/// agree where they overlap), and a file with any conflict adds nothing.
 void fold_benchmarks(const Json& bench, Json& points) {
+  struct Rows {
+    std::vector<double> real_ns, cpu_ns;
+    Json iterations;                ///< the first row's, as written
+    long long later_iterations = 0;  ///< the other rows' sum
+  };
+  std::map<std::string, Rows> by_name;
   for (const auto& b : bench.at("benchmarks").as_array()) {
     if (b.get_or("run_type", Json("iteration")).as_string() != "iteration")
       continue;
-    const std::string name = b.at("name").as_string();
-    const std::string unit =
-        b.get_or("time_unit", Json("ns")).as_string();
-    Json entry = Json::object();
-    entry["real_time_ns"] = to_nanoseconds(b.at("real_time").as_double(), unit);
-    entry["cpu_time_ns"] = to_nanoseconds(b.at("cpu_time").as_double(), unit);
-    entry["iterations"] = b.at("iterations");
-    if (points.contains(name)) {
-      if (points.at(name) != entry)
-        throw std::runtime_error("benchmark \"" + name +
-                                 "\" already ingested for this commit with "
-                                 "different numbers");
-      continue;
-    }
-    points[name] = std::move(entry);
+    const std::string unit = b.get_or("time_unit", Json("ns")).as_string();
+    Rows& rows = by_name[b.at("name").as_string()];
+    rows.real_ns.push_back(to_nanoseconds(b.at("real_time").as_double(), unit));
+    rows.cpu_ns.push_back(to_nanoseconds(b.at("cpu_time").as_double(), unit));
+    if (rows.real_ns.size() == 1)
+      rows.iterations = b.at("iterations");
+    else
+      rows.later_iterations += b.at("iterations").as_int();
   }
+  Json folded = Json::object();
+  for (auto& [name, rows] : by_name) {
+    Json entry = Json::object();
+    if (rows.real_ns.size() == 1) {
+      entry["real_time_ns"] = rows.real_ns[0];
+      entry["cpu_time_ns"] = rows.cpu_ns[0];
+      entry["iterations"] = rows.iterations;
+    } else {
+      entry["real_time_cv"] = cv_of(rows.real_ns);
+      entry["repetitions"] = static_cast<long long>(rows.real_ns.size());
+      entry["real_time_ns"] = median_of(rows.real_ns);
+      entry["cpu_time_ns"] = median_of(rows.cpu_ns);
+      entry["iterations"] = rows.iterations.as_int() + rows.later_iterations;
+    }
+    if (points.contains(name) && points.at(name) != entry)
+      throw std::runtime_error("benchmark \"" + name +
+                               "\" already ingested for this commit with "
+                               "different numbers");
+    folded[name] = std::move(entry);
+  }
+  for (auto& [name, entry] : folded.as_object()) points[name] = std::move(entry);
 }
 
 // -- index helpers ----------------------------------------------------------

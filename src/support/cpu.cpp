@@ -1,9 +1,5 @@
 #include "support/cpu.hpp"
 
-#include <atomic>
-#include <cstdlib>
-#include <stdexcept>
-
 #if defined(__x86_64__) || defined(_M_X64)
 #include <cpuid.h>
 #endif
@@ -33,21 +29,6 @@ CpuFeatures probe() noexcept {
   return f;
 }
 
-SimdOverride parse_override(const char* value) {
-  const std::string v = value == nullptr ? "" : value;
-  if (v.empty()) return SimdOverride::Auto;
-  if (v == "off") return SimdOverride::Off;
-  if (v == "scalar") return SimdOverride::Scalar;
-  if (v == "scalar1") return SimdOverride::Scalar1;
-  if (v == "avx2") return SimdOverride::Avx2;
-  throw std::invalid_argument(
-      "GPUDIFF_SIMD: unknown value '" + v +
-      "' (expected off, scalar, scalar1 or avx2)");
-}
-
-// SimdOverride + 1 so that 0 can mean "not yet resolved".
-std::atomic<int> g_override{0};
-
 }  // namespace
 
 std::string CpuFeatures::to_string() const {
@@ -73,29 +54,6 @@ UpperYmm upper_ymm_state() noexcept {
 #else
   return UpperYmm::Unknown;
 #endif
-}
-
-SimdOverride simd_override() {
-  int cached = g_override.load(std::memory_order_acquire);
-  if (cached != 0) return static_cast<SimdOverride>(cached - 1);
-  const SimdOverride parsed = parse_override(std::getenv("GPUDIFF_SIMD"));
-  g_override.store(static_cast<int>(parsed) + 1, std::memory_order_release);
-  return parsed;
-}
-
-void set_simd_override(SimdOverride mode) noexcept {
-  g_override.store(static_cast<int>(mode) + 1, std::memory_order_release);
-}
-
-const char* to_string(SimdOverride mode) noexcept {
-  switch (mode) {
-    case SimdOverride::Auto: return "auto";
-    case SimdOverride::Off: return "off";
-    case SimdOverride::Scalar: return "scalar";
-    case SimdOverride::Scalar1: return "scalar1";
-    case SimdOverride::Avx2: return "avx2";
-  }
-  return "?";
 }
 
 }  // namespace gpudiff::support

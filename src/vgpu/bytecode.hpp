@@ -37,7 +37,6 @@
 #include "fp/env.hpp"
 #include "ir/program.hpp"
 #include "opt/platform.hpp"
-#include "support/cpu.hpp"
 #include "vgpu/args.hpp"
 #include "vgpu/interp.hpp"
 #include "vmath/mathlib.hpp"
@@ -125,17 +124,6 @@ struct BcInsn {
   friend bool operator==(const BcInsn&, const BcInsn&) = default;
 };
 
-/// Which execution engine run_batch uses for full lane-width groups.  All
-/// engines are bit-identical by contract (values, exception flags,
-/// op/cycle counts) — the choice is invisible to reports, fingerprints
-/// and merged campaign bytes.
-enum class SimdEngine : std::uint8_t {
-  Off,      ///< plain one-input-at-a-time interpreter loop
-  Scalar1,  ///< lane engine, portable backend, width 1 (pure reference)
-  Scalar,   ///< lane engine, portable backend, natural widths (4 / 8)
-  Avx2,     ///< lane engine, AVX2+FMA backend (4 x double / 8 x float)
-};
-
 class BytecodeProgram;
 
 /// The batches already run on one input set, so that a later batch of an
@@ -145,13 +133,12 @@ class BytecodeProgram;
 /// kernel.
 ///
 /// The key is the kernel's content (BytecodeProgram::same_kernel, with the
-/// digest as a filter), the engine, and the input set: the table keeps the
-/// bit patterns of the last input set it saw and forgets every entry when
-/// a batch brings a different one.  Inputs compare bit for bit, so +0.0
-/// and -0.0 are different inputs.  The engine is part of the key so that
-/// engine-differential checks never compare a result with itself.  Only
-/// completed batches are recorded, at most kMaxKernels per input set (one
-/// sweep: every level on every platform); past that, batches just run.
+/// digest as a filter) and the input set: the table keeps the bit patterns
+/// of the last input set it saw and forgets every entry when a batch
+/// brings a different one.  Inputs compare bit for bit, so +0.0 and -0.0
+/// are different inputs.  Only completed batches are recorded, at most
+/// kMaxKernels per input set (one sweep: every level on every platform);
+/// past that, batches just run.
 /// Entries hold their program through the Executable's shared lowering,
 /// so a later program can never alias a remembered one by address.
 class BatchReuse {
@@ -159,25 +146,17 @@ class BatchReuse {
   static constexpr std::size_t kMaxKernels =
       std::size(opt::kAllOptLevels) * opt::kMaxPlatforms;
 
-  /// The engine a batch runs under.
-  struct Engine {
-    support::SimdOverride requested;  ///< the GPUDIFF_SIMD override
-    SimdEngine resolved;              ///< what simd_engine() chose
-    friend bool operator==(const Engine&, const Engine&) = default;
-  };
-
-  /// Copy the results of `program` on `inputs` under `engine` into `out`
-  /// and return true if that batch was recorded.  Otherwise return false,
-  /// first forgetting every entry if `inputs` is not the remembered set.
-  bool lookup(const BytecodeProgram& program, Engine engine,
-              std::span<const KernelArgs> inputs, RunResult* out);
+  /// Copy the results of `program` on `inputs` into `out` and return true
+  /// if that batch was recorded.  Otherwise return false, first forgetting
+  /// every entry if `inputs` is not the remembered set.
+  bool lookup(const BytecodeProgram& program, std::span<const KernelArgs> inputs,
+              RunResult* out);
 
   /// Record the results of the batch whose lookup() just missed and which
   /// completed.  A no-op once the table holds kMaxKernels entries.
-  void record(std::shared_ptr<const BytecodeProgram> program, Engine engine,
-              const RunResult* out);
+  void record(std::shared_ptr<const BytecodeProgram> program, const RunResult* out);
 
-  /// Diagnostics only (tests, engine counters): never part of a report.
+  /// Diagnostics only (tests): never part of a report.
   std::uint64_t batches_run = 0;     ///< lookups that missed
   std::uint64_t batches_reused = 0;  ///< lookups that copied results
 
@@ -185,11 +164,7 @@ class BatchReuse {
   bool same_inputs(std::span<const KernelArgs> inputs) const;
   void remember(std::span<const KernelArgs> inputs);
 
-  struct Entry {
-    std::shared_ptr<const BytecodeProgram> program;
-    Engine engine;
-  };
-  std::vector<Entry> entries_;
+  std::vector<std::shared_ptr<const BytecodeProgram>> entries_;
   std::vector<RunResult> results_;  ///< entry-major, one per input
   /// The remembered input set as one flat buffer of bit patterns: per
   /// input, its fp count and int count, then its fp values, then its ints.
@@ -222,26 +197,10 @@ struct ExecContext {
   int loop_vars[kMaxLoopDepth] = {};
   int loop_bounds[kMaxLoopDepth] = {};
 
-  /// Scratch for the lane-parallel engine (vgpu/lane_engine.hpp):
-  /// structure-of-arrays, lane-minor (element of lane l for slot s lives
-  /// at [s * W + l]).  Grown on first use like the scalar buffers above;
-  /// `ints` holds the raw integer arguments and is shared by both
-  /// precisions, `ints_fp*` their precomputed LoadIntParam conversions.
-  struct LaneScratch {
-    std::vector<double> regs64, args64, ints_fp64, base64, arrays64;
-    std::vector<float> regs32, args32, ints_fp32, base32, arrays32;
-    std::vector<int> ints;
-    std::vector<std::uint64_t> slot_epoch64, slot_epoch32;
-  } lane;
-
   /// Results vgpu::run_kernel_batch may copy instead of executing; the
   /// bare BytecodeProgram::run_batch never reads or writes it.
   BatchReuse reuse;
 };
-
-namespace detail {
-struct VmAccess;
-}
 
 /// A compiled kernel: flat instructions plus everything execution needs.
 /// Immutable after compile_bytecode; safe to share across threads (each
@@ -250,16 +209,6 @@ class BytecodeProgram {
  public:
   ir::Precision precision() const noexcept { return precision_; }
   std::size_t insn_count() const noexcept { return code_.size(); }
-
-  /// Whether run_batch routes full groups through the lane-parallel engine
-  /// when the engine choice is automatic (GPUDIFF_SIMD unset).  Decided
-  /// once at compile time from the instruction mix: loops diverge on their
-  /// runtime trip counts and keep the vector unit partially masked, and
-  /// programs with almost no vectorizable arithmetic can't amortize the
-  /// group setup, so both run faster on the scalar path.  A forced
-  /// GPUDIFF_SIMD engine ignores this and always takes the lane path —
-  /// results are bit-identical either way; only throughput differs.
-  bool lane_profitable() const noexcept { return lane_profitable_; }
 
   /// 64-bit digest of every field execution reads, computed once by
   /// compile_bytecode.  Identical kernels have equal digests; the converse
@@ -276,27 +225,24 @@ class BytecodeProgram {
   /// mismatch; numerical misbehaviour never throws.
   RunResult run(const KernelArgs& args, ExecContext& ctx) const;
 
-  /// Execute the kernel over a batch of inputs, writing one RunResult per
-  /// input.  Semantically identical to calling run() per input, but the
-  /// argument validation, buffer sizing and dispatch setup are performed
+  /// Execute the kernel over a batch of inputs, in input order, writing one
+  /// RunResult per input.  Semantically identical to calling run() per
+  /// input, but the argument validation and buffer sizing are performed
   /// once for the whole batch (the campaign sweep shape: one compiled
-  /// variant x many inputs), and full lane-width groups run through the
-  /// lane-parallel engine selected by simd_engine() — with bit-identical
-  /// results by contract.
+  /// variant x many inputs).
   ///
   /// Every entry of `out` is zeroed before validation or execution, so on
   /// a throw (argument mismatch, trap mid-batch) the span holds only
   /// defined values: completed results for inputs that ran, RunResult{}
   /// for the rest — never stale memory.
   ///
-  /// This is the bare engine entry: it always executes.  Campaign code
-  /// goes through vgpu::run_kernel_batch, which skips batches already run.
+  /// This is the raw entry: it always executes.  Campaign code goes through
+  /// vgpu::run_kernel_batch, which skips batches already run.
   void run_batch(std::span<const KernelArgs> inputs, ExecContext& ctx,
                  RunResult* out) const;
 
  private:
   friend class BytecodeCompiler;
-  friend struct detail::VmAccess;
   friend BytecodeProgram compile_bytecode(const ir::Program&, const fp::FpEnv&,
                                           const vmath::MathLib* mathlib);
   template <typename T>
@@ -323,7 +269,6 @@ class BytecodeProgram {
   int num_temps_ = 0;
   std::uint64_t cyc_div_ = 16;   ///< issue cycles per divide (CycleModel)
   std::uint64_t cyc_call_ = 24;  ///< issue cycles per library call
-  bool lane_profitable_ = true;  ///< auto-dispatch verdict, see getter
   std::uint64_t digest_ = 0;     ///< see digest()
 };
 
@@ -336,35 +281,10 @@ class BytecodeProgram {
 BytecodeProgram compile_bytecode(const ir::Program& program, const fp::FpEnv& env,
                                  const vmath::MathLib* mathlib);
 
-/// Resolve the engine from the GPUDIFF_SIMD override (support/cpu.hpp) and
-/// the host CPU: unset means AVX2 when compiled in and usable, else Off.
-/// Throws std::runtime_error when GPUDIFF_SIMD=avx2 is forced but the
-/// binary or host cannot honor it, and std::invalid_argument on an
-/// unrecognized override value.
-SimdEngine simd_engine();
-
-const char* to_string(SimdEngine engine) noexcept;
-
-namespace lane {
-
-/// Engine entry points, one per (backend, precision).  Each executes
-/// exactly its width's worth of inputs and returns false when the group
-/// must be re-run through the scalar interpreter (trap semantics).
-/// Generic entries are always built; the avx2 pair exists only in
-/// binaries compiled with GPUDIFF_SIMD_AVX2.
-bool run_group_generic_w1_64(const BytecodeProgram&, const KernelArgs* inputs,
-                             ExecContext&, RunResult* out);
-bool run_group_generic_w1_32(const BytecodeProgram&, const KernelArgs* inputs,
-                             ExecContext&, RunResult* out);
-bool run_group_generic_64(const BytecodeProgram&, const KernelArgs* inputs,
-                          ExecContext&, RunResult* out);  // W = 4
-bool run_group_generic_32(const BytecodeProgram&, const KernelArgs* inputs,
-                          ExecContext&, RunResult* out);  // W = 8
-bool run_group_avx2_64(const BytecodeProgram&, const KernelArgs* inputs,
-                       ExecContext&, RunResult* out);  // W = 4
-bool run_group_avx2_32(const BytecodeProgram&, const KernelArgs* inputs,
-                       ExecContext&, RunResult* out);  // W = 8
-
-}  // namespace lane
+/// The engine name on perfbench's `# host` line.  run_batch has one engine,
+/// the scalar loop; these stay only because perfbench calls them.
+enum class SimdEngine : std::uint8_t { Off };
+inline SimdEngine simd_engine() noexcept { return SimdEngine::Off; }
+inline const char* to_string(SimdEngine) noexcept { return "off"; }
 
 }  // namespace gpudiff::vgpu

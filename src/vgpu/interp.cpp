@@ -1,13 +1,11 @@
 #include "vgpu/interp.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
 
-#include "support/cpu.hpp"
 #include "vgpu/bytecode.hpp"
 #include "vgpu/fpu.hpp"
 #include "vmath/core/kernels.hpp"
@@ -270,19 +268,6 @@ class Interp {
   std::vector<int> loop_vars_;
 };
 
-/// The engine run_batch will run under, the key batch reuse needs.
-/// Resolving it throws on a forced AVX2 the host cannot run, and
-/// run_batch's contract (no stale outputs after a throw) holds for that
-/// throw too.
-BatchReuse::Engine batch_engine(std::span<RunResult> out) {
-  try {
-    return {support::simd_override(), simd_engine()};
-  } catch (...) {
-    std::fill(out.begin(), out.end(), RunResult{});
-    throw;
-  }
-}
-
 std::atomic<ExecBackend> g_backend{[] {
   const char* env = std::getenv("GPUDIFF_EXEC");
   return env && std::strcmp(env, "tree") == 0 ? ExecBackend::TreeWalk
@@ -341,10 +326,9 @@ void run_kernel_batch(const opt::Executable& exe,
     return;
   }
   const BytecodeProgram& program = exe.bytecode();
-  const BatchReuse::Engine engine = batch_engine({out, inputs.size()});
-  if (ctx.reuse.lookup(program, engine, inputs, out)) return;
+  if (ctx.reuse.lookup(program, inputs, out)) return;
   program.run_batch(inputs, ctx, out);
-  ctx.reuse.record(exe.bytecode_cache, engine, out);
+  ctx.reuse.record(exe.bytecode_cache, out);
 }
 
 void run_kernel_batch(const opt::Executable& exe,

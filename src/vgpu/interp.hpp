@@ -83,8 +83,8 @@ RunResult run_kernel_tree(const opt::Executable& exe, const KernelArgs& args,
 /// sweeps").
 ///
 /// Each distinct kernel runs once per input set: the context remembers the
-/// last input set and the results of every kernel run on it under the
-/// current engine (vgpu::BatchReuse), and a batch of an identical kernel
+/// last input set and the results of every kernel run on it
+/// (vgpu::BatchReuse), and a batch of an identical kernel
 /// (by content) on bit-identical inputs copies those results instead of
 /// executing.  A copy is bit-identical to a fresh run.  This overload uses
 /// a per-thread context.

@@ -5,13 +5,14 @@
 // HIPIFY modes.  Also pins the VM-specific lowering details (read-only
 // array elision, short-circuit accounting, subscript clamping) and proves
 // fixed-seed campaign output is backend-independent.  Finally, checks that
-// no engine entry hands process-global state back changed (upper-YMM
+// no execution path hands process-global state back changed (upper-YMM
 // state, MXCSR).
 
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -32,37 +33,6 @@ namespace {
 
 using namespace gpudiff;
 using namespace gpudiff::ir;
-
-/// Every lane engine this binary can actually run (Avx2 is present only
-/// when compiled in and the host supports it; probing through
-/// simd_engine() also exercises its fail-fast throw).
-std::vector<support::SimdOverride> runnable_engines() {
-  std::vector<support::SimdOverride> v{support::SimdOverride::Off,
-                                       support::SimdOverride::Scalar1,
-                                       support::SimdOverride::Scalar};
-  const support::SimdOverride saved = support::simd_override();
-  support::set_simd_override(support::SimdOverride::Avx2);
-  try {
-    (void)vgpu::simd_engine();
-    v.push_back(support::SimdOverride::Avx2);
-  } catch (const std::runtime_error&) {
-    // Not compiled in or not usable on this host: the Avx2 leg is covered
-    // on CI's AVX2 runner instead.
-  }
-  support::set_simd_override(saved);
-  return v;
-}
-
-/// RAII engine override so a failing test cannot leak its engine choice
-/// into later tests.
-struct ScopedEngine {
-  explicit ScopedEngine(support::SimdOverride mode)
-      : saved(support::simd_override()) {
-    support::set_simd_override(mode);
-  }
-  ~ScopedEngine() { support::set_simd_override(saved); }
-  const support::SimdOverride saved;
-};
 
 void expect_identical(const vgpu::RunResult& vm, const vgpu::RunResult& tree,
                       const std::string& context) {
@@ -369,179 +339,11 @@ TEST(Bytecode, BatchRejectsMismatchedArguments) {
   EXPECT_THROW(exe.bytecode().run_batch(inputs, ctx, out), std::runtime_error);
 }
 
-// ---------------------------------------------------------------------------
-// Lane-parallel engines (GPUDIFF_SIMD): every engine must be bit-identical
-// to the plain interpreter loop — values, flags, op and cycle counts —
-// including under divergent control flow and through trap re-runs.
-// ---------------------------------------------------------------------------
-
-TEST(BytecodeLanes, GeneratedProgramsBitIdenticalAcrossEngines) {
-  // The dbg-style sweep that caught the probe-underflow bug: generated
-  // programs (subnormal-heavy inputs) across opt levels and platforms,
-  // fp64 and fp32, every runnable engine against the interpreter loop.
-  const auto engines = runnable_engines();
-  for (const Precision precision : {Precision::FP64, Precision::FP32}) {
-    gen::GenConfig cfg;
-    cfg.precision = precision;
-    const gen::Generator generator(cfg, 77);
-    const gen::InputGenerator input_gen(77);
-    for (std::uint64_t pi = 0; pi < 25; ++pi) {
-      const Program program = generator.generate(pi);
-      std::vector<vgpu::KernelArgs> inputs;
-      for (int ii = 0; ii < 6; ++ii)
-        inputs.push_back(input_gen.generate(program, pi, ii));
-      for (const opt::OptLevel level : opt::kAllOptLevels) {
-        const diff::CompiledSet set = diff::compile_pair(program, level);
-        for (const opt::Executable& exe : set.exes) {
-          std::vector<vgpu::RunResult> ref(inputs.size());
-          {
-            ScopedEngine off(support::SimdOverride::Off);
-            vgpu::run_kernel_batch(exe, inputs, ref.data());
-          }
-          for (const support::SimdOverride mode : engines) {
-            ScopedEngine eng(mode);
-            std::vector<vgpu::RunResult> got(inputs.size());
-            vgpu::run_kernel_batch(exe, inputs, got.data());
-            for (std::size_t ii = 0; ii < inputs.size(); ++ii) {
-              expect_identical(got[ii], ref[ii],
-                               std::string(support::to_string(mode)) +
-                                   " program " + std::to_string(pi) + " input " +
-                                   std::to_string(ii) + " " + exe.description());
-              if (HasFailure()) return;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(BytecodeLanes, DivergentControlFlowBitIdenticalAcrossEngines) {
-  // Hand-built worst case for the mask discipline: per-input trip counts
-  // (including zero-trip), a data-dependent if whose body re-tests every
-  // step, and masked div/add/mul — so lanes of one group run different
-  // instruction sequences and must still match the sequential loop
-  // exactly, for inputs spanning subnormals, zeros, infinities and NaN.
-  ProgramBuilder b(Precision::FP64);
-  Arena& A = b.arena();
-  const int n = b.add_int_param();
-  b.begin_for(n);
-  b.begin_if(make_cmp(A, CmpOp::Lt, make_param(A, 0), make_literal(A, 4.0)));
-  b.assign_comp(AssignOp::Div, make_literal(A, 3.0));
-  b.assign_comp(AssignOp::Add, make_literal(A, 1.25));
-  b.end_block();
-  b.assign_comp(AssignOp::Mul, make_literal(A, 1.125));
-  b.end_block();
-  b.assign_comp(AssignOp::Sub, make_loop_var(A, 0));
-
-  const double comps[] = {0.5,    -3.0, 1e-310, 100.0,
-                          -1e300, 0.0,  1e308,  std::numeric_limits<double>::quiet_NaN(),
-                          std::numeric_limits<double>::infinity(), 2.0, 3.5, -1e-320, 7.0};
-  const auto engines = runnable_engines();
-  const Program program = b.build();
-  for (const opt::OptLevel level : {opt::OptLevel::O0, opt::OptLevel::O2}) {
-    const opt::Executable exe =
-        opt::compile(program, {opt::Toolchain::Nvcc, level, false});
-    std::vector<vgpu::KernelArgs> inputs;
-    for (std::size_t i = 0; i < std::size(comps); ++i) {
-      vgpu::KernelArgs args;
-      args.fp = {comps[i], 0.0};
-      args.ints = {0, static_cast<int>(i % 7)};  // trip counts 0..6
-      inputs.push_back(args);
-    }
-    std::vector<vgpu::RunResult> ref(inputs.size());
-    {
-      ScopedEngine off(support::SimdOverride::Off);
-      vgpu::run_kernel_batch(exe, inputs, ref.data());
-    }
-    for (const support::SimdOverride mode : engines) {
-      ScopedEngine eng(mode);
-      std::vector<vgpu::RunResult> got(inputs.size());
-      vgpu::run_kernel_batch(exe, inputs, got.data());
-      for (std::size_t i = 0; i < inputs.size(); ++i)
-        expect_identical(got[i], ref[i],
-                         std::string(support::to_string(mode)) + " input " +
-                             std::to_string(i));
-    }
-  }
-}
-
-TEST(BytecodeLanes, BatchSizesSpanningGroupBoundaries) {
-  // Sizes around the group widths (1, W-1, W, W+1, 2W, 2W+3) must all
-  // produce the per-input results of the sequential loop — the tail path
-  // and the grouped path meet inside one batch.
-  gen::GenConfig cfg;
-  const gen::Generator generator(cfg, 9);
-  const gen::InputGenerator input_gen(9);
-  const Program program = generator.generate(3);
-  const opt::Executable exe =
-      opt::compile(program, {opt::Toolchain::Nvcc, opt::OptLevel::O1, false});
-  std::vector<vgpu::KernelArgs> pool;
-  for (int ii = 0; ii < 19; ++ii)
-    pool.push_back(input_gen.generate(program, 3, ii));
-  std::vector<vgpu::RunResult> ref(pool.size());
-  {
-    ScopedEngine off(support::SimdOverride::Off);
-    vgpu::run_kernel_batch(exe, pool, ref.data());
-  }
-  for (const support::SimdOverride mode : runnable_engines()) {
-    ScopedEngine eng(mode);
-    for (const std::size_t count : {std::size_t{1}, std::size_t{3},
-                                    std::size_t{4}, std::size_t{5},
-                                    std::size_t{8}, std::size_t{9},
-                                    std::size_t{16}, std::size_t{19}}) {
-      std::vector<vgpu::RunResult> got(count);
-      vgpu::run_kernel_batch(
-          exe, std::span<const vgpu::KernelArgs>(pool.data(), count),
-          got.data());
-      for (std::size_t i = 0; i < count; ++i)
-        expect_identical(got[i], ref[i],
-                         std::string(support::to_string(mode)) + " count " +
-                             std::to_string(count) + " input " +
-                             std::to_string(i));
-    }
-  }
-}
-
-TEST(BytecodeLanes, AdaptiveDispatchVerdictFromInstructionMix) {
-  // The compile-time lane-affinity verdict that steers automatic engine
-  // selection: loops disqualify (runtime trip counts diverge the lanes),
-  // and straight-line code qualifies only with enough vectorizable
-  // arithmetic to amortize the group setup.  A single divide clears the
-  // bar (cycle-model weight 16 in fp64); a lone cheap accumulate does not.
-  {
-    ProgramBuilder b(Precision::FP64);
-    Arena& A = b.arena();
-    b.assign_comp(AssignOp::Div, make_param(A, 0));
-    const opt::Executable exe = compile_o0(b.build());
-    EXPECT_TRUE(exe.bytecode().lane_profitable());
-  }
-  {
-    ProgramBuilder b(Precision::FP64);
-    Arena& A = b.arena();
-    b.assign_comp(AssignOp::Add, make_param(A, 0));
-    const opt::Executable exe = compile_o0(b.build());
-    EXPECT_FALSE(exe.bytecode().lane_profitable());
-  }
-  {
-    ProgramBuilder b(Precision::FP64);
-    Arena& A = b.arena();
-    const int n = b.add_int_param();
-    b.begin_for(n);
-    b.assign_comp(AssignOp::Div, make_param(A, 0));
-    b.end_block();
-    const opt::Executable exe = compile_o0(b.build());
-    EXPECT_FALSE(exe.bytecode().lane_profitable());
-  }
-}
-
-TEST(BytecodeLanes, BatchThrowLeavesNoStaleOutputs) {
+TEST(Bytecode, BatchThrowLeavesNoStaleOutputs) {
   // Regression for the partial-state bug: a throw mid-batch used to leave
   // whatever memory the caller handed in for the unreached outputs.  Now
   // every output is either a completed result (inputs before the faulting
-  // one, in input order) or a zeroed RunResult{} — under every engine,
-  // whose grouped execution must re-run the faulting group scalar to keep
-  // exactly these sequential semantics.
+  // one, in input order) or a zeroed RunResult{}.
   Arena A;
   std::vector<Param> params{{ParamKind::Comp, "comp"},
                             {ParamKind::Scalar, "var_1"}};
@@ -562,27 +364,21 @@ TEST(BytecodeLanes, BatchThrowLeavesNoStaleOutputs) {
     args.ints = {0, 0};
     inputs.push_back(args);
   }
-  for (const support::SimdOverride mode : runnable_engines()) {
-    ScopedEngine eng(mode);
-    std::vector<vgpu::RunResult> out(inputs.size());
-    for (auto& r : out) {  // stale garbage the contract must erase
-      r.value_bits = 0xDEADBEEFull;
-      r.op_count = 123;
-    }
-    vgpu::ExecContext ctx;
-    EXPECT_THROW(exe.bytecode().run_batch(inputs, ctx, out.data()),
-                 std::runtime_error)
-        << support::to_string(mode);
-    for (std::size_t i = 0; i < 6; ++i) {
-      EXPECT_EQ(out[i].value, 3.0) << support::to_string(mode) << " input " << i;
-      EXPECT_GT(out[i].op_count, 0u) << support::to_string(mode) << " input " << i;
-    }
-    for (std::size_t i = 6; i < out.size(); ++i) {
-      EXPECT_EQ(out[i].value_bits, 0u)
-          << support::to_string(mode) << " input " << i;
-      EXPECT_EQ(out[i].op_count, 0u)
-          << support::to_string(mode) << " input " << i;
-    }
+  std::vector<vgpu::RunResult> out(inputs.size());
+  for (auto& r : out) {  // stale garbage the contract must erase
+    r.value_bits = 0xDEADBEEFull;
+    r.op_count = 123;
+  }
+  vgpu::ExecContext ctx;
+  EXPECT_THROW(exe.bytecode().run_batch(inputs, ctx, out.data()),
+               std::runtime_error);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(out[i].value, 3.0) << "input " << i;
+    EXPECT_GT(out[i].op_count, 0u) << "input " << i;
+  }
+  for (std::size_t i = 6; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].value_bits, 0u) << "input " << i;
+    EXPECT_EQ(out[i].op_count, 0u) << "input " << i;
   }
 }
 
@@ -613,46 +409,42 @@ TEST(BytecodeReuse, SweepThroughOneContextMatchesFreshContexts) {
   // The campaign shape: every level of every registry platform over one
   // input set, through one context, with each level's executables dropped
   // before the next level compiles (so a new program can land at a freed
-  // one's address).  Each result must equal the bare engine's on a fresh
-  // context, under every engine, in both precisions.
+  // one's address).  Each result must equal the raw run_batch's on a
+  // fresh context, in both precisions.
   const auto& platforms = opt::platform_registry();
   for (const Precision precision : {Precision::FP64, Precision::FP32}) {
     gen::GenConfig cfg;
     cfg.precision = precision;
     const gen::Generator generator(cfg, 4242);
     const gen::InputGenerator input_gen(4242);
-    for (const support::SimdOverride mode : runnable_engines()) {
-      ScopedEngine eng(mode);
-      vgpu::ExecContext shared;
-      std::uint64_t batches = 0;
-      for (std::uint64_t pi = 0; pi < 6; ++pi) {
-        const Program program = generator.generate(pi);
-        std::vector<vgpu::KernelArgs> inputs;
-        for (int ii = 0; ii < 7; ++ii)
-          inputs.push_back(input_gen.generate(program, pi, ii));
-        for (const opt::OptLevel level : opt::kAllOptLevels) {
-          for (const opt::PlatformSpec& spec : platforms) {
-            const opt::Executable exe = opt::compile(program, spec, level);
-            std::vector<vgpu::RunResult> got(inputs.size());
-            vgpu::run_kernel_batch(exe, inputs, got.data(), shared);
-            ++batches;
-            vgpu::ExecContext fresh;
-            std::vector<vgpu::RunResult> ref(inputs.size());
-            exe.bytecode().run_batch(inputs, fresh, ref.data());
-            for (std::size_t ii = 0; ii < inputs.size(); ++ii) {
-              expect_identical(got[ii], ref[ii],
-                               std::string(support::to_string(mode)) +
-                                   " program " + std::to_string(pi) +
-                                   " input " + std::to_string(ii) + " " +
-                                   spec.name + " " + exe.description());
-              if (HasFailure()) return;
-            }
+    vgpu::ExecContext shared;
+    std::uint64_t batches = 0;
+    for (std::uint64_t pi = 0; pi < 6; ++pi) {
+      const Program program = generator.generate(pi);
+      std::vector<vgpu::KernelArgs> inputs;
+      for (int ii = 0; ii < 7; ++ii)
+        inputs.push_back(input_gen.generate(program, pi, ii));
+      for (const opt::OptLevel level : opt::kAllOptLevels) {
+        for (const opt::PlatformSpec& spec : platforms) {
+          const opt::Executable exe = opt::compile(program, spec, level);
+          std::vector<vgpu::RunResult> got(inputs.size());
+          vgpu::run_kernel_batch(exe, inputs, got.data(), shared);
+          ++batches;
+          vgpu::ExecContext fresh;
+          std::vector<vgpu::RunResult> ref(inputs.size());
+          exe.bytecode().run_batch(inputs, fresh, ref.data());
+          for (std::size_t ii = 0; ii < inputs.size(); ++ii) {
+            expect_identical(got[ii], ref[ii],
+                             "program " + std::to_string(pi) + " input " +
+                                 std::to_string(ii) + " " + spec.name + " " +
+                                 exe.description());
+            if (HasFailure()) return;
           }
         }
       }
-      EXPECT_EQ(shared.reuse.batches_run + shared.reuse.batches_reused, batches);
-      EXPECT_GT(shared.reuse.batches_reused, 0u) << support::to_string(mode);
     }
+    EXPECT_EQ(shared.reuse.batches_run + shared.reuse.batches_reused, batches);
+    EXPECT_GT(shared.reuse.batches_reused, 0u);
   }
 }
 
@@ -683,23 +475,18 @@ TEST(BytecodeReuse, FixedProgramRunsEachDistinctKernelOnce) {
   }
   EXPECT_EQ(distinct, 6u);
 
-  for (const support::SimdOverride mode : runnable_engines()) {
-    ScopedEngine eng(mode);
-    vgpu::ExecContext ctx;
-    std::vector<vgpu::RunResult> out(inputs.size());
-    for (const opt::Executable& exe : all)
-      vgpu::run_kernel_batch(exe, inputs, out.data(), ctx);
-    EXPECT_EQ(ctx.reuse.batches_run, distinct) << support::to_string(mode);
-    EXPECT_EQ(ctx.reuse.batches_reused, all.size() - distinct)
-        << support::to_string(mode);
-    for (const opt::OptLevel level : opt::kAllOptLevels)
-      for (const opt::PlatformSpec& spec : platforms)
-        vgpu::run_kernel_batch(opt::compile(program, spec, level), inputs,
-                               out.data(), ctx);
-    EXPECT_EQ(ctx.reuse.batches_run, distinct) << support::to_string(mode);
-    EXPECT_EQ(ctx.reuse.batches_reused, 2 * all.size() - distinct)
-        << support::to_string(mode);
-  }
+  vgpu::ExecContext ctx;
+  std::vector<vgpu::RunResult> out(inputs.size());
+  for (const opt::Executable& exe : all)
+    vgpu::run_kernel_batch(exe, inputs, out.data(), ctx);
+  EXPECT_EQ(ctx.reuse.batches_run, distinct);
+  EXPECT_EQ(ctx.reuse.batches_reused, all.size() - distinct);
+  for (const opt::OptLevel level : opt::kAllOptLevels)
+    for (const opt::PlatformSpec& spec : platforms)
+      vgpu::run_kernel_batch(opt::compile(program, spec, level), inputs,
+                             out.data(), ctx);
+  EXPECT_EQ(ctx.reuse.batches_run, distinct);
+  EXPECT_EQ(ctx.reuse.batches_reused, 2 * all.size() - distinct);
 }
 
 TEST(BytecodeReuse, TableStopsRecordingAtOneSweep) {
@@ -752,35 +539,23 @@ TEST(BytecodeReuse, SignedZeroInputsAreDifferentInputs) {
   EXPECT_EQ(ctx.reuse.batches_run, 3u);
 }
 
-TEST(BytecodeReuse, EngineSwitchAndTreeWalkReuseNothing) {
+TEST(BytecodeReuse, TreeWalkReusesNothing) {
+  // The tree-walk oracle neither reads nor writes the table: after the VM
+  // has recorded the batch, the oracle runs it twice and the counters do
+  // not move.
   const opt::Executable exe = divide_by_param();
   const vgpu::KernelArgs inputs[] = {comp_and(3.0, 7.0), comp_and(-1.0, 0.0),
                                      comp_and(1e-310, 3.0), comp_and(5.0, 5.0),
                                      comp_and(2.0, -0.0)};
   vgpu::RunResult out[5];
   vgpu::ExecContext ctx;
-  const auto engines = runnable_engines();
-  // Each engine runs the batch itself, even though every other engine has
-  // already recorded it for the same kernel and inputs.
-  for (const support::SimdOverride mode : engines) {
-    ScopedEngine eng(mode);
-    vgpu::run_kernel_batch(exe, inputs, out, ctx);
-  }
-  EXPECT_EQ(ctx.reuse.batches_run, engines.size());
-  EXPECT_EQ(ctx.reuse.batches_reused, 0u);
-  {
-    ScopedEngine eng(engines.front());
-    vgpu::run_kernel_batch(exe, inputs, out, ctx);  // same engine: copied
-  }
-  EXPECT_EQ(ctx.reuse.batches_reused, 1u);
-
-  // The tree-walk oracle neither reads nor writes the table.
+  vgpu::run_kernel_batch(exe, inputs, out, ctx);
   vgpu::set_exec_backend(vgpu::ExecBackend::TreeWalk);
   vgpu::run_kernel_batch(exe, inputs, out, ctx);
   vgpu::run_kernel_batch(exe, inputs, out, ctx);
   vgpu::set_exec_backend(vgpu::ExecBackend::Bytecode);
-  EXPECT_EQ(ctx.reuse.batches_run, engines.size());
-  EXPECT_EQ(ctx.reuse.batches_reused, 1u);
+  EXPECT_EQ(ctx.reuse.batches_run, 1u);
+  EXPECT_EQ(ctx.reuse.batches_reused, 0u);
   for (std::size_t i = 0; i < std::size(inputs); ++i)
     expect_identical(out[i], vgpu::run_kernel_tree(exe, inputs[i]),
                      "tree input " + std::to_string(i));
@@ -828,12 +603,11 @@ TEST(BytecodeReuse, TrappingBatchIsNotRecordedAndThrowsAgain) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine state hygiene: an entry must hand back the process-global vector
-// and FP-environment state it was given.  Dirty upper-YMM halves make
-// every later SSE instruction on the thread pay a merge penalty, which
-// slows all scalar code that follows an AVX2 group; the MXCSR control
-// bits hold the rounding mode, DAZ/FTZ and exception masks every scalar
-// path relies on.
+// Execution state hygiene: a kernel run must hand back the process-global
+// vector and FP-environment state it was given.  Dirty upper-YMM halves
+// make every later SSE instruction on the thread pay a merge penalty; the
+// MXCSR control bits hold the rounding mode, DAZ/FTZ and exception masks
+// every scalar path relies on.
 // ---------------------------------------------------------------------------
 
 /// The control bits of the calling thread's MXCSR (0 off x86-64).  Bits
@@ -857,27 +631,26 @@ void clear_upper_ymm() {
 #endif
 }
 
-enum class HygieneShape { LaneProfitable, Loop, TrapGroup, ThrowingBatch };
+enum class HygieneShape { Straight, Loop, Trap, ThrowingCall };
 
 const char* to_string(HygieneShape shape) {
   switch (shape) {
-    case HygieneShape::LaneProfitable: return "lane-profitable";
+    case HygieneShape::Straight: return "straight";
     case HygieneShape::Loop: return "loop";
-    case HygieneShape::TrapGroup: return "trap-group";
-    case HygieneShape::ThrowingBatch: return "throwing-batch";
+    case HygieneShape::Trap: return "trap";
+    case HygieneShape::ThrowingCall: return "throwing-call";
   }
   return "?";
 }
 
 /// Parameters: comp, one scalar x, one int trip count n.
-///  * LaneProfitable — comp /= x; comp += sin(x) * x (the auto-dispatch
-///    verdict takes the lane path);
+///  * Straight — comp /= x; comp += sin(x) * x (straight-line arithmetic
+///    and a library call);
 ///  * Loop — for (n) comp /= x; comp *= 1.125;
-///  * TrapGroup — if (x != 0) x[0] = 1 (a store to a scalar parameter,
-///    lowered to a Trap); comp += 2, so the group holding the one input
-///    with x != 0 returns through the engine's trap exit;
-///  * ThrowingBatch — comp += f(x) for a library function id outside
-///    MathFn, so the library call throws from inside the engine.
+///  * Trap — if (x != 0) x[0] = 1 (a store to a scalar parameter, lowered
+///    to a Trap); comp += 2, so the one input with x != 0 throws mid-batch;
+///  * ThrowingCall — comp += f(x) for a library function id outside
+///    MathFn, so the library call throws.
 Program hygiene_program(Precision precision, HygieneShape shape) {
   Arena A;
   std::vector<Param> params{{ParamKind::Comp, "comp"},
@@ -885,7 +658,7 @@ Program hygiene_program(Precision precision, HygieneShape shape) {
                             {ParamKind::Int, "var_2"}};
   std::vector<StmtId> body;
   switch (shape) {
-    case HygieneShape::LaneProfitable:
+    case HygieneShape::Straight:
       body.push_back(make_assign_comp(A, AssignOp::Div, make_param(A, 1)));
       body.push_back(make_assign_comp(
           A, AssignOp::Add,
@@ -899,7 +672,7 @@ Program hygiene_program(Precision precision, HygieneShape shape) {
       body.push_back(make_assign_comp(A, AssignOp::Mul, make_literal(A, 1.125)));
       break;
     }
-    case HygieneShape::TrapGroup: {
+    case HygieneShape::Trap: {
       const std::vector<StmtId> guarded{
           make_store_array(A, 1, make_literal(A, 0.0), make_literal(A, 1.0))};
       body.push_back(make_if(
@@ -908,7 +681,7 @@ Program hygiene_program(Precision precision, HygieneShape shape) {
       body.push_back(make_assign_comp(A, AssignOp::Add, make_literal(A, 2.0)));
       break;
     }
-    case HygieneShape::ThrowingBatch:
+    case HygieneShape::ThrowingCall:
       body.push_back(make_assign_comp(
           A, AssignOp::Add, make_call(A, static_cast<MathFn>(200), make_param(A, 1))));
       break;
@@ -916,12 +689,11 @@ Program hygiene_program(Precision precision, HygieneShape shape) {
   return Program(precision, std::move(params), std::move(A), std::move(body));
 }
 
-TEST(BytecodeLanes, EntryLeavesVectorStateClean) {
-  // Every engine x precision x shape: if the upper YMM halves are clean at
-  // entry they are clean after it, however the entry ends (return, trap
-  // re-run, throw), and the MXCSR control bits are unchanged.  Hosts that
-  // cannot report XINUSE skip; hosts without AVX2 check the engines they
-  // can run.
+TEST(Bytecode, ExecutionLeavesFpStateClean) {
+  // Both backends x precision x shape: if the upper YMM halves are clean
+  // before a batch they are clean after it, however the batch ends
+  // (return, trap, throw), and the MXCSR control bits are unchanged.
+  // Hosts that cannot report XINUSE skip.
   if (support::upper_ymm_state() == support::UpperYmm::Unknown)
     GTEST_SKIP() << "XGETBV(1) unavailable: upper-YMM state cannot be read";
   clear_upper_ymm();
@@ -929,46 +701,35 @@ TEST(BytecodeLanes, EntryLeavesVectorStateClean) {
     GTEST_SKIP() << "VZEROUPPER did not clear XINUSE bit 2 on this host";
 
   // Subnormals (both precisions), zeros, infinities and NaN reach the
-  // engines' per-lane scalar fallbacks as well as the vector paths.
+  // soft-float and library paths as well as plain arithmetic.
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const double values[] = {0.5, -3.0,  1e-310, 100.0, -1e300, 0.0,     1e308, kNan,
                            2.0, 1e-40, -0.0,   kInf,  3.5,    -1e-320, 7.0,   1.0};
-  struct Engine {
-    const char* name;
-    vgpu::ExecBackend backend;
-    support::SimdOverride simd;
-  };
-  std::vector<Engine> engines{{"tree", vgpu::ExecBackend::TreeWalk,
-                               support::SimdOverride::Off}};
-  for (const support::SimdOverride mode : runnable_engines())
-    engines.push_back({support::to_string(mode), vgpu::ExecBackend::Bytecode, mode});
+  const std::pair<const char*, vgpu::ExecBackend> backends[] = {
+      {"tree", vgpu::ExecBackend::TreeWalk}, {"vm", vgpu::ExecBackend::Bytecode}};
 
   for (const Precision precision : {Precision::FP32, Precision::FP64}) {
     for (const HygieneShape shape :
-         {HygieneShape::LaneProfitable, HygieneShape::Loop,
-          HygieneShape::TrapGroup, HygieneShape::ThrowingBatch}) {
+         {HygieneShape::Straight, HygieneShape::Loop, HygieneShape::Trap,
+          HygieneShape::ThrowingCall}) {
       const opt::Executable exe = compile_o0(hygiene_program(precision, shape));
-      if (shape == HygieneShape::LaneProfitable) {
-        ASSERT_TRUE(exe.bytecode().lane_profitable());
-      }
       std::vector<vgpu::KernelArgs> inputs;
       for (std::size_t i = 0; i < std::size(values); ++i) {
         double x = values[i];
-        if (shape == HygieneShape::TrapGroup) x = i == 9 ? 1.0 : 0.0;
+        if (shape == HygieneShape::Trap) x = i == 9 ? 1.0 : 0.0;
         vgpu::KernelArgs args;
         args.fp = {1.5, x, 0.0};
         args.ints = {0, 0, static_cast<int>(i % 5)};  // trip counts 0..4
         inputs.push_back(args);
       }
-      const bool throws = shape == HygieneShape::TrapGroup ||
-                          shape == HygieneShape::ThrowingBatch;
-      for (const Engine& engine : engines) {
+      const bool throws =
+          shape == HygieneShape::Trap || shape == HygieneShape::ThrowingCall;
+      for (const auto& [name, backend] : backends) {
         const std::string where =
-            std::string(engine.name) +
+            std::string(name) +
             (precision == Precision::FP32 ? " FP32 " : " FP64 ") + to_string(shape);
-        vgpu::set_exec_backend(engine.backend);
-        ScopedEngine eng(engine.simd);
+        vgpu::set_exec_backend(backend);
         std::vector<vgpu::RunResult> out(inputs.size());
         vgpu::ExecContext ctx;
         clear_upper_ymm();

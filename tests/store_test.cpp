@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -256,6 +257,85 @@ TEST(StoreIngest, IdempotentReingestConflictRefused) {
   const auto& benches = index.perf.at("c1").at("benchmarks");
   EXPECT_EQ(benches.as_object().size(), 2u);  // aggregate rows skipped
   EXPECT_EQ(benches.at("BM_B").at("real_time_ns").as_double(), 5000.0);
+}
+
+/// A Google-Benchmark file recorded with --benchmark_repetitions: one
+/// iteration row per (name, repetition), then the aggregate rows the
+/// library appends per name.
+Json repetitions_file(
+    const std::vector<std::pair<std::string, std::vector<double>>>& runs) {
+  Json j = Json::object();
+  j["context"] = Json::object();
+  Json arr = Json::array();
+  for (const auto& [name, times] : runs) {
+    for (std::size_t r = 0; r < times.size(); ++r) {
+      Json b = Json::object();
+      b["name"] = name;
+      b["run_type"] = "iteration";
+      b["repetitions"] = static_cast<long long>(times.size());
+      b["repetition_index"] = static_cast<long long>(r);
+      b["iterations"] = 100;
+      b["real_time"] = times[r];
+      b["cpu_time"] = times[r] - 1.0;
+      b["time_unit"] = "us";
+      arr.push_back(std::move(b));
+    }
+    for (const char* aggregate : {"mean", "median", "stddev", "cv"}) {
+      Json agg = Json::object();
+      agg["name"] = name + "_" + aggregate;
+      agg["run_type"] = "aggregate";
+      agg["aggregate_name"] = aggregate;
+      agg["iterations"] = static_cast<long long>(times.size());
+      agg["real_time"] = 1.0;
+      agg["cpu_time"] = 1.0;
+      agg["time_unit"] = "us";
+      arr.push_back(std::move(agg));
+    }
+  }
+  j["benchmarks"] = std::move(arr);
+  return j;
+}
+
+TEST(StoreIngest, RepeatedBenchmarksFoldToMedians) {
+  TempDir dir("gpudiff_store_reps");
+  const std::string db = dir.file("db");
+  const std::string reps = dir.file("reps.json");
+  write_json(reps, repetitions_file({{"BM_R", {100.0, 130.0, 110.0}},
+                                     {"BM_E", {4.0, 2.0, 8.0, 6.0}},
+                                     {"BM_One", {7.0}}}));
+  EXPECT_EQ(store::ingest(db, "c1", {reps}).bench_files, 1);
+  const std::string perf_doc = support::read_file(db + "/perf/c1.json");
+
+  const auto index = store::load_store(db);
+  const Json& benches = index.perf.at("c1").at("benchmarks");
+  EXPECT_EQ(benches.as_object().size(), 3u);  // aggregate rows skipped
+  const Json& r = benches.at("BM_R");
+  EXPECT_EQ(r.at("real_time_ns").as_double(), 110e3);
+  EXPECT_EQ(r.at("cpu_time_ns").as_double(), 109e3);
+  EXPECT_EQ(r.at("repetitions").as_int(), 3);
+  EXPECT_EQ(r.at("iterations").as_int(), 300);
+  // mean 113.33 us, sample standard deviation sqrt(700 / 3) us.
+  EXPECT_NEAR(r.at("real_time_cv").as_double(),
+              std::sqrt(700.0 / 3.0) / (340.0 / 3.0), 1e-12);
+  EXPECT_EQ(benches.at("BM_E").at("real_time_ns").as_double(), 5e3);  // even N
+  // A one-row name keeps exactly today's entry.
+  Json one = Json::object();
+  one["real_time_ns"] = 7e3;
+  one["cpu_time_ns"] = 6e3;
+  one["iterations"] = 100;
+  EXPECT_EQ(benches.at("BM_One"), one);
+
+  // Re-ingesting the same file is a no-op.
+  EXPECT_EQ(store::ingest(db, "c1", {reps}).bench_files, 1);
+  EXPECT_EQ(support::read_file(db + "/perf/c1.json"), perf_doc);
+
+  // A second file whose repetitions fold to other numbers is refused, and
+  // adds none of its entries.
+  const std::string other = dir.file("other.json");
+  write_json(other, repetitions_file({{"BM_New", {1.0, 2.0}},
+                                      {"BM_R", {100.0, 130.0, 111.0}}}));
+  EXPECT_THROW(store::ingest(db, "c1", {other}), std::runtime_error);
+  EXPECT_EQ(support::read_file(db + "/perf/c1.json"), perf_doc);
 }
 
 TEST(StoreIngest, CorruptInputsNamedAndQuarantined) {

@@ -56,10 +56,8 @@
 #include "opt/platform.hpp"
 #include "reduce/bundle.hpp"
 #include "support/cli.hpp"
-#include "support/cpu.hpp"
 #include "support/json.hpp"
 #include "support/table.hpp"
-#include "vgpu/bytecode.hpp"
 
 namespace {
 
@@ -322,15 +320,6 @@ int main(int argc, char** argv) {
                    precision.c_str());
       return 1;
     }
-
-    // Log the resolved lane engine once, to stderr only: results are
-    // engine-invariant by construction, so the engine name must never leak
-    // into reports or fingerprints — but a perf triage needs to know what
-    // actually ran.  An invalid GPUDIFF_SIMD override throws here, before
-    // any lease directory is touched.
-    std::fprintf(stderr, "gpudiff-campaign: vm engine %s (%s)\n",
-                 vgpu::to_string(vgpu::simd_engine()),
-                 support::cpu_features().to_string().c_str());
 
     std::signal(SIGINT, handle_signal);
     std::signal(SIGTERM, handle_signal);

@@ -14,9 +14,9 @@
 //
 // Each reduction writes one digest-sealed bundle (reduce/bundle.hpp) into
 // --out; --json additionally streams the bundle documents to stdout.  The
-// whole pipeline is deterministic — same record, same bytes, regardless of
-// SIMD engine or VM backend — which the reduce-drill CI job enforces with
-// a byte-for-byte cmp of two independent runs.
+// whole pipeline is deterministic — same record, same bytes, on the
+// bytecode VM or the tree-walk oracle — which the reduce-drill CI job
+// enforces with a byte-for-byte cmp of one run on each.
 
 #include <cstdint>
 #include <cstdio>
@@ -31,9 +31,7 @@
 #include "reduce/reduce.hpp"
 #include "store/store.hpp"
 #include "support/cli.hpp"
-#include "support/cpu.hpp"
 #include "support/json.hpp"
-#include "vgpu/bytecode.hpp"
 
 namespace {
 
@@ -148,9 +146,6 @@ int main(int argc, char** argv) {
     const std::string report_path = cli.get_string("report");
     const std::string out_dir = cli.get_string("out");
     const bool json = cli.get_flag("json");
-
-    std::fprintf(stderr, "gpudiff-reduce: vm engine %s\n",
-                 vgpu::to_string(vgpu::simd_engine()));
 
     const std::string batch_report = cli.get_string("from-report");
     if (!batch_report.empty()) {

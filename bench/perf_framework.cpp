@@ -373,7 +373,7 @@ void BM_SchedulerOverhead(benchmark::State& state) {
   std::filesystem::remove_all(dir);
   diff::CampaignConfig cfg;
   cfg.num_programs = 64;
-  campaign::LeaseBoard board(dir.string(), "bench");
+  campaign::FsLeaseTransport board(dir.string(), "bench");
   board.publish_or_verify_manifest(campaign::config_to_json(cfg), 1,
                                    campaign::lease_count(64, 1));
   int k = 0;

@@ -19,23 +19,20 @@
 // window and are stolen — exactly the recovery the protocol already
 // defines, with no heartbeat-persistence write amplification.
 //
-// Concurrency: one accept loop plus one thread per connection, every
-// state transition under a single mutex (the state machine is tiny; the
-// expensive work — executing leases — happens on the workers).  Each
+// Concurrency: net::Server's accept loop and one thread per connection,
+// every state transition under a single mutex (the state machine is tiny;
+// the expensive work — executing leases — happens on the workers).  The
+// coordinator supplies the server its hello check and op handler: each
 // connection must open with a versioned hello carrying the campaign
-// fingerprint; mismatches are refused fatally at connect.
+// fingerprint, and mismatches are refused fatally at connect.
 
-#include <atomic>
 #include <chrono>
-#include <cstdint>
 #include <map>
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "net/socket.hpp"
+#include "net/server.hpp"
 #include "support/json.hpp"
 
 namespace gpudiff::campaign {
@@ -59,20 +56,17 @@ class Coordinator {
   /// heartbeat).  Throws std::runtime_error if the port cannot be bound
   /// or the recovered state is unreadable.
   explicit Coordinator(CoordinatorOptions options);
-  ~Coordinator();
 
   /// The bound port (resolves ephemeral port 0).
-  int port() const noexcept { return listener_.port(); }
+  int port() const noexcept { return server_.port(); }
   const std::string& dir() const noexcept { return options_.dir; }
 
   /// Serve on a background thread; returns immediately.
-  void start();
-  /// Stop accepting, join every thread (accept loop + connections —
-  /// each polls stop at the I/O timeout, so this returns within about
-  /// one io_timeout_seconds), then close the listener.  Joining before
-  /// closing keeps the close and the accept loop's poll off the fd at
-  /// the same time.  Idempotent.
-  void stop();
+  void start() { server_.start(); }
+  /// Stop accepting, join every connection thread, then close the
+  /// listener (net::Server::stop; returns within about one
+  /// io_timeout_seconds).  Idempotent.
+  void stop() { server_.stop(); }
 
   /// Leases with a published done block (for status reporting).
   int done_count() const;
@@ -84,24 +78,18 @@ class Coordinator {
   };
 
   void recover();
-  void accept_loop();
-  void serve(net::Socket socket);
+  /// net::Server's hello check: seeds or verifies the campaign and names
+  /// the connection's worker; refusals throw std::invalid_argument.
+  support::Json hello(const support::Json& request, std::string* worker);
   /// One request against the board, under the state mutex.  `worker` is
   /// the connection's hello-established identity.
   support::Json handle(const support::Json& request,
                        const std::string& worker);
-  support::Json handle_hello(const support::Json& request,
-                             std::string* worker);
-
-  std::string claim_path(int lease) const;
-  std::string done_path(int lease) const;
   void persist_claim(int lease, const std::string& worker);
 
   CoordinatorOptions options_;
-  net::Listener listener_;
-  std::atomic<bool> stop_{false};
 
-  mutable std::mutex mu_;  ///< guards everything below
+  mutable std::mutex mu_;  ///< guards the board state below
   bool have_manifest_ = false;
   support::Json config_echo_;
   int lease_size_ = 0;
@@ -109,8 +97,9 @@ class Coordinator {
   std::set<int> done_;
   std::map<int, Claim> claims_;
 
-  std::mutex threads_mu_;
-  std::vector<std::thread> threads_;  ///< accept loop + connections
+  /// Declared last, so it is destroyed (stopped) before the board its
+  /// connection threads read.
+  net::Server server_;
 };
 
 }  // namespace gpudiff::campaign

@@ -56,40 +56,19 @@ std::pair<std::uint64_t, std::uint64_t> lease_range(int num_programs,
   return {n * i / c, n * (i + 1) / c};
 }
 
-LeaseBoard::LeaseBoard(std::string dir, std::string worker_id)
-    : dir_(std::move(dir)), worker_(std::move(worker_id)) {
-  if (dir_.empty())
-    throw std::invalid_argument("LeaseBoard: empty directory");
-  if (worker_.empty())
-    throw std::invalid_argument("LeaseBoard: empty worker id");
-  std::filesystem::create_directories(dir_);
-}
-
-std::string LeaseBoard::manifest_path(const std::string& dir) {
+std::string manifest_path(const std::string& dir) {
   return dir + "/campaign.json";
 }
 
-void LeaseBoard::publish_or_verify_manifest(const support::Json& config_echo,
-                                            int lease_size, int count) {
-  const support::Json manifest =
-      make_manifest(config_echo, lease_size, count);
-  if (support::publish_file_exclusive(manifest_path(dir_), manifest.dump(1),
-                                      "." + worker_))
-    return;
-  const support::Json existing = load_manifest(dir_);
-  if (existing.at("config") != config_echo)
-    throw std::runtime_error(
-        "scheduler: lease directory " + dir_ +
-        " belongs to a different campaign configuration");
-  if (existing.at("lease_size").as_int() != lease_size ||
-      existing.at("lease_count").as_int() != count)
-    throw std::runtime_error(
-        "scheduler: lease directory " + dir_ +
-        " was carved with a different --lease-size; every worker of one "
-        "campaign must agree on the lease geometry");
+std::string claim_path(const std::string& dir, int lease) {
+  return dir + "/lease-" + std::to_string(lease) + ".claim";
 }
 
-support::Json LeaseBoard::load_manifest(const std::string& dir) {
+std::string done_path(const std::string& dir, int lease) {
+  return dir + "/lease-" + std::to_string(lease) + ".done.json";
+}
+
+support::Json load_manifest(const std::string& dir) {
   const std::string path = manifest_path(dir);
   if (!std::filesystem::exists(path))
     throw std::runtime_error("scheduler: no campaign manifest at " + path);
@@ -98,92 +77,22 @@ support::Json LeaseBoard::load_manifest(const std::string& dir) {
   return j;
 }
 
-std::string LeaseBoard::claim_path(const std::string& dir, int lease) {
-  return dir + "/lease-" + std::to_string(lease) + ".claim";
-}
-
-std::string LeaseBoard::done_path(const std::string& dir, int lease) {
-  return dir + "/lease-" + std::to_string(lease) + ".done.json";
-}
-
-std::string LeaseBoard::claim_path(int lease) const {
-  return claim_path(dir_, lease);
-}
-
-std::string LeaseBoard::done_path(int lease) const {
-  return done_path(dir_, lease);
-}
-
-bool LeaseBoard::is_done(int lease) const {
-  return std::filesystem::exists(done_path(lease));
-}
-
-bool LeaseBoard::try_claim(int lease) {
+std::string claim_document(int lease, const std::string& worker) {
   support::Json claim = support::Json::object();
   claim["lease"] = lease;
-  claim["worker"] = worker_;
-  return support::publish_file_exclusive(claim_path(lease), claim.dump(),
-                                         "." + worker_);
+  claim["worker"] = worker;
+  return claim.dump();
 }
 
-double LeaseBoard::claim_age_seconds(int lease) const {
-  return support::file_age_seconds(claim_path(lease));
-}
-
-bool LeaseBoard::reap_claim(int lease) {
-  const std::string claim = claim_path(lease);
-  const std::string tombstone = claim + ".stale." + worker_;
-  // Exactly one of N racing reapers wins the rename; the losers see the
-  // source gone.
-  if (!support::rename_file(claim, tombstone)) return false;
-  support::remove_file(tombstone);
-  return true;
-}
-
-bool LeaseBoard::try_steal(int lease) {
-  // The winner of the reap claims afresh — which can still lose to a
-  // concurrent fresh claimer, and that is fine: either way the lease has
-  // exactly one new owner.
-  if (!reap_claim(lease)) return false;
-  return try_claim(lease);
-}
-
-namespace {
-
-bool claim_owned_by(const std::string& claim_path, const std::string& worker) {
+std::string claim_owner(const std::string& path) {
   try {
-    const support::Json j =
-        support::Json::parse(support::read_file(claim_path));
-    return j.is_object() && j.contains("worker") &&
-           j.at("worker").is_string() && j.at("worker").as_string() == worker;
+    const support::Json j = support::Json::parse(support::read_file(path));
+    if (j.is_object() && j.contains("worker") && j.at("worker").is_string())
+      return j.at("worker").as_string();
   } catch (const std::exception&) {
-    // Missing or torn-away claim file: not ours.
-    return false;
+    // Missing or torn-away claim file: nobody's.
   }
-}
-
-}  // namespace
-
-bool LeaseBoard::heartbeat(int lease) {
-  const std::string path = claim_path(lease);
-  if (!claim_owned_by(path, worker_)) return false;
-  return support::touch_file(path);
-}
-
-void LeaseBoard::publish_done(int lease, int count, const ResultBlock& block) {
-  // Per-worker temp suffix: the at-least-once design means a paused owner
-  // and its stealer can publish the same lease concurrently, and they
-  // must not tear each other's temp file.  The final renames race, but
-  // both sides rename identical bytes, so either winner is whole and
-  // right.
-  support::write_file_atomic(done_path(lease),
-                             block_to_json(block, lease, count).dump(1),
-                             ".tmp." + worker_);
-}
-
-void LeaseBoard::release(int lease) {
-  const std::string path = claim_path(lease);
-  if (claim_owned_by(path, worker_)) support::remove_file(path);
+  return "";
 }
 
 std::string default_worker_id() {
@@ -490,24 +399,24 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
 bool campaign_complete(const std::string& dir) {
   support::Json manifest;
   try {
-    manifest = LeaseBoard::load_manifest(dir);
+    manifest = load_manifest(dir);
   } catch (const std::exception&) {
     return false;
   }
   const int count = static_cast<int>(manifest.at("lease_count").as_int());
   for (int k = 0; k < count; ++k) {
-    if (!std::filesystem::exists(LeaseBoard::done_path(dir, k))) return false;
+    if (!std::filesystem::exists(done_path(dir, k))) return false;
   }
   return true;
 }
 
 support::Json config_echo_of_dir(const std::string& dir) {
-  return LeaseBoard::load_manifest(dir).at("config");
+  return load_manifest(dir).at("config");
 }
 
 diff::CampaignResults merge_lease_dir(const std::string& dir,
                                       const LeaseMergeOptions& options) {
-  const support::Json manifest = LeaseBoard::load_manifest(dir);
+  const support::Json manifest = load_manifest(dir);
   const support::Json& echo = manifest.at("config");
   const int count = static_cast<int>(manifest.at("lease_count").as_int());
   const int num_programs =
@@ -521,7 +430,7 @@ diff::CampaignResults merge_lease_dir(const std::string& dir,
   blocks.reserve(static_cast<std::size_t>(count));
   std::vector<std::string> quarantined;
   for (int k = 0; k < count; ++k) {
-    const std::string path = LeaseBoard::done_path(dir, k);
+    const std::string path = done_path(dir, k);
     if (!std::filesystem::exists(path))
       throw std::runtime_error(
           "merge_lease_dir: lease " + std::to_string(k) + " of " +

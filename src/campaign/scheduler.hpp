@@ -70,81 +70,27 @@ int lease_count(int num_programs, int lease_size);
 std::pair<std::uint64_t, std::uint64_t> lease_range(int num_programs,
                                                     int count, int index);
 
-/// The shared-directory lease protocol, one instance per worker.  Exposed
-/// separately from run_worker so the equivalence/fault-injection tests and
-/// the claim-path benchmark can drive the mechanism directly; run_worker
-/// supplies the policy (scan order, staleness, waiting).
-///
-/// All operations are safe to call concurrently from different processes
-/// (that is the point); a single LeaseBoard instance is not thread-safe.
-class LeaseBoard {
- public:
-  /// Creates `dir` if needed.  `worker_id` must be unique across the fleet
-  /// (default_worker_id() below yields host-pid).
-  LeaseBoard(std::string dir, std::string worker_id);
-
-  /// Publish the manifest if none exists, else verify the existing one was
-  /// written for the same configuration and lease geometry; throws
-  /// std::runtime_error on mismatch (two campaigns must not share a dir).
-  void publish_or_verify_manifest(const support::Json& config_echo,
-                                  int lease_size, int count);
-  /// Load and validate a manifest (for the merge stage).
-  static support::Json load_manifest(const std::string& dir);
-  static std::string manifest_path(const std::string& dir);
-
-  const std::string& dir() const noexcept { return dir_; }
-  const std::string& worker_id() const noexcept { return worker_; }
-
-  std::string claim_path(int lease) const;
-  std::string done_path(int lease) const;
-  /// Path builders shared with the merge/completion scans, so the file
-  /// naming scheme lives in exactly one place.
-  static std::string claim_path(const std::string& dir, int lease);
-  static std::string done_path(const std::string& dir, int lease);
-
-  bool is_done(int lease) const;
-  /// Claim the lease exclusively.  False if any claim file exists (even a
-  /// stale one — staleness is the caller's policy, see try_steal).
-  bool try_claim(int lease);
-  /// Seconds since the current claim's last heartbeat; negative if no
-  /// claim file exists.
-  double claim_age_seconds(int lease) const;
-  /// Tombstone-rename the existing claim away without taking the lease
-  /// (atomic: exactly one of N racing reapers succeeds).  Used to clear a
-  /// stale claim stranded on an already-done lease.
-  bool reap_claim(int lease);
-  /// reap_claim + claim the lease afresh.  The caller decides *when*
-  /// stealing is appropriate (claim stale, lease not done).
-  bool try_steal(int lease);
-  /// Refresh this worker's heartbeat on its claim.  Returns false if the
-  /// claim no longer exists or is no longer ours (stolen) — informational;
-  /// execution continues either way, protected by determinism.
-  bool heartbeat(int lease);
-  /// Publish the lease's completed ResultBlock (atomic write-then-rename
-  /// through a per-worker temp file, so duplicate publishers of one lease
-  /// cannot tear each other).  `count` is the lease partition size
-  /// recorded for merge validation.
-  void publish_done(int lease, int count, const ResultBlock& block);
-  /// Remove this worker's claim on the lease (after publish_done, or when
-  /// abandoning on interrupt).  Ownership is checked first so a claim
-  /// owned by another worker — e.g. a stealer's fresh claim after ours
-  /// was tombstoned — is normally left alone.  The check-then-remove pair
-  /// is not atomic (POSIX has no conditional unlink), so a steal landing
-  /// in that window can still lose its fresh claim; like every exclusion
-  /// breakdown in this protocol, the worst case is duplicate execution of
-  /// a lease, never a wrong result.
-  void release(int lease);
-
- private:
-  std::string dir_;
-  std::string worker_;
-};
+/// The lease-directory layout above, in one place: the filesystem
+/// transport (campaign/transport.hpp), the coordinator's state directory,
+/// the merge and completion scans and the tests all build and parse its
+/// file names and claim documents through these.
+std::string manifest_path(const std::string& dir);
+std::string claim_path(const std::string& dir, int lease);
+std::string done_path(const std::string& dir, int lease);
+/// Load and validate a directory's manifest; throws std::runtime_error if
+/// it is missing or not a manifest.
+support::Json load_manifest(const std::string& dir);
+/// The bytes of lease `lease`'s claim file: {"lease":k,"worker":w}.
+std::string claim_document(int lease, const std::string& worker);
+/// The worker named by the claim file at `path`; empty when the file is
+/// missing or unreadable.
+std::string claim_owner(const std::string& path);
 
 /// "host-pid", unique across a fleet of worker processes.
 std::string default_worker_id();
 
 /// The scheduler manifest document (config fingerprint + lease geometry),
-/// shared by the shared-directory board and the TCP coordinator so both
+/// shared by the filesystem transport and the TCP coordinator so both
 /// backends publish byte-identical campaign.json files and one merge stage
 /// serves both.
 support::Json make_manifest(const support::Json& config_echo, int lease_size,

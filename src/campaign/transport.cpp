@@ -35,55 +35,129 @@ void sweep_stale_temps(const std::string& dir, double older_than) {
   }
 }
 
+/// The journal's blocks — done files named as in a lease directory, never
+/// a write-in-progress temp — sorted by name.
+std::vector<std::filesystem::path> journal_entries(const std::string& dir) {
+  std::vector<std::filesystem::path> entries;
+  if (!std::filesystem::is_directory(dir)) return entries;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("lease-", 0) == 0 &&
+        name.find(".done.json") != std::string::npos &&
+        name.find(".tmp") == std::string::npos)
+      entries.push_back(entry.path());
+  }
+  std::sort(entries.begin(), entries.end());
+  return entries;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// FsLeaseTransport — the shared-directory board, byte-identical behavior.
+// FsLeaseTransport — the shared-directory board.
 // ---------------------------------------------------------------------------
 
 FsLeaseTransport::FsLeaseTransport(std::string dir, std::string worker_id)
-    : board_(std::move(dir), std::move(worker_id)) {}
-
-const std::string& FsLeaseTransport::worker_id() const noexcept {
-  return board_.worker_id();
+    : dir_(std::move(dir)), worker_(std::move(worker_id)) {
+  if (dir_.empty())
+    throw std::invalid_argument("FsLeaseTransport: empty directory");
+  if (worker_.empty())
+    throw std::invalid_argument("FsLeaseTransport: empty worker id");
+  std::filesystem::create_directories(dir_);
 }
 
 void FsLeaseTransport::publish_or_verify_manifest(
     const support::Json& config_echo, int lease_size, int count) {
-  board_.publish_or_verify_manifest(config_echo, lease_size, count);
+  const support::Json manifest =
+      make_manifest(config_echo, lease_size, count);
+  if (!support::publish_file_exclusive(manifest_path(dir_), manifest.dump(1),
+                                       "." + worker_)) {
+    const support::Json existing = load_manifest(dir_);
+    if (existing.at("config") != config_echo)
+      throw std::runtime_error(
+          "scheduler: lease directory " + dir_ +
+          " belongs to a different campaign configuration");
+    if (existing.at("lease_size").as_int() != lease_size ||
+        existing.at("lease_count").as_int() != count)
+      throw std::runtime_error(
+          "scheduler: lease directory " + dir_ +
+          " was carved with a different --lease-size; every worker of one "
+          "campaign must agree on the lease geometry");
+  }
   lease_count_ = count;
 }
 
-bool FsLeaseTransport::is_done(int lease) { return board_.is_done(lease); }
+bool FsLeaseTransport::is_done(int lease) {
+  return std::filesystem::exists(done_path(dir_, lease));
+}
 
 std::vector<int> FsLeaseTransport::list_done() {
   std::vector<int> done;
   for (int k = 0; k < lease_count_; ++k)
-    if (board_.is_done(k)) done.push_back(k);
+    if (is_done(k)) done.push_back(k);
   return done;
 }
 
-bool FsLeaseTransport::try_claim(int lease) { return board_.try_claim(lease); }
-
-double FsLeaseTransport::claim_age_seconds(int lease) {
-  return board_.claim_age_seconds(lease);
+bool FsLeaseTransport::try_claim(int lease) {
+  return support::publish_file_exclusive(claim_path(dir_, lease),
+                                         claim_document(lease, worker_),
+                                         "." + worker_);
 }
 
-bool FsLeaseTransport::try_steal(int lease) { return board_.try_steal(lease); }
+double FsLeaseTransport::claim_age_seconds(int lease) {
+  return support::file_age_seconds(claim_path(dir_, lease));
+}
 
-void FsLeaseTransport::reap_claim(int lease) { board_.reap_claim(lease); }
+bool FsLeaseTransport::tombstone_claim(int lease) {
+  const std::string claim = claim_path(dir_, lease);
+  const std::string tombstone = claim + ".stale." + worker_;
+  // Exactly one of N racing reapers wins the rename; the losers see the
+  // source gone.
+  if (!support::rename_file(claim, tombstone)) return false;
+  support::remove_file(tombstone);
+  return true;
+}
 
-bool FsLeaseTransport::heartbeat(int lease) { return board_.heartbeat(lease); }
+bool FsLeaseTransport::try_steal(int lease) {
+  // The winner of the reap claims afresh — which can still lose to a
+  // concurrent fresh claimer, and that is fine: either way the lease has
+  // exactly one new owner.
+  return tombstone_claim(lease) && try_claim(lease);
+}
+
+void FsLeaseTransport::reap_claim(int lease) { tombstone_claim(lease); }
+
+bool FsLeaseTransport::heartbeat(int lease) {
+  const std::string path = claim_path(dir_, lease);
+  if (claim_owner(path) != worker_) return false;
+  return support::touch_file(path);
+}
 
 void FsLeaseTransport::publish_done(int lease, int count,
                                     const ResultBlock& block) {
-  board_.publish_done(lease, count, block);
+  // Per-worker temp suffix: the at-least-once design means a paused owner
+  // and its stealer can publish the same lease concurrently, and they
+  // must not tear each other's temp file.  The final renames race, but
+  // both sides rename identical bytes, so either winner is whole and
+  // right.
+  support::write_file_atomic(done_path(dir_, lease),
+                             block_to_json(block, lease, count).dump(1),
+                             ".tmp." + worker_);
 }
 
-void FsLeaseTransport::release(int lease) { board_.release(lease); }
+void FsLeaseTransport::release(int lease) {
+  // Ownership is checked first so a stealer's fresh claim is normally left
+  // alone.  The check-then-remove pair is not atomic (POSIX has no
+  // conditional unlink), so a steal landing in that window can still lose
+  // its fresh claim; like every exclusion breakdown in this protocol, the
+  // worst case is duplicate execution of a lease, never a wrong result.
+  const std::string path = claim_path(dir_, lease);
+  if (claim_owner(path) == worker_) support::remove_file(path);
+}
 
 void FsLeaseTransport::maintain(double stale_after_seconds) {
-  sweep_stale_temps(board_.dir(), stale_after_seconds);
+  sweep_stale_temps(dir_, stale_after_seconds);
 }
 
 // ---------------------------------------------------------------------------
@@ -108,11 +182,6 @@ const std::string& TcpLeaseTransport::worker_id() const noexcept {
   return options_.worker_id;
 }
 
-std::string TcpLeaseTransport::journal_path(int lease) const {
-  return options_.journal_dir + "/lease-" + std::to_string(lease) +
-         ".done.json";
-}
-
 void TcpLeaseTransport::ensure_connected_locked() {
   if (socket_.valid()) return;
   if (!hello_ready_)
@@ -130,29 +199,7 @@ void TcpLeaseTransport::ensure_connected_locked() {
   hello["config"] = hello_config_;
   hello["lease_size"] = lease_size_;
   hello["lease_count"] = lease_count_;
-  const std::int64_t seq = ++seq_;
-  hello["seq"] = seq;
-  if (net::send_message(s, hello, options_.request_timeout_seconds) !=
-      net::IoStatus::Ok)
-    throw TransportError("coordinator hello: send failed");
-  support::Json resp;
-  for (;;) {
-    if (net::recv_message(s, &resp, options_.request_timeout_seconds) !=
-        net::IoStatus::Ok)
-      throw TransportError("coordinator hello: no response");
-    if (resp.get_or("seq", support::Json(std::int64_t{0})).as_int() >= seq)
-      break;
-    // A stale frame from a previous incarnation of this connection pair
-    // cannot occur on a fresh socket; discard defensively anyway.
-  }
-  if (!resp.get_or("ok", support::Json(false)).as_bool()) {
-    const std::string error =
-        resp.contains("error") ? resp.at("error").as_string()
-                               : "coordinator refused hello";
-    if (resp.get_or("fatal", support::Json(false)).as_bool())
-      throw std::runtime_error("coordinator refused connection: " + error);
-    throw TransportError("coordinator hello failed: " + error);
-  }
+  exchange_locked(s, std::move(hello));
   socket_ = std::move(s);
   // A fresh connection is the reconnect moment: re-publish everything the
   // journal holds before any new work is claimed, so a worker that rode
@@ -160,33 +207,23 @@ void TcpLeaseTransport::ensure_connected_locked() {
   flush_journal_locked();
 }
 
-support::Json TcpLeaseTransport::roundtrip_locked(const support::Json& req) {
-  support::Json tagged = req;
-  const std::int64_t seq = ++seq_;
-  tagged["seq"] = seq;
-  if (net::send_message(socket_, tagged, options_.request_timeout_seconds) !=
+support::Json TcpLeaseTransport::exchange_locked(net::Socket& socket,
+                                                 support::Json req) {
+  const std::string op = req.at("op").as_string();
+  support::Json resp;
+  if (net::request_response(socket, std::move(req), ++seq_, &resp,
+                            options_.request_timeout_seconds) !=
       net::IoStatus::Ok)
-    throw TransportError("request send failed");
-  for (;;) {
-    support::Json resp;
-    if (net::recv_message(socket_, &resp,
-                          options_.request_timeout_seconds) !=
-        net::IoStatus::Ok)
-      throw TransportError("request: no response");
-    const std::int64_t got =
-        resp.get_or("seq", support::Json(std::int64_t{0})).as_int();
-    if (got < seq) continue;  // stale response to a duplicated frame
-    if (got > seq) throw TransportError("response stream desynchronized");
-    if (!resp.get_or("ok", support::Json(false)).as_bool()) {
-      const std::string error = resp.contains("error")
-                                    ? resp.at("error").as_string()
-                                    : "unspecified coordinator error";
-      if (resp.get_or("fatal", support::Json(false)).as_bool())
-        throw std::runtime_error("coordinator rejected request: " + error);
-      throw TransportError("coordinator error: " + error);
-    }
-    return resp;
-  }
+    throw TransportError(op + ": no response");
+  if (resp.get_or("ok", support::Json(false)).as_bool()) return resp;
+  const std::string error = resp.contains("error")
+                                ? resp.at("error").as_string()
+                                : "unspecified coordinator error";
+  // A fatal refusal (configuration or version mismatch, malformed request)
+  // is permanent: retrying cannot help, so it is no TransportError.
+  if (resp.get_or("fatal", support::Json(false)).as_bool())
+    throw std::runtime_error("coordinator refused " + op + ": " + error);
+  throw TransportError("coordinator error on " + op + ": " + error);
 }
 
 support::Json TcpLeaseTransport::request_locked(support::Json req) {
@@ -198,7 +235,7 @@ support::Json TcpLeaseTransport::request_locked(support::Json req) {
                                    nullptr);
     try {
       ensure_connected_locked();
-      return roundtrip_locked(req);
+      return exchange_locked(socket_, req);
     } catch (const TransportError& e) {
       last_error = e.what();
       socket_.close();
@@ -216,19 +253,7 @@ support::Json TcpLeaseTransport::request(support::Json req) {
 }
 
 void TcpLeaseTransport::flush_journal_locked() {
-  if (!std::filesystem::is_directory(options_.journal_dir)) return;
-  std::vector<std::filesystem::path> pending;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(options_.journal_dir)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("lease-", 0) == 0 &&
-        name.find(".done.json") != std::string::npos &&
-        name.find(".tmp") == std::string::npos)
-      pending.push_back(entry.path());
-  }
-  std::sort(pending.begin(), pending.end());
-  for (const auto& path : pending) {
+  for (const auto& path : journal_entries(options_.journal_dir)) {
     support::Json doc;
     try {
       doc = support::Json::parse(support::read_file(path.string()));
@@ -241,23 +266,13 @@ void TcpLeaseTransport::flush_journal_locked() {
     support::Json req = support::Json::object();
     req["op"] = "publish";
     req["block"] = std::move(doc);
-    roundtrip_locked(req);  // TransportError propagates: flush aborted
+    exchange_locked(socket_, std::move(req));  // TransportError: flush aborted
     std::filesystem::remove(path);
   }
 }
 
 int TcpLeaseTransport::journaled_blocks() const {
-  if (!std::filesystem::is_directory(options_.journal_dir)) return 0;
-  int n = 0;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(options_.journal_dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("lease-", 0) == 0 &&
-        name.find(".done.json") != std::string::npos &&
-        name.find(".tmp") == std::string::npos)
-      ++n;
-  }
-  return n;
+  return static_cast<int>(journal_entries(options_.journal_dir).size());
 }
 
 void TcpLeaseTransport::publish_or_verify_manifest(
@@ -357,7 +372,8 @@ void TcpLeaseTransport::publish_done(int lease, int count,
     // reconnect.  Duplicate publishes are safe: the block is a pure
     // function of (fingerprint, range).
     std::filesystem::create_directories(options_.journal_dir);
-    support::write_file_atomic(journal_path(lease), doc.dump(1), ".tmp");
+    support::write_file_atomic(done_path(options_.journal_dir, lease),
+                               doc.dump(1), ".tmp");
   }
 }
 

@@ -4,9 +4,9 @@
 // original shared-directory implementation so the same worker policy loop
 // (scheduler.hpp run_worker) drives either backend:
 //
-//   FsLeaseTransport  — the PR 4 shared-directory LeaseBoard, unchanged in
-//                       behavior and on-disk bytes; one filesystem is the
-//                       whole fleet's coordination medium.
+//   FsLeaseTransport  — the shared-directory board (the layout in
+//                       scheduler.hpp); one filesystem is the whole
+//                       fleet's coordination medium.
 //   TcpLeaseTransport — a line-framed JSON protocol (net/wire.hpp) against
 //                       a gpudiff coordinator (campaign/coordinator.hpp);
 //                       heterogeneous machines coordinate over the
@@ -103,18 +103,25 @@ class LeaseTransport {
   virtual bool drain() = 0;
 };
 
-/// The PR 4 shared-directory board behind the transport interface.
-/// Behavior and on-disk formats are byte-identical to driving LeaseBoard
-/// directly — this class only forwards.
+/// The shared-directory board.  Every operation is a filesystem
+/// primitive from support/lockfile.hpp (exclusive link, atomic rename,
+/// mtime heartbeat), so it is safe to call concurrently from different
+/// processes — that is the point — while one instance serves one worker.
 class FsLeaseTransport : public LeaseTransport {
  public:
+  /// Creates `dir` if needed.  `worker_id` must be unique across the fleet
+  /// (default_worker_id() yields host-pid).
   FsLeaseTransport(std::string dir, std::string worker_id);
 
-  const std::string& worker_id() const noexcept override;
+  const std::string& worker_id() const noexcept override { return worker_; }
+  /// Publishes the manifest through an exclusive link if none exists,
+  /// else verifies the existing one; two campaigns must not share a dir.
   void publish_or_verify_manifest(const support::Json& config_echo,
                                   int lease_size, int count) override;
   bool is_done(int lease) override;
   std::vector<int> list_done() override;
+  /// False if any claim file exists, even a stale one — staleness is the
+  /// caller's policy (see try_steal).
   bool try_claim(int lease) override;
   double claim_age_seconds(int lease) override;
   bool try_steal(int lease) override;
@@ -125,10 +132,13 @@ class FsLeaseTransport : public LeaseTransport {
   void maintain(double stale_after_seconds) override;
   bool drain() override { return true; }
 
-  LeaseBoard& board() noexcept { return board_; }
-
  private:
-  LeaseBoard board_;
+  /// Tombstone-rename the lease's claim away; true for exactly one of N
+  /// racing callers.
+  bool tombstone_claim(int lease);
+
+  std::string dir_;
+  std::string worker_;
   int lease_count_ = 0;
 };
 
@@ -175,9 +185,11 @@ class TcpLeaseTransport : public LeaseTransport {
   support::Json request(support::Json req);          // locks, retries
   support::Json request_locked(support::Json req);   // one attempt cycle
   void ensure_connected_locked();
-  support::Json roundtrip_locked(const support::Json& req);
+  /// One seq-tagged exchange on `socket` (net::request_response); returns
+  /// the ok response.  A fatal refusal throws std::runtime_error; no
+  /// response or a retryable error throws TransportError.
+  support::Json exchange_locked(net::Socket& socket, support::Json req);
   void flush_journal_locked();
-  std::string journal_path(int lease) const;
 
   TcpTransportOptions options_;
   mutable std::mutex mu_;  ///< serializes socket use (heartbeat timer)

@@ -44,6 +44,7 @@ Metadata Metadata::create(const CampaignConfig& config) {
   cfg["hipify_converted"] = config.hipify_converted;
   cfg["num_programs"] = config.num_programs;
   cfg["inputs_per_program"] = config.inputs_per_program;
+  cfg["max_records"] = static_cast<long long>(config.max_records);
   Json levels = Json::array();
   for (auto level : config.levels) levels.push_back(opt::to_string(level));
   cfg["levels"] = std::move(levels);
@@ -174,6 +175,13 @@ CampaignResults Metadata::analyze() const {
                              cfg.at("precision").as_string());
   const auto levels = levels_from_json(cfg.at("levels"));
   const std::size_t n_platforms = names.size();
+  // Files written before the cap was recorded read as the default cap.
+  const std::int64_t cap =
+      cfg.get_or("max_records",
+                 Json(static_cast<long long>(CampaignConfig{}.max_records)))
+          .as_int();
+  if (cap < 0) throw std::runtime_error("metadata: negative max_records");
+  const auto max_records = static_cast<std::size_t>(cap);
 
   CampaignResults results;
   results.seed = static_cast<std::uint64_t>(cfg.at("seed").as_int());
@@ -240,7 +248,7 @@ CampaignResults Metadata::analyze() const {
                           [static_cast<int>(outcomes[p].cls)];
         }
         if (first == DiscrepancyClass::None) continue;
-        if (results.records.size() < 50000) {
+        if (results.records.size() < max_records) {
           DiscrepancyRecord rec;
           rec.program_index = ti;
           rec.input_index = static_cast<int>(ii);

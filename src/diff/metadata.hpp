@@ -26,7 +26,8 @@ class Metadata {
  public:
   /// System-1 step A: generate the campaign's tests (no results yet).  The
   /// config's platform selection is recorded so every system runs — and
-  /// the analysis step demands — the same named platforms.
+  /// the analysis step demands — the same named platforms; its record cap
+  /// is recorded so analyze() keeps the records run_campaign keeps.
   static Metadata create(const CampaignConfig& config);
 
   /// Run every test on one platform and store its results under the

@@ -1,10 +1,10 @@
 #pragma once
-// Minimal POSIX TCP layer for the campaign coordinator: RAII sockets,
-// connect/listen/accept with timeouts, and newline-framed I/O.
+// Minimal POSIX TCP layer for the daemons and their clients: RAII
+// sockets, connect/listen/accept with timeouts, and newline-framed I/O.
 //
 // Everything is blocking-with-poll(2): reads and writes take an explicit
 // timeout and report Timeout/Closed/Error instead of blocking forever, so
-// every caller — the coordinator's per-connection threads, the worker-side
+// every caller — net::Server's per-connection threads, the worker-side
 // transport, the fault-injection proxy — can bound each operation and lets
 // its retry policy decide what happens next.  SIGPIPE is never raised
 // (sends use MSG_NOSIGNAL); a peer vanishing mid-write is an IoStatus, not
@@ -70,7 +70,7 @@ class Listener {
   ~Listener();
 
   /// Bind + listen; throws std::runtime_error on failure (an unusable
-  /// coordinator should die loudly at startup, not limp).
+  /// daemon should die loudly at startup, not limp).
   void listen(const std::string& host, int port, int backlog = 64);
   bool valid() const noexcept { return fd_ >= 0; }
   int port() const noexcept { return port_; }

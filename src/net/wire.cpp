@@ -40,20 +40,19 @@ IoStatus request_response(Socket& socket, support::Json request,
   }
 }
 
-support::Json ok_response(std::int64_t seq) {
+support::Json ok_response(const support::Json& request) {
   support::Json j = support::Json::object();
   j["ok"] = true;
-  j["seq"] = seq;
+  j["seq"] = request.get_or("seq", support::Json(std::int64_t{0}));
   return j;
 }
 
-support::Json error_response(std::int64_t seq, const std::string& error,
-                             bool fatal) {
-  support::Json j = support::Json::object();
+support::Json error_response(const support::Json& request,
+                             const std::string& error, bool fatal) {
+  support::Json j = ok_response(request);
   j["ok"] = false;
   j["error"] = error;
   j["fatal"] = fatal;
-  j["seq"] = seq;
   return j;
 }
 

@@ -1,21 +1,25 @@
 #pragma once
-// Line-framed JSON wire protocol for the lease coordinator.
+// Line-framed JSON wire protocol, spoken by both daemons — the lease
+// coordinator and gpudiff-serve — through net::Server (net/server.hpp),
+// and by their clients through request_response below.
 //
 // Every message is one compact JSON object terminated by '\n' — trivially
 // observable with netcat, trivially relayed (and corrupted on purpose) by
 // the fault-injection proxy, and deterministic to serialize (sorted keys).
 //
-// Session shape: a client connects and sends a versioned hello carrying
-// the full campaign configuration fingerprint and lease geometry; the
-// coordinator refuses mismatches at connect ("fatal": true — do not
-// retry) and accepts everything else.  After the hello, each request
+// Session shape: a client connects and sends a versioned hello; the
+// server refuses mismatches at connect ("fatal": true — do not retry) and
+// refuses any request sent before an accepted hello the same way.  The
+// coordinator's hello carries the full campaign configuration fingerprint
+// and lease geometry; the store daemon's carries its store version (see
+// store/serve.hpp for that daemon's ops).  After the hello, each request
 // carries a client-chosen monotonically increasing "seq"; the response
 // echoes it, which is what keeps a duplicated or delayed frame (injected
 // by the proxy, or a retry racing a slow response) from desynchronizing
 // the request/response stream: a client simply discards responses whose
 // seq is below the one it is waiting for.
 //
-// Requests (after hello):
+// Coordinator requests (after hello):
 //   {"op":"claim","lease":k,"seq":n}     -> {"ok":true,"acquired":b,"seq":n}
 //   {"op":"age","lease":k,...}           -> {"ok":true,"age":s}   (-1: free)
 //   {"op":"steal","lease":k,...}         -> {"ok":true,"stolen":b}
@@ -42,7 +46,7 @@
 namespace gpudiff::net {
 
 /// Wire protocol version, carried by every hello.  Bump on any change to
-/// message shapes; the coordinator refuses other versions at connect.
+/// message shapes; both daemons refuse other versions at connect.
 inline constexpr int kWireVersion = 1;
 
 /// Send one message as a compact JSON line.
@@ -64,10 +68,11 @@ IoStatus request_response(Socket& socket, support::Json request,
                           std::int64_t seq, support::Json* response,
                           double timeout_seconds);
 
-/// {"ok":true,"seq":seq} — extend with op-specific fields.
-support::Json ok_response(std::int64_t seq);
-/// {"ok":false,"error":error,"fatal":fatal,"seq":seq}
-support::Json error_response(std::int64_t seq, const std::string& error,
-                             bool fatal);
+/// {"ok":true,"seq":seq}, echoing `request`'s seq as sent (0 when it has
+/// none) — extend with op-specific fields.
+support::Json ok_response(const support::Json& request);
+/// {"ok":false,"error":error,"fatal":fatal,"seq":seq}, seq as above.
+support::Json error_response(const support::Json& request,
+                             const std::string& error, bool fatal);
 
 }  // namespace gpudiff::net

@@ -10,10 +10,11 @@
 // directory under the mutex, which is how results ingested while the
 // server runs become visible.
 //
-// Session shape (the PR 6 wire invariant): a client opens with a
-// versioned hello; the server refuses wire-version or store-version
-// mismatches fatally at connect.  After the hello, each request carries a
-// client-chosen monotonically increasing "seq" echoed by the response.
+// Session shape (the wire invariant, served by net::Server like the
+// coordinator's): a client opens with a versioned hello; the server
+// refuses wire-version or store-version mismatches fatally at connect.
+// After the hello, each request carries a client-chosen monotonically
+// increasing "seq" echoed by the response.
 //
 //   {"op":"hello","version":1,"store_version":1,"seq":n}
 //       -> {"ok":true,"commits":c,"store_version":1,"seq":n}
@@ -33,13 +34,10 @@
 // client picked a bad key; the connection is fine); a malformed or
 // unknown op is fatal, as is a request before hello.
 
-#include <atomic>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "net/socket.hpp"
+#include "net/server.hpp"
 #include "store/store.hpp"
 #include "support/json.hpp"
 
@@ -64,17 +62,16 @@ class StoreServer {
   /// Throws std::runtime_error if the port cannot be bound or the store
   /// is unreadable.
   explicit StoreServer(ServeOptions options);
-  ~StoreServer();
 
   /// The bound port (resolves ephemeral port 0).
-  int port() const noexcept { return listener_.port(); }
+  int port() const noexcept { return server_.port(); }
   const std::string& dir() const noexcept { return options_.dir; }
 
   /// Serve on a background thread; returns immediately.
-  void start();
-  /// Stop accepting, join every thread, then close the listener (the
-  /// coordinator's shutdown discipline).  Idempotent.
-  void stop();
+  void start() { server_.start(); }
+  /// Stop accepting, join every connection thread, then close the
+  /// listener (net::Server::stop).  Idempotent.
+  void stop() { server_.stop(); }
 
   /// Commits present in the index (populations or perf).
   int commit_count() const;
@@ -84,20 +81,18 @@ class StoreServer {
   support::Json handle(const support::Json& request);
 
  private:
-  void accept_loop();
-  void serve(net::Socket socket);
-  support::Json handle_hello(const support::Json& request, bool* greeted);
+  /// net::Server's hello check; refusals throw std::invalid_argument.
+  support::Json hello(const support::Json& request);
   int commit_count_locked() const;
 
   ServeOptions options_;
-  net::Listener listener_;
-  std::atomic<bool> stop_{false};
 
   mutable std::mutex mu_;  ///< guards index_
   StoreIndex index_;
 
-  std::mutex threads_mu_;
-  std::vector<std::thread> threads_;  ///< accept loop + connections
+  /// Declared last, so it is destroyed (stopped) before the index its
+  /// connection threads read.
+  net::Server server_;
 };
 
 }  // namespace gpudiff::store

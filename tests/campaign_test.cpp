@@ -252,14 +252,14 @@ TEST(Checkpoint, RejectsForeignAndVersionedDocuments) {
   // The manifest loader applies the same rule to campaign.json.
   TempDir dir("gpudiff_foreign_manifest");
   std::filesystem::create_directories(dir.path);
-  const std::string manifest = campaign::LeaseBoard::manifest_path(dir.str());
+  const std::string manifest = campaign::manifest_path(dir.str());
   for (const char* doc :
        {"{}", R"({"format":"x"})",
         R"({"format":"gpudiff-campaign-manifest","version":2})",
         R"({"format":"gpudiff-campaign-manifest"})",
         R"({"format":"gpudiff-lease","version":1})"}) {
     support::write_file(manifest, doc);
-    EXPECT_THROW(campaign::LeaseBoard::load_manifest(dir.str()),
+    EXPECT_THROW(campaign::load_manifest(dir.str()),
                  std::runtime_error)
         << doc;
   }

@@ -191,12 +191,12 @@ TEST(Coordinator, TcpAndFilesystemTransportsAreByteIdentical) {
   coordinator.stop();
 
   // Same manifest bytes, same per-lease done-file bytes, same merge.
-  EXPECT_EQ(support::read_file(campaign::LeaseBoard::manifest_path(fs_dir.str())),
-            support::read_file(campaign::LeaseBoard::manifest_path(state.str())));
+  EXPECT_EQ(support::read_file(campaign::manifest_path(fs_dir.str())),
+            support::read_file(campaign::manifest_path(state.str())));
   for (int k = 0; k < campaign::lease_count(45, 4); ++k)
     EXPECT_EQ(
-        support::read_file(campaign::LeaseBoard::done_path(fs_dir.str(), k)),
-        support::read_file(campaign::LeaseBoard::done_path(state.str(), k)))
+        support::read_file(campaign::done_path(fs_dir.str(), k)),
+        support::read_file(campaign::done_path(state.str(), k)))
         << "lease " << k;
   EXPECT_EQ(canonical(campaign::merge_lease_dir(fs_dir.str())),
             canonical(campaign::merge_lease_dir(state.str())));
@@ -293,6 +293,20 @@ TEST(Coordinator, RefusesWireVersionMismatchFatally) {
   EXPECT_FALSE(resp.at("ok").as_bool());
   EXPECT_TRUE(resp.at("fatal").as_bool())
       << "version skew must not be retried";
+
+  // Skipping the hello is refused just as fatally, and the connection is
+  // closed behind the refusal.
+  net::Socket naked = net::connect_tcp("127.0.0.1", coordinator.port(), 2.0);
+  ASSERT_TRUE(naked.valid());
+  support::Json claim = support::Json::object();
+  claim["op"] = "claim";
+  claim["lease"] = 0;
+  ASSERT_EQ(net::request_response(naked, std::move(claim), 1, &resp, 5.0),
+            net::IoStatus::Ok);
+  EXPECT_FALSE(resp.at("ok").as_bool());
+  EXPECT_TRUE(resp.at("fatal").as_bool())
+      << "a request before hello must not be retried";
+  EXPECT_NE(net::recv_message(naked, &resp, 5.0), net::IoStatus::Ok);
   coordinator.stop();
 }
 
@@ -313,6 +327,17 @@ TEST(Coordinator, DeepNestingLineRefusedCoordinatorKeepsServing) {
             net::IoStatus::Ok);
   support::Json resp;
   EXPECT_NE(net::recv_message(s, &resp, 10.0), net::IoStatus::Ok);
+
+  // A request whose seq is not a number used to kill the coordinator too:
+  // its error response re-read the seq and threw out of the connection
+  // thread.  It is answered, with the seq echoed as sent.
+  net::Socket odd = net::connect_tcp("127.0.0.1", coordinator.port(), 2.0);
+  ASSERT_TRUE(odd.valid());
+  ASSERT_EQ(odd.send_all("{\"op\":\"hello\",\"seq\":\"x\"}\n", 2.0),
+            net::IoStatus::Ok);
+  ASSERT_EQ(net::recv_message(odd, &resp, 5.0), net::IoStatus::Ok);
+  EXPECT_FALSE(resp.at("ok").as_bool());
+  EXPECT_EQ(resp.at("seq"), support::Json("x"));
 
   // A fresh worker connection still gets its hello and manifest answered.
   const auto cfg = small_config(45);
@@ -439,7 +464,7 @@ TEST(Coordinator, DisconnectedWorkerJournalsAndRepublishes) {
   // The republished block landed in the durable directory with the exact
   // bytes a connected publish would have written.
   EXPECT_TRUE(std::filesystem::exists(
-      campaign::LeaseBoard::done_path(state.str(), 0)));
+      campaign::done_path(state.str(), 0)));
 }
 
 // ---------------------------------------------------------------------------
@@ -548,7 +573,7 @@ TEST(Coordinator, MergeNamesCorruptDoneFileAndQuarantineSetsItAside) {
 
   // Truncate lease 3's done file mid-JSON — the torn write the atomic
   // rename discipline prevents, injected here as if a disk had failed.
-  const std::string victim = campaign::LeaseBoard::done_path(dir.str(), 3);
+  const std::string victim = campaign::done_path(dir.str(), 3);
   const std::string whole = support::read_file(victim);
   support::write_file(victim, whole.substr(0, whole.size() / 2));
 

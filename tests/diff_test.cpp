@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "campaign/checkpoint.hpp"
 #include "diff/campaign.hpp"
 #include "diff/metadata.hpp"
 #include "diff/report.hpp"
@@ -255,22 +256,33 @@ TEST(Campaign, PaperShapeHolds) {
 // ---------------------------------------------------------------------------
 
 TEST(Metadata, TwoSystemFlowMatchesDirectCampaign) {
-  const auto cfg = small_config(40);
-  // System 1: create + run nvcc side.  System 2: run hipcc side.
-  Metadata md = Metadata::create(cfg);
-  const auto& nvcc = *opt::find_platform("nvcc");
-  const auto& hipcc = *opt::find_platform("hipcc");
-  EXPECT_FALSE(md.has_platform(nvcc));
-  md.record_platform(nvcc);
-  EXPECT_TRUE(md.has_platform(nvcc));
-  EXPECT_FALSE(md.has_platform(hipcc));
-  md.record_platform(hipcc);
-  const CampaignResults via_metadata = md.analyze();
-  const CampaignResults direct = run_campaign(cfg);
-  ASSERT_EQ(via_metadata.per_level.size(), direct.per_level.size());
-  for (std::size_t li = 0; li < direct.per_level.size(); ++li) {
-    EXPECT_EQ(via_metadata.per_level[li].pairs, direct.per_level[li].pairs)
-        << "level " << li;
+  // The default record cap, and one small enough to bind.
+  for (const std::size_t max_records : {CampaignConfig{}.max_records,
+                                        std::size_t{3}}) {
+    auto cfg = small_config(40);
+    cfg.max_records = max_records;
+    // System 1: create + run nvcc side.  System 2: run hipcc side.
+    Metadata md = Metadata::create(cfg);
+    const auto& nvcc = *opt::find_platform("nvcc");
+    const auto& hipcc = *opt::find_platform("hipcc");
+    EXPECT_FALSE(md.has_platform(nvcc));
+    md.record_platform(nvcc);
+    EXPECT_TRUE(md.has_platform(nvcc));
+    EXPECT_FALSE(md.has_platform(hipcc));
+    md.record_platform(hipcc);
+    const CampaignResults via_metadata = md.analyze();
+    const CampaignResults direct = run_campaign(cfg);
+    ASSERT_EQ(via_metadata.per_level.size(), direct.per_level.size());
+    for (std::size_t li = 0; li < direct.per_level.size(); ++li) {
+      EXPECT_EQ(via_metadata.per_level[li].pairs, direct.per_level[li].pairs)
+          << "level " << li;
+    }
+    if (max_records == 3) {
+      EXPECT_EQ(via_metadata.records.size(), 3u) << "the cap must bind";
+    }
+    EXPECT_EQ(campaign::results_to_json(via_metadata).dump(1),
+              campaign::results_to_json(direct).dump(1))
+        << "max_records " << max_records;
   }
 }
 

@@ -26,6 +26,7 @@
 #include "campaign/checkpoint.hpp"
 #include "campaign/merge.hpp"
 #include "campaign/scheduler.hpp"
+#include "campaign/transport.hpp"
 #include "diff/campaign.hpp"
 #include "support/json.hpp"
 #include "support/lockfile.hpp"
@@ -33,7 +34,7 @@
 namespace {
 
 using namespace gpudiff;
-using campaign::LeaseBoard;
+using campaign::FsLeaseTransport;
 using campaign::WorkerOptions;
 using campaign::WorkerOutcome;
 
@@ -215,11 +216,11 @@ TEST(Scheduler, StaleClaimIsStolenAndMergeStaysByteIdentical) {
   const auto cfg = small_config();
   TempDir dir("gpudiff_sched_stale");
   // A "dead" worker claimed lease 0 an hour ago and never heartbeat again.
-  LeaseBoard dead(dir.str(), "dead");
+  FsLeaseTransport dead(dir.str(), "dead");
   dead.publish_or_verify_manifest(campaign::config_to_json(cfg), 4,
                                   campaign::lease_count(45, 4));
   ASSERT_TRUE(dead.try_claim(0));
-  ASSERT_TRUE(support::age_file(dead.claim_path(0), 3600.0));
+  ASSERT_TRUE(support::age_file(campaign::claim_path(dir.str(), 0), 3600.0));
 
   WorkerOptions options;
   options.dir = dir.str();
@@ -238,7 +239,7 @@ TEST(Scheduler, FreshClaimIsRespected) {
   const auto cfg = small_config(20);
   TempDir dir("gpudiff_sched_fresh");
   const int count = campaign::lease_count(20, 4);
-  LeaseBoard peer(dir.str(), "live-peer");
+  FsLeaseTransport peer(dir.str(), "live-peer");
   peer.publish_or_verify_manifest(campaign::config_to_json(cfg), 4, count);
   ASSERT_TRUE(peer.try_claim(0));
 
@@ -256,7 +257,7 @@ TEST(Scheduler, FreshClaimIsRespected) {
   EXPECT_FALSE(outcome.campaign_complete);
   EXPECT_EQ(outcome.leases_completed, count - 1);
   EXPECT_EQ(outcome.leases_stolen, 0);
-  EXPECT_TRUE(std::filesystem::exists(peer.claim_path(0)))
+  EXPECT_TRUE(std::filesystem::exists(campaign::claim_path(dir.str(), 0)))
       << "a live peer's fresh claim was disturbed";
 
   // Once the peer releases, any worker finishes the campaign.
@@ -273,8 +274,8 @@ TEST(Scheduler, ClaimProtocolIsExclusiveAndOwnershipAware) {
   const auto cfg = small_config(10);
   TempDir dir("gpudiff_sched_protocol");
   const int count = campaign::lease_count(10, 2);
-  LeaseBoard a(dir.str(), "a");
-  LeaseBoard b(dir.str(), "b");
+  FsLeaseTransport a(dir.str(), "a");
+  FsLeaseTransport b(dir.str(), "b");
   a.publish_or_verify_manifest(campaign::config_to_json(cfg), 2, count);
   b.publish_or_verify_manifest(campaign::config_to_json(cfg), 2, count);
 
@@ -286,16 +287,16 @@ TEST(Scheduler, ClaimProtocolIsExclusiveAndOwnershipAware) {
 
   // release is ownership-aware: b abandoning does not clear a's claim.
   b.release(3);
-  EXPECT_TRUE(std::filesystem::exists(a.claim_path(3)));
+  EXPECT_TRUE(std::filesystem::exists(campaign::claim_path(dir.str(), 3)));
 
   // A steal transfers ownership atomically; the old owner's heartbeat and
   // release become no-ops on the new claim.
   EXPECT_TRUE(b.try_steal(3));
   EXPECT_FALSE(a.heartbeat(3));
   a.release(3);
-  EXPECT_TRUE(std::filesystem::exists(b.claim_path(3)));
+  EXPECT_TRUE(std::filesystem::exists(campaign::claim_path(dir.str(), 3)));
   b.release(3);
-  EXPECT_FALSE(std::filesystem::exists(b.claim_path(3)));
+  EXPECT_FALSE(std::filesystem::exists(campaign::claim_path(dir.str(), 3)));
 
   // Stealing a nonexistent claim loses the race cleanly.
   EXPECT_FALSE(a.try_steal(4));

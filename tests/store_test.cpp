@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <thread>
@@ -551,6 +552,43 @@ TEST(StoreServe, HelloRefusesVersionMismatchesFatally) {
   EXPECT_FALSE(response.at("ok").as_bool());
   EXPECT_TRUE(response.at("fatal").as_bool());
   server.stop();
+}
+
+/// Lines of /proc/self/maps, one per mapping — so every thread stack the
+/// process still holds is counted; -1 when /proc is unreadable.
+int mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  if (!maps) return -1;
+  int n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+TEST(StoreServe, FinishedConnectionsReleaseTheirThreads) {
+  if (mapping_count() < 0) GTEST_SKIP() << "/proc/self/maps is unreadable";
+  TempDir dir("gpudiff_store_reap");
+  const std::string db = dir.file("db");
+  store::ingest(db, "c1", {kGoldenReport});
+  store::ServeOptions options;
+  options.dir = db;
+  store::StoreServer server(options);
+  server.start();
+
+  // Each cycle connects, says hello, queries and closes.  A daemon that
+  // keeps every ended connection's thread until stop() holds a stack
+  // (two mappings) per cycle, and runs out of threads after a few tens of
+  // thousands; one that joins them holds a bounded few.
+  Json ping = Json::object();
+  ping["op"] = "ping";
+  for (int i = 0; i < 50; ++i)  // warm the allocator and the stack cache
+    ASSERT_TRUE(client_query(server.port(), ping).at("ok").as_bool());
+  const int before = mapping_count();
+  for (int i = 0; i < 500; ++i)
+    ASSERT_TRUE(client_query(server.port(), ping).at("ok").as_bool());
+  const int grown = mapping_count() - before;
+  server.stop();
+  EXPECT_LT(grown, 100) << "500 finished connections left " << grown
+                        << " new mappings behind";
 }
 
 TEST(StoreServe, DeepNestingLineRefusedDaemonKeepsServing) {

@@ -391,11 +391,12 @@ BENCHMARK(BM_SchedulerOverhead)->Unit(benchmark::kMicrosecond);
 /// localhost (in-process server, real sockets, line-framed JSON) — the
 /// network transport's per-lease coordination price next to
 /// BM_SchedulerOverhead's ~21µs filesystem number.  Three request
-/// round-trips per iteration; the dominant term is not the wire but the
-/// coordinator's durability: every claim transition is persisted with an
-/// fsync'd write-then-rename, so wall time is disk-bound (hundreds of
-/// microseconds) while CPU stays in the tens of microseconds.  Heartbeats
-/// are memory-only by design and cost just the round-trip.
+/// round-trips per iteration, each answered by the same filesystem board
+/// operation BM_SchedulerOverhead times; the dominant term is neither but
+/// the coordinator's durability: every claim it grants is fsynced, file
+/// and directory, so wall time is disk-bound (hundreds of microseconds)
+/// while CPU stays in the tens of microseconds.  A heartbeat is an mtime
+/// touch and a release an unlink, neither synced.
 void BM_LeaseCycleTcp(benchmark::State& state) {
   const auto dir = std::filesystem::temp_directory_path() / "gpudiff_bm_coord";
   const auto journal =

@@ -1,35 +1,30 @@
 #pragma once
-// The TCP lease coordinator: the claim/heartbeat/steal/publish state
-// machine of campaign/scheduler.hpp served over the line-framed JSON
-// protocol of net/wire.hpp, from an in-memory board journaled to disk.
+// The TCP lease coordinator: a network front for the filesystem board.
+// Every request of the net/wire.hpp protocol runs the matching
+// FsLeaseTransport operation on the state directory, for the worker that
+// the connection's hello named — one board and one set of lease rules,
+// however a worker reaches them.  So the state directory is an ordinary
+// lease directory: a `gpudiff-campaign --worker` on it joins the same
+// fleet, a SIGKILLed coordinator restarted on it finds every claim and
+// done block where the board keeps them, and campaign::merge_lease_dir
+// consumes it directly.
 //
-// Durability model: the coordinator's state directory uses the *same
-// on-disk layout as a shared-directory lease dir* — campaign.json
-// manifest, lease-<k>.claim markers, lease-<k>.done.json blocks, all in
-// the bytes the filesystem board would write — so (a) a SIGKILLed
-// coordinator restarted on the same directory recovers every claim and
-// every done block, and (b) the ordinary merge stage
-// (campaign::merge_lease_dir) consumes a coordinator directory directly;
-// there is no second merge path to keep byte-identical.
+// Durability: each claim granted by claim or steal (file and directory)
+// and the manifest a hello publishes are fsynced before the answer; done
+// files go through support::write_file_atomic.  A restart touches every
+// surviving claim once: live owners re-beat within one heartbeat
+// interval, dead owners' claims age out and are stolen.
 //
-// Claims are persisted on every transition (claim/steal/release/reap);
-// heartbeats are deliberately memory-only.  A restart therefore resets
-// every recovered claim's heartbeat to "now": live owners re-beat within
-// one heartbeat interval, and dead owners' claims age past the staleness
-// window and are stolen — exactly the recovery the protocol already
-// defines, with no heartbeat-persistence write amplification.
+// Outside bytes: a hello or publish that could never merge — a config
+// config_from_json rejects, a lease count its config does not give, a
+// worker id that cannot end a file name, a block of another campaign or
+// of the wrong range — is refused fatally and writes nothing.
 //
 // Concurrency: net::Server's accept loop and one thread per connection,
-// every state transition under a single mutex (the state machine is tiny;
-// the expensive work — executing leases — happens on the workers).  The
-// coordinator supplies the server its hello check and op handler: each
-// connection must open with a versioned hello carrying the campaign
-// fingerprint, and mismatches are refused fatally at connect.
+// every request under a single mutex (the expensive work — executing
+// leases — happens on the workers).
 
-#include <chrono>
-#include <map>
 #include <mutex>
-#include <set>
 #include <string>
 
 #include "net/server.hpp"
@@ -51,10 +46,10 @@ struct CoordinatorOptions {
 
 class Coordinator {
  public:
-  /// Binds the listener and recovers any prior state from options.dir
-  /// (manifest, done blocks, claims — claims restart with a fresh
-  /// heartbeat).  Throws std::runtime_error if the port cannot be bound
-  /// or the recovered state is unreadable.
+  /// Binds the listener, reads the campaign manifest if options.dir has
+  /// one, and gives every claim there a fresh heartbeat.  Throws
+  /// std::runtime_error if the port cannot be bound or the manifest is
+  /// unreadable.
   explicit Coordinator(CoordinatorOptions options);
 
   /// The bound port (resolves ephemeral port 0).
@@ -72,32 +67,26 @@ class Coordinator {
   int done_count() const;
 
  private:
-  struct Claim {
-    std::string worker;
-    std::chrono::steady_clock::time_point beat;
-  };
-
-  void recover();
-  /// net::Server's hello check: seeds or verifies the campaign and names
-  /// the connection's worker; refusals throw std::invalid_argument.
+  /// net::Server's hello check: publishes or verifies the campaign's
+  /// manifest and names the connection's worker; refusals throw
+  /// std::invalid_argument.
   support::Json hello(const support::Json& request, std::string* worker);
-  /// One request against the board, under the state mutex.  `worker` is
-  /// the connection's hello-established identity.
+  /// One request against the board, under the mutex.  `worker` is the
+  /// connection's hello-established identity.
   support::Json handle(const support::Json& request,
                        const std::string& worker);
-  void persist_claim(int lease, const std::string& worker);
+  /// fsync `path` and the state directory that holds it.
+  void make_durable(const std::string& path) const;
 
   CoordinatorOptions options_;
 
-  mutable std::mutex mu_;  ///< guards the board state below
-  bool have_manifest_ = false;
-  support::Json config_echo_;
-  int lease_size_ = 0;
-  int lease_count_ = 0;
-  std::set<int> done_;
-  std::map<int, Claim> claims_;
+  /// Serializes every request; guards the manifest fields below, set
+  /// once by the startup read or the first accepted hello.
+  mutable std::mutex mu_;
+  support::Json config_echo_;  ///< the manifest's config fingerprint
+  int lease_count_ = -1;       ///< -1 until the manifest exists
 
-  /// Declared last, so it is destroyed (stopped) before the board its
+  /// Declared last, so it is destroyed (stopped) before the state its
   /// connection threads read.
   net::Server server_;
 };

@@ -39,8 +39,8 @@ int lease_count(int num_programs, int lease_size) {
   if (num_programs < 0)
     throw std::invalid_argument("lease_count: negative program count");
   if (num_programs == 0) return 0;
-  const int size = std::max(1, lease_size);
-  return (num_programs + size - 1) / size;
+  // Not (n + size - 1) / size: that overflows for n near INT_MAX.
+  return (num_programs - 1) / std::max(1, lease_size) + 1;
 }
 
 std::pair<std::uint64_t, std::uint64_t> lease_range(int num_programs,

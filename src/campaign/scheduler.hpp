@@ -89,10 +89,9 @@ std::string claim_owner(const std::string& path);
 /// "host-pid", unique across a fleet of worker processes.
 std::string default_worker_id();
 
-/// The scheduler manifest document (config fingerprint + lease geometry),
-/// shared by the filesystem transport and the TCP coordinator so both
-/// backends publish byte-identical campaign.json files and one merge stage
-/// serves both.
+/// The scheduler manifest document (config fingerprint + lease geometry)
+/// that FsLeaseTransport publishes, for directory workers and the
+/// coordinator alike.
 support::Json make_manifest(const support::Json& config_echo, int lease_size,
                             int count);
 

@@ -1,7 +1,9 @@
 #include "campaign/transport.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <filesystem>
+#include <string_view>
 #include <utility>
 
 #include "campaign/checkpoint.hpp"
@@ -58,12 +60,25 @@ std::vector<std::filesystem::path> journal_entries(const std::string& dir) {
 // FsLeaseTransport — the shared-directory board.
 // ---------------------------------------------------------------------------
 
-FsLeaseTransport::FsLeaseTransport(std::string dir, std::string worker_id)
-    : dir_(std::move(dir)), worker_(std::move(worker_id)) {
+FsLeaseTransport::FsLeaseTransport(std::string dir, std::string worker_id,
+                                   int lease_count)
+    : dir_(std::move(dir)),
+      worker_(std::move(worker_id)),
+      lease_count_(lease_count) {
   if (dir_.empty())
     throw std::invalid_argument("FsLeaseTransport: empty directory");
-  if (worker_.empty())
-    throw std::invalid_argument("FsLeaseTransport: empty worker id");
+  // The id ends file names ("." + id, ".stale." + id, ".tmp." + id); the
+  // longest is a done file's temp at the widest lease index.
+  const std::size_t max_id =
+      NAME_MAX - std::filesystem::path(done_path(dir_, INT_MAX) + ".tmp.")
+                     .filename()
+                     .string()
+                     .size();
+  if (worker_.empty() || worker_.size() > max_id ||
+      worker_.find_first_of(std::string_view("/\0", 2)) != std::string::npos)
+    throw std::invalid_argument(
+        "FsLeaseTransport: worker id must be 1 to " + std::to_string(max_id) +
+        " bytes with no '/' or NUL (it ends lease file names)");
   std::filesystem::create_directories(dir_);
 }
 
@@ -75,12 +90,12 @@ void FsLeaseTransport::publish_or_verify_manifest(
                                        "." + worker_)) {
     const support::Json existing = load_manifest(dir_);
     if (existing.at("config") != config_echo)
-      throw std::runtime_error(
+      throw ManifestMismatch(
           "scheduler: lease directory " + dir_ +
           " belongs to a different campaign configuration");
     if (existing.at("lease_size").as_int() != lease_size ||
         existing.at("lease_count").as_int() != count)
-      throw std::runtime_error(
+      throw ManifestMismatch(
           "scheduler: lease directory " + dir_ +
           " was carved with a different --lease-size; every worker of one "
           "campaign must agree on the lease geometry");
@@ -100,9 +115,11 @@ std::vector<int> FsLeaseTransport::list_done() {
 }
 
 bool FsLeaseTransport::try_claim(int lease) {
+  // A claim this worker already holds is re-touched, not lost.
   return support::publish_file_exclusive(claim_path(dir_, lease),
                                          claim_document(lease, worker_),
-                                         "." + worker_);
+                                         "." + worker_) ||
+         heartbeat(lease);
 }
 
 double FsLeaseTransport::claim_age_seconds(int lease) {
@@ -235,7 +252,8 @@ support::Json TcpLeaseTransport::request_locked(support::Json req) {
                                    nullptr);
     try {
       ensure_connected_locked();
-      return exchange_locked(socket_, req);
+      // A null request only connects: the hello and the journal flush.
+      return req.is_null() ? req : exchange_locked(socket_, req);
     } catch (const TransportError& e) {
       last_error = e.what();
       socket_.close();
@@ -285,13 +303,9 @@ void TcpLeaseTransport::publish_or_verify_manifest(
     hello_ready_ = true;
     socket_.close();  // force a fresh hello under the new parameters
   }
-  // The hello is the manifest exchange; probe with the cheapest op so a
-  // mismatch is refused here, at connect, not on the first claim.
-  request([] {
-    support::Json j = support::Json::object();
-    j["op"] = "list_done";
-    return j;
-  }());
+  // The hello is the manifest exchange: connect now, so a mismatch is
+  // refused here, not on the first claim.
+  request(support::Json());
 }
 
 bool TcpLeaseTransport::is_done(int lease) {
@@ -394,9 +408,7 @@ void TcpLeaseTransport::maintain(double /*stale_after_seconds*/) {
   // triggers flush_journal_locked).
   if (journaled_blocks() == 0) return;
   try {
-    support::Json req = support::Json::object();
-    req["op"] = "list_done";
-    request(std::move(req));
+    request(support::Json());
   } catch (const TransportError&) {
     // Still unreachable; the journal keeps waiting.
   }
@@ -405,9 +417,7 @@ void TcpLeaseTransport::maintain(double /*stale_after_seconds*/) {
 bool TcpLeaseTransport::drain() {
   if (journaled_blocks() == 0) return true;
   try {
-    support::Json req = support::Json::object();
-    req["op"] = "list_done";
-    request(std::move(req));
+    request(support::Json());
   } catch (const TransportError&) {
     return false;
   }

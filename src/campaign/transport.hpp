@@ -8,9 +8,9 @@
 //                       scheduler.hpp); one filesystem is the whole
 //                       fleet's coordination medium.
 //   TcpLeaseTransport — a line-framed JSON protocol (net/wire.hpp) against
-//                       a gpudiff coordinator (campaign/coordinator.hpp);
-//                       heterogeneous machines coordinate over the
-//                       network, no shared mount required.
+//                       a gpudiff coordinator (campaign/coordinator.hpp)
+//                       serving the filesystem board; heterogeneous
+//                       machines coordinate with no shared mount.
 //
 // The lease protocol's standing invariants are transport-agnostic and
 // every backend must preserve them: at-least-once execution (never mutual
@@ -51,6 +51,13 @@ class TransportError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// A lease directory belongs to another campaign (config or geometry):
+/// permanent, unlike the board's retryable I/O errors.
+class ManifestMismatch : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// The scheduler-facing lease protocol.  One instance per worker; not
 /// thread-safe except for heartbeat(), which the lease heartbeat timer
 /// calls from its own thread (implementations serialize internally).
@@ -62,15 +69,17 @@ class LeaseTransport {
 
   /// Publish the campaign manifest if this worker is first, else verify
   /// the existing campaign matches (config fingerprint + lease geometry).
-  /// Throws std::runtime_error on mismatch, TransportError when the
-  /// backend is unreachable.
+  /// Throws std::runtime_error on mismatch (ManifestMismatch on the
+  /// board), TransportError when the backend is unreachable.
   virtual void publish_or_verify_manifest(const support::Json& config_echo,
                                           int lease_size, int count) = 0;
 
   virtual bool is_done(int lease) = 0;
   /// Every lease index with a published done block, ascending.
   virtual std::vector<int> list_done() = 0;
-  /// Claim the lease exclusively; idempotent for this worker.
+  /// Claim the lease exclusively.  Idempotent for this worker: a claim it
+  /// already holds answers true (a heartbeat), so a retried claim whose
+  /// answer was lost never reads as a lost race.
   virtual bool try_claim(int lease) = 0;
   /// Seconds since the current claim's last heartbeat; negative if the
   /// lease is unclaimed.
@@ -107,11 +116,16 @@ class LeaseTransport {
 /// primitive from support/lockfile.hpp (exclusive link, atomic rename,
 /// mtime heartbeat), so it is safe to call concurrently from different
 /// processes — that is the point — while one instance serves one worker.
+/// The TCP coordinator serves this same board.
 class FsLeaseTransport : public LeaseTransport {
  public:
   /// Creates `dir` if needed.  `worker_id` must be unique across the fleet
-  /// (default_worker_id() yields host-pid).
-  FsLeaseTransport(std::string dir, std::string worker_id);
+  /// (default_worker_id() yields host-pid) and end file names: non-empty,
+  /// no '/' or NUL, within NAME_MAX (else std::invalid_argument).
+  /// `lease_count` seeds list_done for an already-verified manifest (the
+  /// coordinator's views); publish_or_verify_manifest sets it otherwise.
+  FsLeaseTransport(std::string dir, std::string worker_id,
+                   int lease_count = 0);
 
   const std::string& worker_id() const noexcept override { return worker_; }
   /// Publishes the manifest through an exclusive link if none exists,
@@ -120,12 +134,14 @@ class FsLeaseTransport : public LeaseTransport {
                                   int lease_size, int count) override;
   bool is_done(int lease) override;
   std::vector<int> list_done() override;
-  /// False if any claim file exists, even a stale one — staleness is the
-  /// caller's policy (see try_steal).
+  /// False if another worker's claim file exists, even a stale one —
+  /// staleness is the caller's policy (see try_steal).
   bool try_claim(int lease) override;
   double claim_age_seconds(int lease) override;
   bool try_steal(int lease) override;
   void reap_claim(int lease) override;
+  /// reap_claim with its outcome: true for exactly one of N racers.
+  bool tombstone_claim(int lease);
   bool heartbeat(int lease) override;
   void publish_done(int lease, int count, const ResultBlock& block) override;
   void release(int lease) override;
@@ -133,10 +149,6 @@ class FsLeaseTransport : public LeaseTransport {
   bool drain() override { return true; }
 
  private:
-  /// Tombstone-rename the lease's claim away; true for exactly one of N
-  /// racing callers.
-  bool tombstone_claim(int lease);
-
   std::string dir_;
   std::string worker_;
   int lease_count_ = 0;
@@ -182,8 +194,10 @@ class TcpLeaseTransport : public LeaseTransport {
   int journaled_blocks() const;
 
  private:
-  support::Json request(support::Json req);          // locks, retries
-  support::Json request_locked(support::Json req);   // one attempt cycle
+  /// Connects (hello, journal flush) as needed, then exchanges `req`; a
+  /// null `req` only connects.  request() locks, request_locked() retries.
+  support::Json request(support::Json req);
+  support::Json request_locked(support::Json req);
   void ensure_connected_locked();
   /// One seq-tagged exchange on `socket` (net::request_response); returns
   /// the ok response.  A fatal refusal throws std::runtime_error; no

@@ -33,10 +33,12 @@
 // are retryable (transient server conditions); fatal ones mean the client
 // is wrong (bad hello, malformed op) and must not retry.
 //
-// At-least-once safety mirrors the filesystem board: claim is idempotent
-// for the claim's own worker, publish accepts duplicate blocks (their
-// bytes are identical by the determinism invariant), and release/steal on
-// an unexpected state degrade to "lost the race", never to corruption.
+// At-least-once safety is the filesystem board's, because the coordinator
+// answers each request with the matching FsLeaseTransport operation on
+// its state directory: claim is idempotent for the claim's own worker,
+// publish accepts duplicate blocks (their bytes are identical by the
+// determinism invariant), and release/steal on an unexpected state
+// degrade to "lost the race", never to corruption.
 
 #include <string>
 

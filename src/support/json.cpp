@@ -383,28 +383,25 @@ void write_file_atomic(const std::string& path, std::string_view contents,
     out.flush();
     if (!out) throw std::runtime_error("write failed: " + tmp);
   }
-#ifndef _WIN32
   // Flush the data before the rename so a power loss cannot persist the
   // rename ahead of the contents (which would leave a truncated file where
-  // the previous good snapshot used to be).  Best-effort: a filesystem
-  // that rejects the sync still gets process-kill atomicity.
-  if (const int fd = ::open(tmp.c_str(), O_WRONLY); fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-#endif
+  // the previous good snapshot used to be).
+  sync_path(tmp);
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec)
     throw std::runtime_error("rename failed: " + tmp + " -> " + path + ": " +
                              ec.message());
-#ifndef _WIN32
   // Make the rename itself durable.
   const std::string dir = std::filesystem::path(path).parent_path().string();
-  if (const int dfd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY);
-      dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
+  sync_path(dir.empty() ? "." : dir);
+}
+
+void sync_path(const std::string& path) {
+#ifndef _WIN32
+  if (const int fd = ::open(path.c_str(), O_RDONLY); fd >= 0) {
+    ::fsync(fd);
+    ::close(fd);
   }
 #endif
 }

@@ -136,5 +136,8 @@ void write_file(const std::string& path, std::string_view contents);
 /// temp_suffix or the racing writers can tear each other's temp file.
 void write_file_atomic(const std::string& path, std::string_view contents,
                        const std::string& temp_suffix = ".tmp");
+/// fsync(2) the file or directory at `path`.  Best-effort: a filesystem
+/// that rejects the sync still gets process-kill atomicity.
+void sync_path(const std::string& path);
 
 }  // namespace gpudiff::support

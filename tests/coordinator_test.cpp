@@ -21,6 +21,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -346,6 +347,150 @@ TEST(Coordinator, DeepNestingLineRefusedCoordinatorKeepsServing) {
   EXPECT_NO_THROW(worker.publish_or_verify_manifest(
       campaign::config_to_json(cfg), 4, campaign::lease_count(45, 4)));
   coordinator.stop();
+}
+
+/// A raw hello for `config` with the given geometry.
+support::Json raw_hello(const support::Json& config, int lease_size,
+                        int lease_count, const std::string& worker = "raw") {
+  support::Json hello = support::Json::object();
+  hello["op"] = "hello";
+  hello["version"] = net::kWireVersion;
+  hello["worker"] = worker;
+  hello["config"] = config;
+  hello["lease_size"] = lease_size;
+  hello["lease_count"] = lease_count;
+  return hello;
+}
+
+/// Send `hello` on a fresh connection, then `request` unless it is null or
+/// the hello was refused; returns the last response.
+support::Json raw_exchange(int port, support::Json hello,
+                           support::Json request = support::Json()) {
+  net::Socket s = net::connect_tcp("127.0.0.1", port, 2.0);
+  support::Json resp;
+  EXPECT_EQ(net::request_response(s, std::move(hello), 1, &resp, 5.0),
+            net::IoStatus::Ok);
+  if (request.is_null() || !resp.get_or("ok", false).as_bool()) return resp;
+  EXPECT_EQ(net::request_response(s, std::move(request), 2, &resp, 5.0),
+            net::IoStatus::Ok);
+  return resp;
+}
+
+/// Lease `k`'s real block under `cfg`, serialized as lease `index` of
+/// `count`.
+support::Json block_doc(const diff::CampaignConfig& cfg, int count, int k,
+                        int index) {
+  const auto [b, e] = campaign::lease_range(cfg.num_programs, count, k);
+  auto out = diff::run_campaign_range(cfg, b, e);
+  campaign::ResultBlock block;
+  block.config_echo = campaign::config_to_json(cfg);
+  block.begin = b;
+  block.end = e;
+  block.per_level = std::move(out.per_level);
+  block.records = std::move(out.records);
+  return campaign::block_to_json(block, index, count);
+}
+
+TEST(Coordinator, RefusesHellosAndBlocksThatCouldNeverMerge) {
+  const auto cfg = small_config();
+  const int count = campaign::lease_count(45, 4);
+  const support::Json echo = campaign::config_to_json(cfg);
+  TempDir state("gpudiff_coord_unmergeable");
+  TempDir journal("gpudiff_coord_unmergeable_journal");
+  CoordinatorOptions copts;
+  copts.dir = state.str();
+  Coordinator coordinator(copts);
+  coordinator.start();
+  const auto expect_fatal = [](const support::Json& resp,
+                               const std::string& what) {
+    EXPECT_FALSE(resp.get_or("ok", true).as_bool()) << what;
+    EXPECT_TRUE(resp.get_or("fatal", false).as_bool()) << what;
+  };
+
+  // Hellos that would seed a manifest no worker or merge can use.
+  expect_fatal(raw_exchange(coordinator.port(),
+                            raw_hello(support::Json::object(), 4, count)),
+               "empty config");
+  expect_fatal(raw_exchange(coordinator.port(), raw_hello(echo, 4, 19)),
+               "lease count the config does not give");
+  expect_fatal(
+      raw_exchange(coordinator.port(), raw_hello(echo, 4, count, "a/b")),
+      "worker id that cannot end a file name");
+  EXPECT_FALSE(std::filesystem::exists(campaign::manifest_path(state.str())))
+      << "a refused hello seeded the manifest";
+
+  // Publishes that would become done files the merge refuses.
+  auto other = cfg;
+  other.seed = 99;
+  support::Json junk = support::Json::object();
+  junk["lease"] = support::Json::object();
+  junk["lease"]["index"] = 2;
+  junk["lease"]["count"] = count;
+  junk["hello"] = "world";
+  const std::vector<std::pair<std::string, support::Json>> blocks = {
+      {"another seed's block", block_doc(other, count, 1, 1)},
+      {"lease 2's range as index 1", block_doc(cfg, count, 2, 1)},
+      {"not a block", junk},
+  };
+  for (const auto& [what, block] : blocks) {
+    support::Json publish = support::Json::object();
+    publish["op"] = "publish";
+    publish["block"] = block;
+    expect_fatal(raw_exchange(coordinator.port(), raw_hello(echo, 4, count),
+                              std::move(publish)),
+                 what);
+  }
+  EXPECT_EQ(count_files_with_suffix(state.str(), ".done.json"), 0)
+      << "a refused publish wrote a done file";
+
+  // Nothing was poisoned: a real worker finishes and the directory merges.
+  ASSERT_TRUE(run_tcp_worker(cfg, coordinator.port(), "real", journal.str())
+                  .campaign_complete);
+  coordinator.stop();
+  EXPECT_EQ(canonical(campaign::merge_lease_dir(state.str())),
+            canonical(diff::run_campaign(cfg)));
+}
+
+TEST(Coordinator, DirectoryAndTcpWorkersShareOneBoard) {
+  // A --worker on the coordinator's state directory and two TCP workers
+  // are one fleet: every lease runs once, and the merge is the single
+  // process's bytes.
+  const auto cfg = small_config(90);
+  const int count = campaign::lease_count(90, 4);
+  TempDir state("gpudiff_coord_mixed");
+  TempDir journal("gpudiff_coord_mixed_journal");
+  CoordinatorOptions copts;
+  copts.dir = state.str();
+  Coordinator coordinator(copts);
+  coordinator.start();
+
+  std::vector<WorkerOutcome> outcomes(3);
+  std::vector<std::thread> workers;
+  workers.emplace_back([&] {
+    WorkerOptions wopts;
+    wopts.dir = state.str();
+    wopts.lease_size = 4;
+    wopts.worker_id = "dir-w";
+    outcomes[0] = campaign::run_worker(cfg, wopts);
+  });
+  for (int i = 1; i < 3; ++i) {
+    workers.emplace_back([&, i] {
+      outcomes[static_cast<std::size_t>(i)] = run_tcp_worker(
+          cfg, coordinator.port(), "tcp-w" + std::to_string(i),
+          journal.str() + "-" + std::to_string(i));
+    });
+  }
+  for (auto& w : workers) w.join();
+  coordinator.stop();
+
+  int total_leases = 0;
+  for (const auto& o : outcomes) {
+    EXPECT_TRUE(o.campaign_complete);
+    total_leases += o.leases_completed;
+  }
+  EXPECT_EQ(total_leases, count) << "a lease ran on both sides of the board";
+  EXPECT_EQ(canonical(campaign::merge_lease_dir(state.str())),
+            canonical(diff::run_campaign(cfg)));
 }
 
 // ---------------------------------------------------------------------------

@@ -281,6 +281,8 @@ TEST(Scheduler, ClaimProtocolIsExclusiveAndOwnershipAware) {
 
   EXPECT_TRUE(a.try_claim(3));
   EXPECT_FALSE(b.try_claim(3)) << "claims must be exclusive";
+  EXPECT_TRUE(a.try_claim(3))
+      << "a claim retried by its owner must not read as a lost race";
   EXPECT_GE(a.claim_age_seconds(3), 0.0);
   EXPECT_TRUE(a.heartbeat(3));
   EXPECT_FALSE(b.heartbeat(3)) << "heartbeat must verify ownership";
@@ -301,6 +303,18 @@ TEST(Scheduler, ClaimProtocolIsExclusiveAndOwnershipAware) {
   // Stealing a nonexistent claim loses the race cleanly.
   EXPECT_FALSE(a.try_steal(4));
   EXPECT_EQ(a.claim_age_seconds(4), -1.0);
+}
+
+TEST(Scheduler, WorkerIdsMustEndFileNames) {
+  // The board appends the id to file names; an id that cannot be a name
+  // suffix would fail every claim with a retryable I/O error, forever.
+  TempDir dir("gpudiff_sched_ids");
+  for (const std::string& id :
+       {std::string(), std::string("a/b"), std::string("a\0b", 3),
+        std::string(225, 'w')})
+    EXPECT_THROW(FsLeaseTransport(dir.str(), id), std::invalid_argument)
+        << "id of " << id.size() << " bytes";
+  EXPECT_NO_THROW(FsLeaseTransport(dir.str(), std::string(224, 'w')));
 }
 
 TEST(Scheduler, ReapsTempFilesStrandedByKilledPublishers) {
@@ -482,7 +496,10 @@ TEST(MergeBlocks, RejectsGapsOverlapsAndForeignConfigs) {
 /// test binary runs outside CTest.
 const char* campaign_binary() { return std::getenv("GPUDIFF_CAMPAIGN_BIN"); }
 
-pid_t spawn_campaign(const std::vector<std::string>& args) {
+/// Start the binary with `args`; its stderr goes to `stderr_path` when
+/// one is given.
+pid_t spawn_campaign(const std::vector<std::string>& args,
+                     const std::string& stderr_path = "") {
   const char* bin = campaign_binary();
   const pid_t pid = ::fork();
   if (pid == 0) {
@@ -492,6 +509,7 @@ pid_t spawn_campaign(const std::vector<std::string>& args) {
     argv.push_back(nullptr);
     // Keep child chatter out of the gtest stream.
     std::freopen("/dev/null", "w", stdout);
+    if (!stderr_path.empty()) std::freopen(stderr_path.c_str(), "w", stderr);
     ::execv(bin, argv.data());
     std::_Exit(127);
   }
@@ -665,6 +683,31 @@ TEST(FaultInjection, ConflictingModesAreRefusedBeforeAnyWork) {
     EXPECT_FALSE(std::filesystem::exists(dir.str())) << line;
     EXPECT_FALSE(std::filesystem::exists(report)) << line;
   }
+}
+
+TEST(FaultInjection, NegativeThreadsAndInputsAreRefusedBeforeAnyWork) {
+  // Both flags become unsigned counts inside (a thread count, a vector
+  // reservation), where -1 reads as 2^32 - 1.  Each must be refused by
+  // name, exit 1, before the lease directory exists.  One program keeps
+  // the campaign on one thread whatever --threads says, so a binary that
+  // lacks the check still cannot start more.
+  if (campaign_binary() == nullptr)
+    GTEST_SKIP() << "GPUDIFF_CAMPAIGN_BIN not set (run under CTest)";
+  TempDir dir("gpudiff_sched_negative");
+  const std::string err = dir.str() + "-stderr.txt";
+  for (const std::string flag : {"--threads", "--inputs"}) {
+    const pid_t pid = spawn_campaign(
+        {"--worker", dir.str(), "--programs", "1", flag, "-1"}, err);
+    ASSERT_GT(pid, 0);
+    const int status = wait_for_exit_within(pid, 30.0);
+    ASSERT_NE(status, -1) << flag << ": still running after 30 s";
+    ASSERT_TRUE(WIFEXITED(status)) << flag;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << flag;
+    EXPECT_NE(support::read_file(err).find(flag), std::string::npos)
+        << flag << ": " << support::read_file(err);
+    EXPECT_FALSE(std::filesystem::exists(dir.str())) << flag;
+  }
+  std::filesystem::remove(err);
 }
 
 }  // namespace

@@ -249,6 +249,14 @@ int main(int argc, char** argv) {
               "(the store's population rule)",
               5);
   if (!cli.parse(argc, argv)) return 1;
+  // Both become unsigned counts inside: refuse a negative one up front.
+  for (const char* flag : {"threads", "inputs"}) {
+    if (cli.get_int(flag) < 0) {
+      std::fprintf(stderr, "gpudiff-campaign: --%s must not be negative\n",
+                   flag);
+      return 1;
+    }
+  }
 
   try {
     if (cli.get_flag("list-platforms")) {

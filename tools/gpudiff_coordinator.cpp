@@ -3,15 +3,16 @@
 //
 //   gpudiff-coordinator --dir coord-state --port 7070
 //
-// The state directory is durable and uses the ordinary lease-directory
-// layout: kill the coordinator at any moment, restart it on the same
-// --dir, and it recovers every claim and every published lease block;
-// when the fleet finishes, merge the directory directly with
-//   gpudiff-campaign --merge coord-state ...
+// It serves the filesystem lease board of its state directory over TCP,
+// so the directory is an ordinary lease directory: restart a killed
+// coordinator on the same --dir and every claim and lease block is still
+// there, a `gpudiff-campaign --worker coord-state` joins the fleet, and a
+// finished fleet merges with `gpudiff-campaign --merge coord-state`.
 //
-// The coordinator is campaign-agnostic until the first worker's hello
-// seeds the manifest; after that, hellos carrying a different campaign
-// configuration (or wire protocol version) are refused at connect.
+// The coordinator is campaign-agnostic until the first hello (or a
+// --worker on the directory) publishes the manifest; after that, hellos
+// carrying another campaign or wire protocol version are refused at
+// connect.
 
 #include <atomic>
 #include <csignal>

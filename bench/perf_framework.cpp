@@ -128,6 +128,27 @@ void BM_GenerateAndCompile(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateAndCompile)->Unit(benchmark::kMicrosecond);
 
+/// diverse's compile work per program: one program through compile_set at
+/// all five levels on the registry's four platforms, a new program from a
+/// pool of 64 each iteration (generated up front, as BM_SweepAllLevels
+/// does).  nvcc and nvcc-fastmath share their O0 and O3 fast-math
+/// pipelines, so 18 of the 20 (level, platform) pairs compile.
+void BM_CompileSweep(benchmark::State& state) {
+  gen::GenConfig cfg;
+  gen::Generator g(cfg, 42);
+  std::vector<ir::Program> programs;
+  for (std::uint64_t pi = 0; pi < 64; ++pi) programs.push_back(g.generate(pi));
+  const auto platforms =
+      opt::parse_platform_list("nvcc,hipcc,hipcc-ftz,nvcc-fastmath");
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const ir::Program& p = programs[next++ % programs.size()];
+    for (const auto level : opt::kAllOptLevels)
+      benchmark::DoNotOptimize(diff::compile_set(p, platforms, level));
+  }
+}
+BENCHMARK(BM_CompileSweep)->Unit(benchmark::kMicrosecond);
+
 /// Batched input sweep: all of a program's inputs through one VM
 /// invocation loop per platform (diff::compare_batch), vs the per-input
 /// compare_run loop it replaces in the campaign driver.

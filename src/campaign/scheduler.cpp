@@ -264,9 +264,17 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
     }
   };
   // A worker that runs out of claimable leases waits for its peers (or for
-  // their claims to age out) and re-scans at this cadence.
-  const double poll_interval = std::clamp(
-      options.stale_after_seconds / 10.0, 0.002, 0.5);
+  // their claims to age out) and re-scans.  The wait starts at 2 ms and
+  // doubles up to clamp(stale_after / 10, 2 ms, 0.5 s), and starts over
+  // after any scan that made progress: a lease can take milliseconds, and
+  // the fleet is finished only when its last worker sees the last publish.
+  support::RetryPolicy idle;
+  idle.initial_backoff_seconds = 0.002;
+  idle.multiplier = 2.0;
+  idle.max_backoff_seconds =
+      std::clamp(options.stale_after_seconds / 10.0, 0.002, 0.5);
+  idle = idle.seeded_for(transport.worker_id() + "/idle");
+  int idle_spells = 0;
 
   // Start the scan at a worker-dependent offset so a fleet launched
   // simultaneously fans out across the lease range instead of serializing
@@ -363,12 +371,15 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
       }
     } else {
       down_spells = 0;
-      if (!progressed) {
+      if (progressed) {
+        idle_spells = 0;
+      } else {
         // Everything left is claimed by peers that still look alive; wait
         // for them to finish — or for their heartbeats to go stale, at
         // which point the scan above steals and the campaign still
         // converges.
-        if (!support::interruptible_sleep(poll_interval, stop)) {
+        if (!support::interruptible_sleep(idle.backoff_for(idle_spells++),
+                                          stop)) {
           stopped = true;
           break;
         }
@@ -439,32 +450,37 @@ diff::CampaignResults merge_lease_dir(const std::string& dir,
     int lease_index = -1;
     int stored_count = -1;
     ResultBlock block;
+    // Why the file cannot be lease k's block; empty when it can.  Crash
+    // litter (a torn or corrupt done file — possible only outside the
+    // atomic write-then-rename discipline, e.g. a failing disk or a
+    // partial copy) and a parseable block of another lease (a hand edit,
+    // or a coordinator before the state dir became its board) both get a
+    // diagnostic naming the file, and optionally a quarantine rename so a
+    // re-run worker regenerates the lease.
+    const auto expected = lease_range(num_programs, count, k);
+    std::string fault;
     try {
       block = block_from_json(
           support::Json::parse(support::read_file(path)), &lease_index,
           &stored_count);
+      if (lease_index != k || stored_count != count)
+        fault = " does not belong to this lease partition";
+      else if (block.begin != expected.first || block.end != expected.second)
+        fault = " covers an unexpected program range";
     } catch (const std::exception& e) {
-      // Crash litter (a torn or corrupt done file — possible only outside
-      // the atomic write-then-rename discipline, e.g. a failing disk or a
-      // partial copy) gets a diagnostic naming the file, and optionally a
-      // quarantine rename so a re-run worker regenerates the lease.
-      if (!options.quarantine)
-        throw std::runtime_error(
-            "merge_lease_dir: " + path + " is corrupt (" + e.what() +
-            "); re-run with --quarantine to set it aside and let a worker "
-            "regenerate lease " + std::to_string(k));
-      support::rename_file(path, path + ".quarantined");
-      quarantined.push_back(path);
+      fault = std::string(" is corrupt (") + e.what() + ")";
+    }
+    if (fault.empty()) {
+      blocks.push_back(std::move(block));
       continue;
     }
-    if (lease_index != k || stored_count != count)
-      throw std::runtime_error("merge_lease_dir: " + path +
-                               " does not belong to this lease partition");
-    const auto expected = lease_range(num_programs, count, k);
-    if (block.begin != expected.first || block.end != expected.second)
-      throw std::runtime_error("merge_lease_dir: " + path +
-                               " covers an unexpected program range");
-    blocks.push_back(std::move(block));
+    if (!options.quarantine)
+      throw std::runtime_error(
+          "merge_lease_dir: " + path + fault +
+          "; re-run with --quarantine to set it aside and let a worker "
+          "regenerate lease " + std::to_string(k));
+    support::rename_file(path, path + ".quarantined");
+    quarantined.push_back(path);
   }
   if (!quarantined.empty()) {
     std::string names;
@@ -474,7 +490,7 @@ diff::CampaignResults merge_lease_dir(const std::string& dir,
     }
     throw std::runtime_error(
         "merge_lease_dir: quarantined " + std::to_string(quarantined.size()) +
-        " corrupt done file(s): " + names +
+        " corrupt or misplaced done file(s): " + names +
         " (renamed *.quarantined); re-run workers against " + dir +
         " to regenerate, then merge again");
   }

@@ -174,18 +174,20 @@ bool campaign_complete(const std::string& dir);
 support::Json config_echo_of_dir(const std::string& dir);
 
 struct LeaseMergeOptions {
-  /// On a truncated or JSON-corrupt done file, rename it to
-  /// `<file>.quarantined` (so a re-run worker regenerates the lease)
-  /// instead of leaving the corrupt bytes in the merge's way.  The merge
-  /// still fails — the campaign is incomplete — but with a diagnostic
-  /// naming every quarantined file rather than a bare parse abort.
+  /// On a truncated or JSON-corrupt done file, or a parseable one whose
+  /// lease index, lease count or program range is not its name's, rename
+  /// it to `<file>.quarantined` (so a re-run worker regenerates the lease)
+  /// instead of leaving it in the merge's way.  The merge still fails —
+  /// the campaign is incomplete — but with a diagnostic naming every
+  /// quarantined file rather than a bare parse abort.
   bool quarantine = false;
 };
 
 /// Merge a completed lease directory into CampaignResults byte-identical
 /// to the single-process diff::run_campaign output.  Throws if the
 /// manifest is missing, any lease is unfinished, or any block fails
-/// validation; a corrupt done file is reported with its file name.  Only
+/// validation; a corrupt or misplaced done file is reported with its file
+/// name.  Only
 /// `lease-<k>.done.json` files are read, so crash litter beside them
 /// (publisher temps, claims, steal tombstones) never reaches the merge.
 diff::CampaignResults merge_lease_dir(const std::string& dir,

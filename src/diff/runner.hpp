@@ -47,8 +47,10 @@ struct CompiledSet {
 
 /// Compile `program` for every platform in `platforms` at `level`.
 /// `hipify_converted` selects the CUDA-compat binding on hipcc-based
-/// platforms (Tables VII/VIII).  Throws when `platforms` is empty or
-/// exceeds opt::kMaxPlatforms.
+/// platforms (Tables VII/VIII).  Each distinct opt::PipelineKey compiles
+/// once; a platform whose key an earlier one shares gets a copy of that
+/// Executable, lowering included (the same bytecode_cache).  Throws when
+/// `platforms` is empty or exceeds opt::kMaxPlatforms.
 CompiledSet compile_set(const ir::Program& program,
                         std::span<const opt::PlatformSpec> platforms,
                         opt::OptLevel level, bool hipify_converted = false);

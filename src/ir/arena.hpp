@@ -74,6 +74,18 @@ class Arena {
   std::size_t expr_count() const noexcept { return exprs_.size(); }
   std::size_t stmt_count() const noexcept { return stmts_.size(); }
 
+  /// A copy whose expression pool has room for `extra_exprs` more nodes
+  /// before it must grow (a plain copy's pools are exactly full).
+  Arena copy_with_headroom(std::size_t extra_exprs) const {
+    Arena out;
+    out.exprs_.reserve(exprs_.size() + extra_exprs);
+    out.exprs_.assign(exprs_.begin(), exprs_.end());
+    out.stmts_ = stmts_;
+    out.lists_ = lists_;
+    out.text_ = text_;
+    return out;
+  }
+
   /// Pre-size the pools (generator hot path: one arena per program).
   void reserve(std::size_t exprs, std::size_t stmts, std::size_t text_bytes) {
     exprs_.reserve(exprs);

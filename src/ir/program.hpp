@@ -52,6 +52,13 @@ class Program {
   Program(Program&&) = default;
   Program& operator=(Program&&) = default;
 
+  /// A copy whose expression pool has room for `extra_exprs` more nodes:
+  /// what the optimizer copies before its passes allocate into the pool.
+  Program copy_with_headroom(std::size_t extra_exprs) const {
+    return Program(precision_, params_, arena_.copy_with_headroom(extra_exprs),
+                   body_);
+  }
+
   Precision precision() const noexcept { return precision_; }
   void set_precision(Precision p) noexcept { precision_ = p; }
 

@@ -1,6 +1,5 @@
 #include "opt/passes.hpp"
 
-#include <functional>
 #include <vector>
 
 #include "fp/bits.hpp"
@@ -25,11 +24,15 @@ namespace {
 // *expressions* only, so Stmt references and body spans stay stable while
 // Expr references must be re-indexed (or copied by value) across any
 // make_* call.
+//
+// The walkers are templates over the rewrite callable, so a pass costs a
+// direct (usually inlined) call per node rather than a std::function
+// dispatch.
 
 /// Apply `fn` to every expression root in the program (stmt operands),
 /// allowing replacement: fn receives the root id and returns the new one.
-void transform_exprs(Program& prog, std::span<const StmtId> body,
-                     const std::function<ExprId(ExprId)>& fn) {
+template <typename Fn>
+void transform_exprs(Program& prog, std::span<const StmtId> body, Fn&& fn) {
   for (StmtId id : body) {
     Stmt& s = prog.stmt(id);
     if (s.a) s.a = fn(s.a);
@@ -38,13 +41,9 @@ void transform_exprs(Program& prog, std::span<const StmtId> body,
   }
 }
 
-void transform_exprs(Program& prog, const std::function<ExprId(ExprId)>& fn) {
-  transform_exprs(prog, prog.body(), fn);
-}
-
 /// Post-order expression rewrite.
-ExprId rewrite_post(Arena& a, ExprId id,
-                    const std::function<ExprId(ExprId)>& fn) {
+template <typename Fn>
+ExprId rewrite_post(Arena& a, ExprId id, const Fn& fn) {
   const int n = a[id].n_kids;
   for (int i = 0; i < n; ++i) {
     const ExprId kid = a[id].kid[i];
@@ -52,6 +51,28 @@ ExprId rewrite_post(Arena& a, ExprId id,
     a[id].kid[i] = replacement;
   }
   return fn(id);
+}
+
+/// Pre-order expression rewrite: the walk descends into the children of
+/// whatever `fn` returns.
+template <typename Fn>
+ExprId rewrite_pre(Arena& a, ExprId id, const Fn& fn) {
+  const ExprId root = fn(id);
+  const int n = a[root].n_kids;
+  for (int i = 0; i < n; ++i) {
+    const ExprId kid = a[root].kid[i];
+    const ExprId replacement = rewrite_pre(a, kid, fn);
+    a[root].kid[i] = replacement;
+  }
+  return root;
+}
+
+/// Rewrite every expression of the program post-order with `fn`.
+template <typename Fn>
+void rewrite_all_post(Program& prog, const Fn& fn) {
+  Arena& arena = prog.arena();
+  transform_exprs(prog, prog.body(),
+                  [&](ExprId root) { return rewrite_post(arena, root, fn); });
 }
 
 }  // namespace
@@ -109,9 +130,7 @@ void fold_constants(ir::Program& prog) {
     }
     return id;
   };
-  transform_exprs(prog, [&](ExprId root) {
-    return rewrite_post(arena, root, fold);
-  });
+  rewrite_all_post(prog, fold);
 }
 
 // ---------------------------------------------------------------------------
@@ -157,9 +176,7 @@ void contract_fma(ir::Program& prog, FmaPreference pref) {
     if (subtract) a = ir::make_neg(arena, a);
     return ir::make_fma(arena, a, rhs.kid[1], lhs_id);
   };
-  transform_exprs(prog, [&](ExprId root) {
-    return rewrite_post(arena, root, contract);
-  });
+  rewrite_all_post(prog, contract);
 }
 
 // ---------------------------------------------------------------------------
@@ -168,15 +185,16 @@ void contract_fma(ir::Program& prog, FmaPreference pref) {
 
 namespace {
 
-bool contains_call(const Arena& arena, ExprId root) {
-  std::vector<ExprId> work{root};
-  while (!work.empty()) {
-    const Expr& e = arena[work.back()];
-    work.pop_back();
-    if (e.kind == ExprKind::Call) return true;
-    for (int i = 0; i < e.n_kids; ++i) work.push_back(e.kid[i]);
-  }
-  return false;
+/// Whether the subtree at `id` has at most `budget` nodes and no call.
+/// Speculation is only profitable for cheap right-hand sides; real
+/// if-converters bail out on large expressions (and on calls, which may
+/// not be speculatable at all).  The budget bounds the recursion.
+bool cheap_to_speculate(const Arena& arena, ExprId id, int& budget) {
+  const Expr& e = arena[id];
+  if (--budget < 0 || e.kind == ExprKind::Call) return false;
+  for (int i = 0; i < e.n_kids; ++i)
+    if (!cheap_to_speculate(arena, e.kid[i], budget)) return false;
+  return true;
 }
 
 void if_convert_body(Program& prog, std::span<const StmtId> body) {
@@ -189,11 +207,8 @@ void if_convert_body(Program& prog, std::span<const StmtId> body) {
     const Stmt inner = prog.stmt(arena.body(s)[0]);
     if (inner.kind != StmtKind::AssignComp || inner.assign_op != ir::AssignOp::Add)
       continue;
-    // Speculation is only profitable for cheap right-hand sides; real
-    // if-converters bail out on large expressions (and on calls, which may
-    // not be speculatable at all).
-    if (ir::node_count(arena, inner.a) > 4) continue;
-    if (contains_call(arena, inner.a)) continue;
+    int budget = 4;
+    if (!cheap_to_speculate(arena, inner.a, budget)) continue;
     // if (cond) comp += e;  ==>  comp += (T)cond * e;
     const ExprId predicate = ir::make_bool_to_fp(arena, s.a);
     const ExprId value =
@@ -249,6 +264,7 @@ ExprId build_balanced(Arena& arena, const std::vector<ExprId>& leaves,
 
 void reassociate(ir::Program& prog, ReassocStyle style, int min_chain) {
   Arena& arena = prog.arena();
+  std::vector<ExprId> leaves;  // one buffer for every chain of the program
   const auto reassoc = [&](ExprId id) -> ExprId {
     const Expr e = arena[id];
     if (e.kind != ExprKind::Bin) return id;
@@ -258,7 +274,7 @@ void reassociate(ir::Program& prog, ReassocStyle style, int min_chain) {
     // outermost invocation handle it (the walk below runs top-down, so we
     // conservatively rebuild at every level, which converges because
     // rebuilt subtrees are in canonical shape).
-    std::vector<ExprId> leaves;
+    leaves.clear();
     collect_chain(arena, id, op, leaves);
     if (static_cast<int>(leaves.size()) < min_chain)
       return build_left(arena, leaves, op, 0, leaves.size());
@@ -266,18 +282,11 @@ void reassociate(ir::Program& prog, ReassocStyle style, int min_chain) {
       return build_left(arena, leaves, op, 0, leaves.size());
     return build_balanced(arena, leaves, op, 0, leaves.size());
   };
-  // Top-down single pass at expression roots: find maximal chains.
-  const std::function<ExprId(ExprId)> walk = [&](ExprId id) -> ExprId {
-    const ExprId root = reassoc(id);
-    const int n = arena[root].n_kids;
-    for (int i = 0; i < n; ++i) {
-      const ExprId kid = arena[root].kid[i];
-      const ExprId replacement = walk(kid);
-      arena[root].kid[i] = replacement;
-    }
-    return root;
-  };
-  transform_exprs(prog, walk);
+  // Top-down single pass at expression roots: find maximal chains.  Each
+  // rebuild is done with `leaves` before the walk descends.
+  transform_exprs(prog, prog.body(), [&](ExprId root) {
+    return rewrite_pre(arena, root, reassoc);
+  });
 }
 
 // ---------------------------------------------------------------------------

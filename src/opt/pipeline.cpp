@@ -78,67 +78,80 @@ const vmath::MathLib* select_mathlib(const CompileOptions& o) {
 
 }  // namespace
 
-Executable compile(const ir::Program& program, const CompileOptions& options) {
-  Executable exe;
-  exe.program = program;  // deep copy
-  exe.toolchain = options.toolchain;
-  exe.level = options.level;
-  exe.mathlib =
+PipelineKey pipeline_key(const CompileOptions& options,
+                         ir::Precision precision) {
+  PipelineKey key;
+  key.toolchain = options.toolchain;
+  key.passes = options.level == OptLevel::O0 ? PassClass::None
+               : options.level == OptLevel::O3_FastMath ? PassClass::FastMath
+                                                        : PassClass::Optimized;
+  if (key.passes != PassClass::None)
+    key.fma = options.fma != FmaMode::Auto ? options.fma
+              : options.toolchain == Toolchain::Nvcc ? FmaMode::LeftProduct
+                                                      : FmaMode::RightProduct;
+  key.mathlib =
       options.mathlib != nullptr ? options.mathlib : select_mathlib(options);
 
-  const bool optimized = options.level != OptLevel::O0;
-  const bool fast = options.level == OptLevel::O3_FastMath;
-  const FmaPreference fma_pref =
-      options.fma == FmaMode::Auto
-          ? (options.toolchain == Toolchain::Nvcc ? FmaPreference::LeftProduct
-                                                  : FmaPreference::RightProduct)
-          : (options.fma == FmaMode::LeftProduct ? FmaPreference::LeftProduct
-                                                 : FmaPreference::RightProduct);
-
-  if (optimized) {
-    fold_constants(exe.program);
-    contract_fma(exe.program, fma_pref);
-    if (options.toolchain == Toolchain::Hipcc) if_convert(exe.program);
-  }
-
-  if (fast) {
+  fp::FpEnv& env = key.env;
+  if (key.passes == PassClass::FastMath) {
     if (options.toolchain == Toolchain::Nvcc) {
-      reassociate(exe.program, ReassocStyle::FlattenLeft, /*min_chain=*/4);
       // -use_fast_math: .ftz on FP32 ops, approximate FP32 division; FP64
       // arithmetic stays IEEE on real nvcc.
-      exe.env.ftz32 = true;
-      exe.env.daz32 = true;
-      exe.env.div32 = fp::Div32Mode::NvApprox;
+      env.ftz32 = true;
+      env.daz32 = true;
+      env.div32 = fp::Div32Mode::NvApprox;
+    } else {
+      env.div32 = fp::Div32Mode::AmdApprox;
+      // -ffinite-math-only lowers FP32 fmin/fmax to a bare compare-select;
+      // the FP64 entry points keep IEEE NaN semantics because the paper's
+      // recommended -DHIP_FAST_MATH spelling only swaps FP32 intrinsics
+      // (paper §III-D, footnote on ROCm issue #28).
+      if (precision == ir::Precision::FP32) env.naive_minmax = true;
+    }
+  }
+  // Platform-registry overrides land after the level pipeline so a
+  // registry entry can pin the FP environment independently of the level
+  // ("hipcc with FTZ on at every level").
+  if (options.force_ftz32) env.ftz32 = true;
+  if (options.force_daz32) env.daz32 = true;
+  switch (options.div32) {
+    case Div32Override::Auto: break;
+    case Div32Override::IEEE: env.div32 = fp::Div32Mode::IEEE; break;
+    case Div32Override::NvApprox: env.div32 = fp::Div32Mode::NvApprox; break;
+    case Div32Override::AmdApprox: env.div32 = fp::Div32Mode::AmdApprox; break;
+  }
+  return key;
+}
+
+Executable compile(const ir::Program& program, const CompileOptions& options) {
+  const PipelineKey key = pipeline_key(options, program.precision());
+  Executable exe;
+  exe.toolchain = key.toolchain;
+  exe.level = options.level;
+  exe.mathlib = key.mathlib;
+  exe.env = key.env;
+  if (key.passes == PassClass::None) {
+    exe.program = program;  // deep copy
+  } else {
+    // A plain copy's pools are exactly full, so the first node a pass
+    // allocates would move the whole expression pool; give the copy room
+    // for what the passes add instead.
+    exe.program = program.copy_with_headroom(program.arena().expr_count());
+    fold_constants(exe.program);
+    contract_fma(exe.program, key.fma == FmaMode::LeftProduct
+                                  ? FmaPreference::LeftProduct
+                                  : FmaPreference::RightProduct);
+    if (key.toolchain == Toolchain::Hipcc) if_convert(exe.program);
+  }
+  if (key.passes == PassClass::FastMath) {
+    if (key.toolchain == Toolchain::Nvcc) {
+      reassociate(exe.program, ReassocStyle::FlattenLeft, /*min_chain=*/4);
     } else {
       reassociate(exe.program, ReassocStyle::BalancedTree, /*min_chain=*/4);
       // -ffast-math / -DHIP_FAST_MATH: reciprocal math applies to FP64 too.
       if (exe.program.precision() == ir::Precision::FP64)
         reciprocal_division(exe.program);
-      exe.env.div32 = fp::Div32Mode::AmdApprox;
-      // -ffinite-math-only lowers FP32 fmin/fmax to a bare compare-select;
-      // the FP64 entry points keep IEEE NaN semantics because the paper's
-      // recommended -DHIP_FAST_MATH spelling only swaps FP32 intrinsics
-      // (paper §III-D, footnote on ROCm issue #28).
-      if (exe.program.precision() == ir::Precision::FP32)
-        exe.env.naive_minmax = true;
     }
-  }
-
-  // Platform-registry overrides land after the level pipeline so a
-  // registry entry can pin the FP environment independently of the level
-  // ("hipcc with FTZ on at every level").  They must precede the bytecode
-  // lowering below: the lowered program bakes the environment in.
-  if (options.force_ftz32) exe.env.ftz32 = true;
-  if (options.force_daz32) exe.env.daz32 = true;
-  switch (options.div32) {
-    case Div32Override::Auto: break;
-    case Div32Override::IEEE: exe.env.div32 = fp::Div32Mode::IEEE; break;
-    case Div32Override::NvApprox:
-      exe.env.div32 = fp::Div32Mode::NvApprox;
-      break;
-    case Div32Override::AmdApprox:
-      exe.env.div32 = fp::Div32Mode::AmdApprox;
-      break;
   }
 
   // Lower to bytecode once, here, so every copy of the Executable (and

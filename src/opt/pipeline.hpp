@@ -75,6 +75,31 @@ struct CompileOptions {
   const vmath::MathLib* mathlib = nullptr;
 };
 
+/// Which passes a level runs: none at O0, the optimizing set at O1..O3
+/// (the three run the same passes), or the fast-math set at O3 fast math.
+enum class PassClass : std::uint8_t { None, Optimized, FastMath };
+
+/// Everything compile() branches on, resolved from the options and the
+/// program's precision: the toolchain, the pass class, the FMA contraction
+/// side, the FP environment after the level and the platform overrides,
+/// and the bound math library after the HIPIFY binding and any override.
+/// compile() builds the key first and reads only its fields, so compiles
+/// of one program under equal keys produce the same kernel
+/// (vgpu::BytecodeProgram::same_kernel); diff::compile_set compiles each
+/// distinct key once.
+struct PipelineKey {
+  Toolchain toolchain = Toolchain::Nvcc;
+  PassClass passes = PassClass::None;
+  /// LeftProduct or RightProduct; Auto when no passes run.
+  FmaMode fma = FmaMode::Auto;
+  fp::FpEnv env;
+  const vmath::MathLib* mathlib = nullptr;
+
+  friend bool operator==(const PipelineKey&, const PipelineKey&) = default;
+};
+
+PipelineKey pipeline_key(const CompileOptions& options, ir::Precision precision);
+
 /// A compiled test: what the virtual GPU executes.
 struct Executable {
   ir::Program program;                       ///< optimized kernel
@@ -97,7 +122,9 @@ struct Executable {
 };
 
 /// Run the toolchain's pipeline for the given level.  The input program is
-/// copied; generation artifacts are never mutated.
+/// copied; generation artifacts are never mutated.  A compile costs one
+/// program copy (its expression pool sized once for what the passes add),
+/// the passes and one bytecode lowering.
 Executable compile(const ir::Program& program, const CompileOptions& options);
 
 }  // namespace gpudiff::opt

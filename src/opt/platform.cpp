@@ -104,8 +104,8 @@ std::vector<std::string> platform_names(std::span<const PlatformSpec> specs) {
   return names;
 }
 
-Executable compile(const ir::Program& program, const PlatformSpec& spec,
-                   OptLevel level, bool hipify_converted) {
+CompileOptions compile_options(const PlatformSpec& spec, OptLevel level,
+                               bool hipify_converted) {
   CompileOptions o;
   o.toolchain = spec.toolchain;
   o.level = spec.fast_math && level != OptLevel::O0 ? OptLevel::O3_FastMath
@@ -122,7 +122,12 @@ Executable compile(const ir::Program& program, const PlatformSpec& spec,
                                "': unknown math library '" + spec.mathlib +
                                "'");
   }
-  return compile(program, o);
+  return o;
+}
+
+Executable compile(const ir::Program& program, const PlatformSpec& spec,
+                   OptLevel level, bool hipify_converted) {
+  return compile(program, compile_options(spec, level, hipify_converted));
 }
 
 }  // namespace gpudiff::opt

@@ -75,6 +75,13 @@ std::vector<PlatformSpec> default_platforms();
 /// Names of `specs`, in order (campaign results carry these labels).
 std::vector<std::string> platform_names(std::span<const PlatformSpec> specs);
 
+/// The compile options `spec` resolves to at `level`: fast_math maps every
+/// optimized level to O3 fast math, and `hipify_converted` applies only to
+/// hipcc-based platforms.  Throws std::runtime_error when the spec names
+/// an unknown math library.
+CompileOptions compile_options(const PlatformSpec& spec, OptLevel level,
+                               bool hipify_converted = false);
+
 /// Compile `program` for `spec` at `level`.  `hipify_converted` applies
 /// only to hipcc-based platforms (Tables VII/VIII).  For the built-in
 /// "nvcc"/"hipcc" specs this is bit-for-bit the pre-registry compile

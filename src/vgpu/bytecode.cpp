@@ -1,7 +1,6 @@
 #include "vgpu/bytecode.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -20,6 +19,18 @@ using ir::Stmt;
 using ir::StmtId;
 using ir::StmtKind;
 
+/// What one lowering fills before the finished program takes exactly
+/// sized copies.  compile_bytecode keeps one per thread, so a steady-state
+/// lowering allocates only the finished program's own vectors.
+struct LoweringScratch {
+  std::vector<BcInsn> code;
+  std::vector<double> consts64;
+  std::vector<float> consts32;
+  std::vector<int> array_params;
+  std::vector<int> array_slot;  ///< per parameter: its array slot, or -1
+  std::vector<char> stored;     ///< per parameter: a reachable store names it
+};
+
 }  // namespace
 
 /// Lowers one Program into a BytecodeProgram.  Registers [0, n_temps) are
@@ -27,21 +38,30 @@ using ir::StmtKind;
 /// them with a high-water mark that sizes the register file.
 class BytecodeCompiler {
  public:
-  BytecodeCompiler(const Program& program, BytecodeProgram& out)
-      : program_(program), arena_(program.arena()), out_(out) {
-    scratch_base_ = program.max_temp_id() + 1;
+  BytecodeCompiler(const Program& program, const fp::FpEnv& env,
+                   BytecodeProgram& out, LoweringScratch& scratch)
+      : program_(program), arena_(program.arena()), env_(env), out_(out),
+        code_(scratch.code), consts64_(scratch.consts64),
+        consts32_(scratch.consts32), array_params_(scratch.array_params),
+        array_slot_(scratch.array_slot), stored_(scratch.stored) {
+    code_.clear();
+    consts64_.clear();
+    consts32_.clear();
+    array_params_.clear();
+    const auto& params = program.params();
+    stored_.assign(params.size(), 0);
+    scan(std::span<const StmtId>(program.body()), /*lowered=*/true);
+    scratch_base_ = max_temp_ + 1;
     out_.num_temps_ = scratch_base_;
     out_.num_regs_ = scratch_base_;
-    const auto& params = program.params();
     out_.num_params_ = static_cast<int>(params.size());
-    array_slot_.assign(params.size(), -1);
     // Arrays the program stores to get backing storage; read-only arrays
     // keep their broadcast argument value, so loads lower to scalar loads.
-    mark_stores(std::span<const StmtId>(program.body()));
+    array_slot_.assign(params.size(), -1);
     for (std::size_t i = 0; i < params.size(); ++i) {
-      if (params[i].kind == ir::ParamKind::Array && stored_[i]) {
-        array_slot_[i] = static_cast<int>(out_.array_params_.size());
-        out_.array_params_.push_back(static_cast<int>(i));
+      if (params[i].kind == ir::ParamKind::Array && stored_[i] != 0) {
+        array_slot_[i] = static_cast<int>(array_params_.size());
+        array_params_.push_back(static_cast<int>(i));
       }
     }
   }
@@ -49,17 +69,54 @@ class BytecodeCompiler {
   void compile() {
     compile_body(std::span<const StmtId>(program_.body()));
     emit({BcOp::Halt});
+    out_.code_.assign(code_.begin(), code_.end());
+    out_.consts64_.assign(consts64_.begin(), consts64_.end());
+    out_.consts32_.assign(consts32_.begin(), consts32_.end());
+    out_.array_params_.assign(array_params_.begin(), array_params_.end());
   }
 
  private:
+  /// One walk over the statements before lowering: the highest temporary
+  /// declared anywhere (Program::max_temp_id), and which array parameters
+  /// a store in a lowered statement (one reached through For/If bodies)
+  /// names.
+  void scan(std::span<const StmtId> body, bool lowered) {
+    for (StmtId id : body) {
+      const Stmt& s = arena_[id];
+      if (s.kind == StmtKind::DeclTemp) max_temp_ = std::max(max_temp_, s.index);
+      if (lowered && s.kind == StmtKind::StoreArray && s.index >= 0 &&
+          static_cast<std::size_t>(s.index) < stored_.size())
+        stored_[static_cast<std::size_t>(s.index)] = 1;
+      scan(arena_.body(s), lowered && (s.kind == StmtKind::For ||
+                                       s.kind == StmtKind::If));
+    }
+  }
+
   // --- emission helpers -------------------------------------------------
   int emit(BcInsn insn) {
-    out_.code_.push_back(insn);
-    return static_cast<int>(out_.code_.size()) - 1;
+    code_.push_back(insn);
+    return static_cast<int>(code_.size()) - 1;
   }
-  int here() const noexcept { return static_cast<int>(out_.code_.size()); }
+  int here() const noexcept { return static_cast<int>(code_.size()); }
   void patch(int insn_index, int target) {
-    out_.code_[static_cast<std::size_t>(insn_index)].dst = target;
+    code_[static_cast<std::size_t>(insn_index)].dst = target;
+  }
+
+  // Pending forward jumps to one target form a list chained through their
+  // own `dst` fields, so building one allocates nothing: `list` holds the
+  // newest jump's index (kNoJumps when empty) and each jump's dst the
+  // next older one, until patch_list() points them all at the target.
+  static constexpr int kNoJumps = -1;
+  void add_jump(int& list, int insn_index) {
+    patch(insn_index, list);
+    list = insn_index;
+  }
+  void patch_list(int list, int target) {
+    while (list != kNoJumps) {
+      const int older = code_[static_cast<std::size_t>(list)].dst;
+      patch(list, target);
+      list = older;
+    }
   }
 
   int alloc(int& next) {
@@ -84,23 +141,11 @@ class BytecodeCompiler {
     // The pool is tiny; linear probing beats a map at this size.  Constants
     // are matched by bits so -0.0 and 0.0 stay distinct.
     const auto bits = fp::to_bits(v);
-    for (std::size_t i = 0; i < out_.consts64_.size(); ++i)
-      if (fp::to_bits(out_.consts64_[i]) == bits) return static_cast<int>(i);
-    out_.consts64_.push_back(v);
-    out_.consts32_.push_back(static_cast<float>(v));
-    return static_cast<int>(out_.consts64_.size()) - 1;
-  }
-
-  void mark_stores(std::span<const StmtId> body) {
-    if (stored_.empty()) stored_.assign(program_.params().size(), false);
-    for (StmtId id : body) {
-      const Stmt& s = arena_[id];
-      if (s.kind == StmtKind::StoreArray && s.index >= 0 &&
-          static_cast<std::size_t>(s.index) < stored_.size())
-        stored_[static_cast<std::size_t>(s.index)] = true;
-      if (s.kind == StmtKind::For || s.kind == StmtKind::If)
-        mark_stores(arena_.body(s));
-    }
+    for (std::size_t i = 0; i < consts64_.size(); ++i)
+      if (fp::to_bits(consts64_[i]) == bits) return static_cast<int>(i);
+    consts64_.push_back(v);
+    consts32_.push_back(static_cast<float>(v));
+    return static_cast<int>(consts64_.size()) - 1;
   }
 
   // --- statements -------------------------------------------------------
@@ -176,10 +221,10 @@ class BytecodeCompiler {
         break;
       }
       case StmtKind::If: {
-        std::vector<int> to_end;
+        int to_end = kNoJumps;
         compile_cond(s.a, next, /*sense=*/false, to_end);
         compile_body(arena_.body(s));
-        for (int idx : to_end) patch(idx, here());
+        patch_list(to_end, here());
         break;
       }
     }
@@ -297,7 +342,7 @@ class BytecodeCompiler {
         const int dst = alloc(next);
         // -ffinite-math-only fmin/fmax lower to a bare compare-select at
         // bytecode-compile time (hipcc-sim fast math).
-        if (env_ && env_->naive_minmax &&
+        if (env_.naive_minmax &&
             (e.fn == ir::MathFn::Fmin || e.fn == ir::MathFn::Fmax)) {
           const BcOp op = e.fn == ir::MathFn::Fmin ? BcOp::MinNaive : BcOp::MaxNaive;
           emit({op, 0, 0, 0, dst, ra, rb});
@@ -326,23 +371,23 @@ class BytecodeCompiler {
   /// Materialize a boolean expression as 1.0/0.0 in a register.
   int compile_bool_value(ExprId id, int& next) {
     const int mark = next;
-    std::vector<int> to_false;
+    int to_false = kNoJumps;
     compile_cond(id, next, /*sense=*/false, to_false);
     next = mark;
     const int dst = alloc(next);
     emit({BcOp::LoadConst, 0, 0, 0, dst, const_index(1.0)});
     const int skip = emit({BcOp::Jump});
-    for (int idx : to_false) patch(idx, here());
+    patch_list(to_false, here());
     emit({BcOp::LoadConst, 0, 0, 0, dst, const_index(0.0)});
     patch(skip, here());
     return dst;
   }
 
-  /// Emit code that jumps (to targets returned in `fixups`, patched by the
+  /// Emit code that jumps (through the jump list `jumps`, patched by the
   /// caller) when the boolean value of `e` equals `sense`, and falls
   /// through otherwise.  &&/|| short-circuit exactly as the tree-walk
   /// interpreter does, so skipped operands contribute no ops or flags.
-  void compile_cond(ExprId id, int& next, bool sense, std::vector<int>& fixups) {
+  void compile_cond(ExprId id, int& next, bool sense, int& jumps) {
     const Expr& e = arena_[id];
     switch (e.kind) {
       case ExprKind::Cmp: {
@@ -355,7 +400,7 @@ class BytecodeCompiler {
         insn.sense = sense ? 1 : 0;
         insn.a = ra;
         insn.b = rb;
-        fixups.push_back(emit(insn));
+        add_jump(jumps, emit(insn));
         return;
       }
       case ExprKind::BoolBin: {
@@ -364,18 +409,18 @@ class BytecodeCompiler {
         // both propagate directly to the kids; the mixed cases route the
         // first kid to the fall-through point past the second.
         if (is_and != sense) {  // (AND, jump-if-false) or (OR, jump-if-true)
-          compile_cond(e.kid[0], next, sense, fixups);
-          compile_cond(e.kid[1], next, sense, fixups);
+          compile_cond(e.kid[0], next, sense, jumps);
+          compile_cond(e.kid[1], next, sense, jumps);
         } else {
-          std::vector<int> past;
+          int past = kNoJumps;
           compile_cond(e.kid[0], next, !sense, past);
-          compile_cond(e.kid[1], next, sense, fixups);
-          for (int idx : past) patch(idx, here());
+          compile_cond(e.kid[1], next, sense, jumps);
+          patch_list(past, here());
         }
         return;
       }
       case ExprKind::BoolNot:
-        compile_cond(e.kid[0], next, !sense, fixups);
+        compile_cond(e.kid[0], next, !sense, jumps);
         return;
       default: {
         // FP expression in boolean position (C truthiness, not counted).
@@ -385,7 +430,7 @@ class BytecodeCompiler {
         BcInsn insn{BcOp::TruthJump};
         insn.sense = sense ? 1 : 0;
         insn.a = r;
-        fixups.push_back(emit(insn));
+        add_jump(jumps, emit(insn));
         return;
       }
     }
@@ -427,16 +472,18 @@ class BytecodeCompiler {
            static_cast<std::size_t>(index) >= program_.params().size();
   }
 
- public:
-  void set_env(const fp::FpEnv* env) noexcept { env_ = env; }
-
  private:
   const Program& program_;
   const Arena& arena_;
+  const fp::FpEnv& env_;
   BytecodeProgram& out_;
-  const fp::FpEnv* env_ = nullptr;
-  std::vector<bool> stored_;
-  std::vector<int> array_slot_;
+  std::vector<BcInsn>& code_;
+  std::vector<double>& consts64_;
+  std::vector<float>& consts32_;
+  std::vector<int>& array_params_;
+  std::vector<int>& array_slot_;
+  std::vector<char>& stored_;
+  int max_temp_ = -1;
   int scratch_base_ = 0;
 };
 
@@ -459,37 +506,13 @@ BytecodeProgram compile_bytecode(const ir::Program& program, const fp::FpEnv& en
       out.cyc_call_ = fp32 ? 6 : 24;  // fast paths are FP32-only
   }
 
-  BytecodeCompiler compiler(program, out);
-  compiler.set_env(&env);
+  thread_local LoweringScratch scratch;
+  BytecodeCompiler compiler(program, env, out, scratch);
   compiler.compile();
-
-  out.digest_ = out.compute_digest();
   return out;
 }
 
 namespace {
-
-/// Three-words-per-step hash.  The multiplies are independent of the
-/// chain, which carries only a rotate and an add, so a step costs a few
-/// cycles.  Multiplying by an odd constant and adding to the rotated state
-/// are both bijections, so sequences that differ in one word never
-/// collide.  It only filters same_kernel() calls: cheap, not strong.
-class WordDigest {
- public:
-  void add(std::uint64_t w0, std::uint64_t w1 = 0, std::uint64_t w2 = 0) noexcept {
-    h_ = std::rotl(h_, 23) + ((w0 * 0x9e3779b97f4a7c15ull) ^
-                              (w1 * 0xc2b2ae3d27d4eb4full) ^
-                              (w2 * 0x165667b19e3779f9ull));
-  }
-  std::uint64_t value() const noexcept { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
-std::uint64_t u32(std::int32_t v) noexcept {
-  return static_cast<std::uint32_t>(v);
-}
 
 template <typename T>
 bool same_bits(const std::vector<T>& x, const std::vector<T>& y) noexcept {
@@ -499,37 +522,16 @@ bool same_bits(const std::vector<T>& x, const std::vector<T>& y) noexcept {
 
 }  // namespace
 
-std::uint64_t BytecodeProgram::compute_digest() const noexcept {
-  WordDigest d;
-  // Field by field: BcInsn has padding bytes, so its raw bytes are not a
-  // function of its value.
-  for (const BcInsn& in : code_)
-    d.add(static_cast<std::uint64_t>(in.op) | std::uint64_t{in.aux} << 8 |
-              std::uint64_t{in.sense} << 16 | std::uint64_t{in.u16} << 24,
-          u32(in.dst) | u32(in.a) << 32, u32(in.b) | u32(in.c) << 32);
-  for (std::size_t i = 0; i < consts64_.size(); ++i)
-    d.add(fp::to_bits(consts64_[i]), fp::to_bits(consts32_[i]));
-  for (const int p : array_params_) d.add(u32(p));
-  d.add(static_cast<std::uint64_t>(precision_) |
-            std::uint64_t{env_.ftz32} << 8 | std::uint64_t{env_.daz32} << 9 |
-            std::uint64_t{env_.ftz64} << 10 | std::uint64_t{env_.daz64} << 11 |
-            std::uint64_t{env_.naive_minmax} << 12 |
-            static_cast<std::uint64_t>(env_.div32) << 16,
-        reinterpret_cast<std::uintptr_t>(mathlib_));
-  d.add(u32(num_params_), u32(num_regs_), u32(num_temps_));
-  d.add(cyc_div_, cyc_call_);
-  return d.value();
-}
-
 bool BytecodeProgram::same_kernel(const BytecodeProgram& other) const noexcept {
-  return digest_ == other.digest_ && code_ == other.code_ &&
-         same_bits(consts64_, other.consts64_) &&
-         same_bits(consts32_, other.consts32_) &&
-         array_params_ == other.array_params_ &&
-         precision_ == other.precision_ && env_ == other.env_ &&
-         mathlib_ == other.mathlib_ && num_params_ == other.num_params_ &&
+  // The scalar fields first: kernels of different platforms or levels
+  // almost always differ there, so a mismatch costs a few compares.
+  return mathlib_ == other.mathlib_ && env_ == other.env_ &&
+         precision_ == other.precision_ && num_params_ == other.num_params_ &&
          num_regs_ == other.num_regs_ && num_temps_ == other.num_temps_ &&
-         cyc_div_ == other.cyc_div_ && cyc_call_ == other.cyc_call_;
+         cyc_div_ == other.cyc_div_ && cyc_call_ == other.cyc_call_ &&
+         code_ == other.code_ && same_bits(consts64_, other.consts64_) &&
+         same_bits(consts32_, other.consts32_) &&
+         array_params_ == other.array_params_;
 }
 
 bool BatchReuse::lookup(const BytecodeProgram& program,
@@ -538,9 +540,7 @@ bool BatchReuse::lookup(const BytecodeProgram& program,
     const std::size_t n = inputs.size();
     for (std::size_t k = 0; k < entries_.size(); ++k) {
       const BytecodeProgram& seen = *entries_[k];
-      if (seen.digest() != program.digest() ||
-          (&seen != &program && !seen.same_kernel(program)))
-        continue;
+      if (&seen != &program && !seen.same_kernel(program)) continue;
       std::copy_n(results_.data() + k * n, n, out);
       ++batches_reused;
       return true;

@@ -132,8 +132,9 @@ class BytecodeProgram;
 /// program at five levels, and O1, O2 and O3 usually lower to the same
 /// kernel.
 ///
-/// The key is the kernel's content (BytecodeProgram::same_kernel, with the
-/// digest as a filter) and the input set: the table keeps the bit patterns
+/// The key is the kernel's content (BytecodeProgram::same_kernel; a copy
+/// of an Executable shares its lowering, so the same program matches by
+/// address) and the input set: the table keeps the bit patterns
 /// of the last input set it saw and forgets every entry when a batch
 /// brings a different one.  Inputs compare bit for bit, so +0.0 and -0.0
 /// are different inputs.  Only completed batches are recorded, at most
@@ -210,11 +211,6 @@ class BytecodeProgram {
   ir::Precision precision() const noexcept { return precision_; }
   std::size_t insn_count() const noexcept { return code_.size(); }
 
-  /// 64-bit digest of every field execution reads, computed once by
-  /// compile_bytecode.  Identical kernels have equal digests; the converse
-  /// only usually holds, so a match is confirmed with same_kernel().
-  std::uint64_t digest() const noexcept { return digest_; }
-
   /// Whether `other` executes exactly as this program does on every input:
   /// the same instructions, constants (by bit pattern), array slots,
   /// precision, FP environment, math library, register layout and cycle
@@ -255,7 +251,6 @@ class BytecodeProgram {
                       RunResult* out) const;
   template <typename T>
   void prepare(ExecContext& ctx) const;
-  std::uint64_t compute_digest() const noexcept;
 
   std::vector<BcInsn> code_;
   std::vector<double> consts64_;
@@ -269,7 +264,6 @@ class BytecodeProgram {
   int num_temps_ = 0;
   std::uint64_t cyc_div_ = 16;   ///< issue cycles per divide (CycleModel)
   std::uint64_t cyc_call_ = 24;  ///< issue cycles per library call
-  std::uint64_t digest_ = 0;     ///< see digest()
 };
 
 /// Lower an optimized program once.  Never throws for malformed IR:

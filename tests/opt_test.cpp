@@ -3,14 +3,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "diff/runner.hpp"
 #include "fp/bits.hpp"
 #include "gen/generator.hpp"
 #include "gen/inputs.hpp"
 #include "ir/builder.hpp"
+#include "ir/serialize.hpp"
 #include "opt/passes.hpp"
 #include "opt/pipeline.hpp"
+#include "opt/platform.hpp"
+#include "support/strings.hpp"
+#include "vgpu/bytecode.hpp"
 #include "vgpu/interp.hpp"
 
 namespace {
@@ -485,6 +493,124 @@ TEST(Pipeline, DescriptionSpellsFlags) {
             "nvcc-sim -O3 -use_fast_math");
   EXPECT_EQ(compile(p, {Toolchain::Hipcc, OptLevel::O3_FastMath, false}).description(),
             "hipcc-sim -O3 -DHIP_FAST_MATH");
+}
+
+/// The compile grid both lock tests sweep: seeded programs of both
+/// precisions, hipify off and on, the registry's four platforms at every
+/// level, each level's set compiled by diff::compile_set as a campaign
+/// compiles it.  `visit` sees every program's inputs and compiled sets.
+struct CompileGrid {
+  static constexpr int kPrograms = 24;
+  static constexpr int kInputs = 3;
+
+  template <typename Visit>
+  static void sweep(const Visit& visit) {
+    const std::vector<PlatformSpec> platforms =
+        parse_platform_list("nvcc,hipcc,hipcc-ftz,nvcc-fastmath");
+    for (const Precision prec : {Precision::FP64, Precision::FP32}) {
+      gen::GenConfig cfg;
+      cfg.precision = prec;
+      const gen::Generator g(cfg, 2024);
+      const gen::InputGenerator ig(2024);
+      for (int pi = 0; pi < kPrograms; ++pi) {
+        const Program p = g.generate(static_cast<std::uint64_t>(pi));
+        std::vector<vgpu::KernelArgs> inputs;
+        for (int ii = 0; ii < kInputs; ++ii)
+          inputs.push_back(ig.generate(p, static_cast<std::uint64_t>(pi),
+                                       static_cast<std::uint64_t>(ii)));
+        for (const bool hipify : {false, true}) {
+          std::vector<diff::CompiledSet> sets;
+          for (const OptLevel level : kAllOptLevels)
+            sets.push_back(diff::compile_set(p, platforms, level, hipify));
+          visit(p, platforms, hipify, inputs, sets);
+        }
+      }
+    }
+  }
+};
+
+TEST(Pipeline, CompiledOutputLocked) {
+  // What every compile of the grid produces: the optimized program, the
+  // FP environment, the level, the bound library and the VM's results on
+  // the program's inputs.  BytecodeProgram internals (and any address)
+  // stay out, so the digest is the same in every build; it was taken with
+  // the library before compiles became allocation-light and compile_set
+  // shared duplicate pipelines.
+  std::string per_compile;
+  std::size_t compiles = 0;
+  vgpu::ExecContext ctx;
+  CompileGrid::sweep([&](const Program&, const std::vector<PlatformSpec>&, bool,
+                         const std::vector<vgpu::KernelArgs>& inputs,
+                         const std::vector<diff::CompiledSet>& sets) {
+    std::vector<vgpu::RunResult> runs(inputs.size());
+    for (const diff::CompiledSet& set : sets) {
+      for (const Executable& exe : set.exes) {
+        std::string record = ir::program_to_json(exe.program).dump();
+        record += " env " + std::to_string(exe.env.ftz32) +
+                  std::to_string(exe.env.daz32) +
+                  std::to_string(exe.env.ftz64) +
+                  std::to_string(exe.env.daz64) +
+                  std::to_string(static_cast<int>(exe.env.div32)) +
+                  std::to_string(exe.env.naive_minmax);
+        record += " " + to_string(exe.level) + " " + exe.mathlib->name();
+        exe.bytecode().run_batch(inputs, ctx, runs.data());
+        for (const vgpu::RunResult& r : runs)
+          record += " " + std::to_string(r.value_bits) + "/" +
+                    std::to_string(r.flags.raw()) + "/" +
+                    std::to_string(r.op_count) + "/" +
+                    std::to_string(r.cycle_count);
+        per_compile += support::fnv1a64_hex(record);
+        ++compiles;
+      }
+    }
+  });
+  EXPECT_EQ(compiles, 2u * CompileGrid::kPrograms * 2 * 5 * 4);
+  EXPECT_EQ(support::fnv1a64_hex(per_compile), "cad97b1e77d842a2");
+}
+
+TEST(Pipeline, EqualKeysImplySameKernel) {
+  // compile() branches only on its PipelineKey, so equal keys of one
+  // program must lower to the same kernel; compile_set compiles such
+  // duplicates once and hands out copies sharing the lowering.  Of the 20
+  // (level, platform) pairs of the four platforms, 9 keys are distinct:
+  // each platform's O1..O3 share one, and nvcc-fastmath shares nvcc's O0
+  // and O3 fast-math pipelines at every level.
+  std::size_t programs = 0;
+  CompileGrid::sweep([&](const Program& p,
+                         const std::vector<PlatformSpec>& platforms,
+                         bool hipify, const std::vector<vgpu::KernelArgs>&,
+                         const std::vector<diff::CompiledSet>& sets) {
+    std::vector<std::pair<PipelineKey, const Executable*>> seen;
+    for (std::size_t li = 0; li < sets.size(); ++li) {
+      const diff::CompiledSet& set = sets[li];
+      std::vector<PipelineKey> level_keys;
+      for (std::size_t i = 0; i < platforms.size(); ++i) {
+        const PipelineKey key = pipeline_key(
+            compile_options(platforms[i], kAllOptLevels[li], hipify),
+            p.precision());
+        const Executable& exe = set.exes[i];
+        for (std::size_t j = 0; j < i; ++j)
+          if (level_keys[j] == key)
+            EXPECT_EQ(exe.bytecode_cache, set.exes[j].bytecode_cache)
+                << "compile_set compiled a duplicate pipeline twice";
+        level_keys.push_back(key);
+        for (const auto& [other_key, other] : seen)
+          if (other_key == key)
+            EXPECT_TRUE(exe.bytecode().same_kernel(other->bytecode()))
+                << platforms[i].name << " " << to_string(kAllOptLevels[li]);
+        seen.emplace_back(key, &exe);
+      }
+    }
+    std::vector<PipelineKey> distinct;
+    for (const auto& entry : seen)
+      if (std::find(distinct.begin(), distinct.end(), entry.first) ==
+          distinct.end())
+        distinct.push_back(entry.first);
+    EXPECT_EQ(seen.size(), 20u);
+    EXPECT_EQ(distinct.size(), 9u);
+    ++programs;
+  });
+  EXPECT_EQ(programs, 2u * CompileGrid::kPrograms * 2);
 }
 
 TEST(Pipeline, CompileDoesNotMutateInput) {

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -417,6 +419,105 @@ TEST(Scheduler, StopFlushesInFlightLeaseAndReleasesEveryClaim) {
   const WorkerOutcome finished = campaign::run_worker(cfg, finish);
   EXPECT_TRUE(finished.campaign_complete);
   EXPECT_EQ(finished.leases_stolen, 0) << "released claims need no stealing";
+  EXPECT_EQ(canonical(campaign::merge_lease_dir(dir.str())),
+            canonical(diff::run_campaign(cfg)));
+}
+
+TEST(Scheduler, IdleWorkerWakesSoonAfterLastPublish) {
+  // A worker whose only unfinished lease is held by a live peer waits and
+  // re-scans.  At the default stale_after that wait was a flat half
+  // second, so a fleet ended up to 0.5 s after its last publish; the wait
+  // now backs off from 2 ms and starts over after every scan that made
+  // progress.
+  using Clock = std::chrono::steady_clock;
+  const auto cfg = small_config(16);
+  TempDir dir("gpudiff_sched_idle_wake");
+  const int lease_size = 4;
+  const int count = campaign::lease_count(16, lease_size);
+  FsLeaseTransport holder(dir.str(), "holder");
+  holder.publish_or_verify_manifest(campaign::config_to_json(cfg), lease_size,
+                                    count);
+  ASSERT_TRUE(holder.try_claim(0));
+  const auto [begin, end] = campaign::lease_range(16, count, 0);
+  const campaign::ResultBlock held = make_block(cfg, begin, end);
+
+  std::atomic<int> leases_done{0};
+  std::atomic<Clock::rep> last_lease{0};
+  WorkerOptions options;  // the default stale_after
+  options.dir = dir.str();
+  options.lease_size = lease_size;
+  options.worker_id = "idler";
+  options.on_lease = [&](const WorkerOptions::LeaseEvent&) {
+    last_lease = Clock::now().time_since_epoch().count();
+    ++leases_done;
+  };
+  WorkerOutcome outcome;
+  Clock::time_point returned;
+  std::thread worker([&] {
+    outcome = campaign::run_worker(cfg, options);
+    returned = Clock::now();
+  });
+  EXPECT_TRUE(wait_until([&] { return leases_done == count - 1; }))
+      << "the worker never finished the leases nobody held";
+  std::this_thread::sleep_until(Clock::time_point(Clock::duration(last_lease)) +
+                                std::chrono::milliseconds(60));
+  holder.publish_done(0, count, held);
+  holder.release(0);
+  const Clock::time_point published = Clock::now();
+  worker.join();
+
+  EXPECT_TRUE(outcome.campaign_complete);
+  EXPECT_EQ(outcome.leases_completed, count - 1);
+  const double wake_ms =
+      std::chrono::duration<double, std::milli>(returned - published).count();
+  EXPECT_LT(wake_ms, 250.0)
+      << "the idle worker slept through the last publish";
+  EXPECT_EQ(canonical(campaign::merge_lease_dir(dir.str())),
+            canonical(diff::run_campaign(cfg)));
+}
+
+TEST(Merge, QuarantineSetsAsideWrongRangeDoneFiles) {
+  // A done file that parses but holds another lease's block (a hand edit,
+  // or a coordinator from before its state dir was the board) is named by
+  // the merge; under quarantine it is set aside like a corrupt one, so a
+  // worker re-run regenerates the lease instead of the merge failing for
+  // good.
+  const auto cfg = small_config(20);
+  TempDir dir("gpudiff_merge_wrong_range");
+  WorkerOptions options;
+  options.dir = dir.str();
+  options.lease_size = 4;
+  options.worker_id = "w0";
+  ASSERT_TRUE(campaign::run_worker(cfg, options).campaign_complete);
+  const std::string victim = campaign::done_path(dir.str(), 1);
+  support::write_file(victim,
+                      support::read_file(campaign::done_path(dir.str(), 2)));
+
+  try {
+    campaign::merge_lease_dir(dir.str());
+    FAIL() << "another lease's block must not merge";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(victim), std::string::npos)
+        << "diagnostic must name the file, got: " << e.what();
+  }
+  EXPECT_TRUE(std::filesystem::exists(victim))
+      << "without quarantine the merge must leave the file alone";
+
+  campaign::LeaseMergeOptions mopts;
+  mopts.quarantine = true;
+  try {
+    campaign::merge_lease_dir(dir.str(), mopts);
+    FAIL() << "quarantine still fails the merge (the lease is missing)";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("quarantined"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find(victim), std::string::npos);
+  }
+  EXPECT_FALSE(std::filesystem::exists(victim));
+  EXPECT_TRUE(std::filesystem::exists(victim + ".quarantined"));
+
+  options.worker_id = "w1";
+  ASSERT_TRUE(campaign::run_worker(cfg, options).campaign_complete);
   EXPECT_EQ(canonical(campaign::merge_lease_dir(dir.str())),
             canonical(diff::run_campaign(cfg)));
 }

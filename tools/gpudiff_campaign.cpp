@@ -225,8 +225,8 @@ int main(int argc, char** argv) {
                  "about (--coordinator mode; default: per-worker temp dir)",
                  "");
   cli.add_flag("quarantine",
-               "--merge only: set corrupt lease done files aside as "
-               "*.quarantined instead of aborting on the first one");
+               "--merge only: set corrupt or misplaced lease done files "
+               "aside as *.quarantined instead of aborting on the first one");
   cli.add_flag("progress",
                "print progress after every 64-program block, or after every "
                "lease in worker mode");

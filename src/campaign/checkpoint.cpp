@@ -14,28 +14,23 @@ namespace {
 constexpr const char* kLeaseFormat = "gpudiff-lease";
 constexpr const char* kResultsFormat = "gpudiff-campaign-results";
 
-Json levels_to_json(const std::vector<opt::OptLevel>& levels) {
-  Json arr = Json::array();
-  for (const auto level : levels) arr.push_back(opt::to_string(level));
-  return arr;
-}
-
-std::vector<opt::OptLevel> levels_from_json(const Json& arr) {
-  std::vector<opt::OptLevel> levels;
-  for (const auto& l : arr.as_array()) {
-    opt::OptLevel level;
-    if (!opt::parse_opt_level(l.as_string(), &level))
-      throw std::runtime_error("campaign: bad opt level " + l.as_string());
-    levels.push_back(level);
-  }
-  return levels;
-}
-
 Json outcome_to_json(const fp::Outcome& o) {
   Json j = Json::object();
   j["cls"] = static_cast<int>(o.cls);
   j["neg"] = o.negative;
   return j;
+}
+
+/// A record's discrepancy class: a column index in
+/// [0, kDiscrepancyClassCount), or, where `none_ok`, -1 for None (the
+/// baseline's and an agreeing platform's entry in a pair-class list).
+diff::DiscrepancyClass class_from_json(const Json& j, bool none_ok) {
+  const auto index = j.as_int();
+  if (none_ok && index == -1) return diff::DiscrepancyClass::None;
+  if (index < 0 || index >= diff::kDiscrepancyClassCount)
+    throw std::runtime_error("campaign: record class " +
+                             std::to_string(index) + " out of range");
+  return diff::class_from_index(static_cast<int>(index));
 }
 
 fp::Outcome outcome_from_json(const Json& j) {
@@ -82,6 +77,19 @@ std::vector<std::string> platform_names_from_echo(const Json& config_echo) {
   return names;
 }
 
+Json platform_to_json(const opt::PlatformSpec& spec) {
+  Json p = Json::object();
+  p["name"] = spec.name;
+  p["toolchain"] = opt::to_string(spec.toolchain);
+  p["fast_math"] = spec.fast_math;
+  p["ftz32"] = spec.force_ftz32;
+  p["daz32"] = spec.force_daz32;
+  p["fma"] = opt::to_string(spec.fma);
+  p["div32"] = opt::to_string(spec.div32);
+  p["mathlib"] = spec.mathlib;
+  return p;
+}
+
 Json config_to_json(const diff::CampaignConfig& config) {
   Json j = Json::object();
   j["seed"] = static_cast<long long>(config.seed);
@@ -89,25 +97,15 @@ Json config_to_json(const diff::CampaignConfig& config) {
   j["hipify_converted"] = config.hipify_converted;
   j["num_programs"] = config.num_programs;
   j["inputs_per_program"] = config.inputs_per_program;
-  j["levels"] = levels_to_json(config.levels);
+  j["levels"] = diff::levels_to_json(config.levels);
   j["max_records"] = static_cast<long long>(config.max_records);
 
   // The full spec of every selected platform, not just its name: a lease
   // block must be a pure function of (fingerprint, range), and a spec's
   // knobs are what decide the numbers.
   Json platforms = Json::array();
-  for (const opt::PlatformSpec& spec : config.platforms) {
-    Json p = Json::object();
-    p["name"] = spec.name;
-    p["toolchain"] = opt::to_string(spec.toolchain);
-    p["fast_math"] = spec.fast_math;
-    p["ftz32"] = spec.force_ftz32;
-    p["daz32"] = spec.force_daz32;
-    p["fma"] = opt::to_string(spec.fma);
-    p["div32"] = opt::to_string(spec.div32);
-    p["mathlib"] = spec.mathlib;
-    platforms.push_back(std::move(p));
-  }
+  for (const opt::PlatformSpec& spec : config.platforms)
+    platforms.push_back(platform_to_json(spec));
   j["platforms"] = std::move(platforms);
 
   // The full generator grammar: any change to it changes every generated
@@ -182,7 +180,7 @@ diff::CampaignConfig config_from_json(const Json& config_echo) {
       static_cast<int>(config_echo.at("num_programs").as_int());
   config.inputs_per_program =
       static_cast<int>(config_echo.at("inputs_per_program").as_int());
-  config.levels = levels_from_json(config_echo.at("levels"));
+  config.levels = diff::levels_from_json(config_echo.at("levels"));
   config.max_records =
       static_cast<std::size_t>(config_echo.at("max_records").as_int());
 
@@ -358,7 +356,7 @@ diff::DiscrepancyRecord record_from_json(const Json& j,
   rec.input_index = static_cast<int>(j.at("input").as_int());
   if (!opt::parse_opt_level(j.at("level").as_string(), &rec.level))
     throw std::runtime_error("campaign: bad record level");
-  rec.cls = diff::class_from_index(static_cast<int>(j.at("class").as_int()));
+  rec.cls = class_from_json(j.at("class"), /*none_ok=*/false);
   if (j.contains("nvcc")) {
     rec.outcomes.push_back(outcome_from_json(j.at("nvcc").at("outcome")));
     rec.printed.push_back(j.at("nvcc").at("printed").as_string());
@@ -370,11 +368,8 @@ diff::DiscrepancyRecord record_from_json(const Json& j,
       rec.outcomes.push_back(outcome_from_json(entry.at("outcome")));
       rec.printed.push_back(entry.at("printed").as_string());
     }
-    for (const auto& cls : j.at("classes").as_array()) {
-      const auto index = static_cast<int>(cls.as_int());
-      rec.pair_cls.push_back(index < 0 ? diff::DiscrepancyClass::None
-                                       : diff::class_from_index(index));
-    }
+    for (const auto& cls : j.at("classes").as_array())
+      rec.pair_cls.push_back(class_from_json(cls, /*none_ok=*/true));
     if (rec.pair_cls.size() != rec.outcomes.size())
       throw std::runtime_error("campaign: record classes/platforms mismatch");
   }
@@ -454,7 +449,7 @@ Json results_to_json(const diff::CampaignResults& results,
   j["hipify_converted"] = results.hipify_converted;
   j["num_programs"] = results.num_programs;
   j["inputs_per_program"] = results.inputs_per_program;
-  j["levels"] = levels_to_json(results.levels);
+  j["levels"] = diff::levels_to_json(results.levels);
   if (!legacy) {
     Json platforms = Json::array();
     for (const auto& name : results.platforms) platforms.push_back(name);
@@ -499,7 +494,7 @@ diff::CampaignResults results_from_json(const Json& j) {
   results.num_programs = static_cast<int>(j.at("num_programs").as_int());
   results.inputs_per_program =
       static_cast<int>(j.at("inputs_per_program").as_int());
-  results.levels = levels_from_json(j.at("levels"));
+  results.levels = diff::levels_from_json(j.at("levels"));
   results.platforms.clear();
   if (j.contains("platforms")) {
     for (const auto& name : j.at("platforms").as_array())

@@ -16,6 +16,10 @@
 
 namespace gpudiff::campaign {
 
+/// One selected platform as the fingerprint spells it: every PlatformSpec
+/// field that decides results (the display-only `blurb` is left out).
+support::Json platform_to_json(const opt::PlatformSpec& spec);
+
 /// Full configuration fingerprint: every field of CampaignConfig that
 /// affects results (seed, precision, counts, levels, record cap, the whole
 /// generator grammar, and the full spec of every selected platform) — but

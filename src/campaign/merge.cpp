@@ -20,12 +20,7 @@ diff::CampaignResults merge_blocks(const support::Json& config_echo,
       static_cast<int>(config_echo.at("num_programs").as_int());
   results.inputs_per_program =
       static_cast<int>(config_echo.at("inputs_per_program").as_int());
-  for (const auto& l : config_echo.at("levels").as_array()) {
-    opt::OptLevel level;
-    if (!opt::parse_opt_level(l.as_string(), &level))
-      throw std::runtime_error("merge_blocks: bad opt level in fingerprint");
-    results.levels.push_back(level);
-  }
+  results.levels = diff::levels_from_json(config_echo.at("levels"));
   results.platforms = platform_names_from_echo(config_echo);
   const auto max_records =
       static_cast<std::size_t>(config_echo.at("max_records").as_int());

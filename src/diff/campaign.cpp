@@ -55,14 +55,22 @@ const LevelStats& CampaignResults::stats_for(opt::OptLevel level) const {
   throw std::out_of_range("CampaignResults: level not part of campaign");
 }
 
-namespace {
+support::Json levels_to_json(const std::vector<opt::OptLevel>& levels) {
+  support::Json arr = support::Json::array();
+  for (const auto level : levels) arr.push_back(opt::to_string(level));
+  return arr;
+}
 
-struct ProgramOutcome {
-  std::vector<LevelStats> per_level;
-  std::vector<DiscrepancyRecord> records;  ///< canonical (input, level) order
-};
-
-}  // namespace
+std::vector<opt::OptLevel> levels_from_json(const support::Json& names) {
+  std::vector<opt::OptLevel> levels;
+  for (const auto& name : names.as_array()) {
+    opt::OptLevel level;
+    if (!opt::parse_opt_level(name.as_string(), &level))
+      throw std::runtime_error("campaign: bad opt level " + name.as_string());
+    levels.push_back(level);
+  }
+  return levels;
+}
 
 void append_capped_records(std::vector<DiscrepancyRecord>& dst,
                            std::vector<DiscrepancyRecord>&& src,
@@ -72,6 +80,67 @@ void append_capped_records(std::vector<DiscrepancyRecord>& dst,
   dst.insert(dst.end(), std::make_move_iterator(src.begin()),
              std::make_move_iterator(src.begin() +
                                      static_cast<std::ptrdiff_t>(take)));
+}
+
+void append_outcome(RangeOutcome& range, RangeOutcome&& next,
+                    std::size_t max_records) {
+  for (std::size_t li = 0; li < range.per_level.size(); ++li)
+    range.per_level[li].merge(next.per_level[li]);
+  append_capped_records(range.records, std::move(next.records), max_records);
+}
+
+ProgramTally::ProgramTally(std::uint64_t program_index,
+                           const std::vector<opt::OptLevel>& levels,
+                           std::size_t n_platforms)
+    : program_index_(program_index), levels_(levels) {
+  outcome_.per_level.assign(levels.size(), LevelStats::zero(n_platforms));
+}
+
+void ProgramTally::add_level(std::size_t li,
+                             std::span<const ComparisonResult> cmps) {
+  LevelStats& stats = outcome_.per_level[li];
+  for (std::size_t ii = 0; ii < cmps.size(); ++ii) {
+    const ComparisonResult& cmp = cmps[ii];
+    ++stats.comparisons;
+    if (!cmp.discrepant()) continue;
+    for (std::size_t p = 1; p < cmp.count; ++p) {
+      const DiscrepancyClass cls = cmp.pair_cls[p];
+      if (cls == DiscrepancyClass::None) continue;
+      PairStats& pair = stats.pairs[p - 1];
+      ++pair.class_counts[class_index(cls)];
+      ++pair.adjacency[static_cast<int>(cmp.platforms[0].outcome.cls)]
+                      [static_cast<int>(cmp.platforms[p].outcome.cls)];
+    }
+    DiscrepancyRecord rec;
+    rec.program_index = program_index_;
+    rec.input_index = static_cast<int>(ii);
+    rec.level = levels_[li];
+    rec.cls = cmp.cls;
+    rec.outcomes.reserve(cmp.count);
+    rec.printed.reserve(cmp.count);
+    rec.pair_cls.reserve(cmp.count);
+    for (std::size_t p = 0; p < cmp.count; ++p) {
+      rec.outcomes.push_back(cmp.platforms[p].outcome);
+      rec.printed.push_back(cmp.platforms[p].printed());
+      rec.pair_cls.push_back(cmp.pair_cls[p]);
+    }
+    found_.emplace_back(li, std::move(rec));
+  }
+}
+
+RangeOutcome ProgramTally::finish() && {
+  // Canonical per-program record order: input-major, then level position.
+  // Levels arrive one at a time (one compiled set per level), so reorder
+  // before handing the records over.
+  std::stable_sort(found_.begin(), found_.end(),
+                   [](const auto& a, const auto& b) {
+                     if (a.second.input_index != b.second.input_index)
+                       return a.second.input_index < b.second.input_index;
+                     return a.first < b.first;
+                   });
+  outcome_.records.reserve(found_.size());
+  for (auto& [li, rec] : found_) outcome_.records.push_back(std::move(rec));
+  return std::move(outcome_);
 }
 
 RangeOutcome run_campaign_range(const CampaignConfig& config,
@@ -92,16 +161,14 @@ RangeOutcome run_campaign_range(const CampaignConfig& config,
   const gen::InputGenerator input_gen(config.seed);
 
   const std::size_t n_programs = static_cast<std::size_t>(end - begin);
-  std::vector<ProgramOutcome> outcomes(n_programs);
+  std::vector<RangeOutcome> outcomes(n_programs);
   std::atomic<std::uint64_t> completed{0};
 
   support::parallel_for(
       n_programs,
       [&](std::size_t oi) {
         const std::uint64_t pi = begin + oi;
-        ProgramOutcome& out = outcomes[oi];
-        out.per_level.assign(config.levels.size(),
-                             LevelStats::zero(n_platforms));
+        ProgramTally tally(pi, config.levels, n_platforms);
         const ir::Program program = generator.generate(pi);
 
         // Materialize this program's inputs once.
@@ -117,57 +184,16 @@ RangeOutcome run_campaign_range(const CampaignConfig& config,
         // parallel_for's extra workers are per-call, so in the default
         // one-thread-per-shard distribution shape reuse is total.)
         thread_local SweepContext sweep;
-        // (level position, record) pairs, sorted into canonical order below.
-        std::vector<std::pair<std::size_t, DiscrepancyRecord>> found;
 
         for (std::size_t li = 0; li < config.levels.size(); ++li) {
           const CompiledSet set =
               compile_set(program, config.platforms, config.levels[li],
                           config.hipify_converted);
-          LevelStats& stats = out.per_level[li];
           // Batched sweep: all of this program's inputs through one VM
           // invocation loop per platform (arg checks amortized).
-          const std::vector<ComparisonResult>& cmps =
-              compare_batch(set, inputs, sweep);
-          for (int ii = 0; ii < config.inputs_per_program; ++ii) {
-            const ComparisonResult& cmp = cmps[static_cast<std::size_t>(ii)];
-            ++stats.comparisons;
-            if (!cmp.discrepant()) continue;
-            for (std::size_t p = 1; p < n_platforms; ++p) {
-              const DiscrepancyClass cls = cmp.pair_cls[p];
-              if (cls == DiscrepancyClass::None) continue;
-              PairStats& pair = stats.pairs[p - 1];
-              ++pair.class_counts[class_index(cls)];
-              ++pair.adjacency[static_cast<int>(cmp.platforms[0].outcome.cls)]
-                              [static_cast<int>(cmp.platforms[p].outcome.cls)];
-            }
-            DiscrepancyRecord rec;
-            rec.program_index = pi;
-            rec.input_index = ii;
-            rec.level = config.levels[li];
-            rec.cls = cmp.cls;
-            rec.outcomes.reserve(n_platforms);
-            rec.printed.reserve(n_platforms);
-            rec.pair_cls.reserve(n_platforms);
-            for (std::size_t p = 0; p < n_platforms; ++p) {
-              rec.outcomes.push_back(cmp.platforms[p].outcome);
-              rec.printed.push_back(cmp.platforms[p].printed());
-              rec.pair_cls.push_back(cmp.pair_cls[p]);
-            }
-            found.emplace_back(li, std::move(rec));
-          }
+          tally.add_level(li, compare_batch(set, inputs, sweep));
         }
-        // Canonical per-program record order: input-major, then level
-        // position.  The emission loop above is level-major (one compiled
-        // set per level), so reorder before handing the records over.
-        std::stable_sort(found.begin(), found.end(),
-                         [](const auto& a, const auto& b) {
-                           if (a.second.input_index != b.second.input_index)
-                             return a.second.input_index < b.second.input_index;
-                           return a.first < b.first;
-                         });
-        out.records.reserve(found.size());
-        for (auto& [li, rec] : found) out.records.push_back(std::move(rec));
+        outcomes[oi] = std::move(tally).finish();
         if (hooks.on_program) {
           const auto done = completed.fetch_add(1, std::memory_order_relaxed);
           hooks.on_program(done + 1, n_programs);
@@ -175,19 +201,11 @@ RangeOutcome run_campaign_range(const CampaignConfig& config,
       },
       config.threads, /*chunk=*/4);
 
-  // Deterministic merge in program order.  Statistics are never capped;
-  // record retention stops outright once max_records is reached instead of
-  // re-entering the record loop for every remaining program.
+  // Deterministic merge in program order.  Statistics are never capped.
   RangeOutcome range;
   range.per_level.assign(config.levels.size(), LevelStats::zero(n_platforms));
   for (auto& out : outcomes)
-    for (std::size_t li = 0; li < config.levels.size(); ++li)
-      range.per_level[li].merge(out.per_level[li]);
-  for (auto& out : outcomes) {
-    if (range.records.size() >= config.max_records) break;
-    append_capped_records(range.records, std::move(out.records),
-                          config.max_records);
-  }
+    append_outcome(range, std::move(out), config.max_records);
   return range;
 }
 

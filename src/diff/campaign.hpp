@@ -26,6 +26,7 @@
 #include "gen/config.hpp"
 #include "gen/generator.hpp"
 #include "gen/inputs.hpp"
+#include "support/json.hpp"
 
 namespace gpudiff::diff {
 
@@ -127,6 +128,12 @@ struct CampaignResults {
   const LevelStats& stats_for(opt::OptLevel level) const;
 };
 
+/// The "levels" member of every campaign document (config fingerprint,
+/// reports, metadata files): level names in campaign order.  Reading
+/// refuses an unknown name by name.
+support::Json levels_to_json(const std::vector<opt::OptLevel>& levels);
+std::vector<opt::OptLevel> levels_from_json(const support::Json& names);
+
 /// Stats and records for one contiguous program-index range.  Records are
 /// in canonical order — (program_index, input_index, level position) — and
 /// capped at `max_records` within the range; since any record dropped by
@@ -146,6 +153,42 @@ struct RangeOutcome {
 void append_capped_records(std::vector<DiscrepancyRecord>& dst,
                            std::vector<DiscrepancyRecord>&& src,
                            std::size_t cap);
+
+/// Fold the outcome of the programs right after `range` onto it: the
+/// statistics added level by level, the records appended until `range`
+/// holds `max_records`.  run_campaign_range folds each program through
+/// it, and Metadata::analyze each test of a metadata file.
+void append_outcome(RangeOutcome& range, RangeOutcome&& next,
+                    std::size_t max_records);
+
+/// The campaign loop's tally of one program: each level's comparisons in
+/// (compare_batch / compare_lanes output), the program's statistics and
+/// its records in canonical order out.  run_campaign_range counts every
+/// program through it, and Metadata::analyze every test of a metadata
+/// file, so the two-system protocol cannot count or record differently.
+class ProgramTally {
+ public:
+  /// `levels` (the campaign's level list) must outlive the tally.
+  ProgramTally(std::uint64_t program_index,
+               const std::vector<opt::OptLevel>& levels,
+               std::size_t n_platforms);
+
+  /// Count the comparisons of level position `li`, one per input in input
+  /// order: per-pair class counts and adjacency, and one record per
+  /// discrepant input.
+  void add_level(std::size_t li, std::span<const ComparisonResult> cmps);
+
+  /// The program's statistics (aligned with the levels) and its records in
+  /// canonical order — input-major, then level position — uncapped.
+  RangeOutcome finish() &&;
+
+ private:
+  std::uint64_t program_index_;
+  const std::vector<opt::OptLevel>& levels_;
+  RangeOutcome outcome_;
+  /// (level position, record) pairs in the order add_level found them.
+  std::vector<std::pair<std::size_t, DiscrepancyRecord>> found_;
+};
 
 /// Optional instrumentation for run_campaign_range.  Hooks observe
 /// execution; they never affect results.

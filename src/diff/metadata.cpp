@@ -9,7 +9,6 @@
 namespace gpudiff::diff {
 
 using support::Json;
-using support::JsonArray;
 
 namespace {
 
@@ -18,20 +17,62 @@ namespace {
 /// toolchain spellings for the default pair).
 std::string platform_key(const std::string& name) { return name + "-sim"; }
 
-std::vector<opt::OptLevel> levels_from_json(const Json& arr) {
-  std::vector<opt::OptLevel> levels;
-  for (const auto& l : arr.as_array()) {
-    opt::OptLevel level;
-    if (!opt::parse_opt_level(l.as_string(), &level))
-      throw std::runtime_error("metadata: bad opt level " + l.as_string());
-    levels.push_back(level);
+/// One platform's runs at one level as the file stores them: the result's
+/// IEEE bits and its %.17g line, per input.
+Json runs_to_json(std::span<const vgpu::RunResult> runs,
+                  ir::Precision precision) {
+  Json out = Json::array();
+  for (const vgpu::RunResult& run : runs) {
+    Json entry = Json::object();
+    if (precision == ir::Precision::FP32) {
+      entry["bits"] = fp::encode_bits(
+          fp::from_bits<float>(static_cast<std::uint32_t>(run.value_bits)));
+    } else {
+      entry["bits"] = fp::encode_bits(fp::from_bits<double>(run.value_bits));
+    }
+    entry["printed"] = run.printed();
+    out.push_back(std::move(entry));
   }
-  return levels;
+  return out;
+}
+
+/// The inverse, back to a run lane: the value and its bits, which is all
+/// classification reads (the printed line is rebuilt from the bits).
+void runs_from_json(const Json& stored, ir::Precision precision,
+                    std::vector<vgpu::RunResult>& lane) {
+  lane.clear();
+  for (const auto& entry : stored.as_array()) {
+    const std::string& text = entry.at("bits").as_string();
+    vgpu::RunResult run;
+    if (precision == ir::Precision::FP32) {
+      const auto v = fp::decode_bits32(text);
+      if (!v) throw std::runtime_error("metadata: bad bits");
+      run.value = static_cast<double>(*v);
+      run.value_bits = fp::to_bits(*v);
+    } else {
+      const auto v = fp::decode_bits64(text);
+      if (!v) throw std::runtime_error("metadata: bad bits");
+      run.value = *v;
+      run.value_bits = fp::to_bits(*v);
+    }
+    lane.push_back(run);
+  }
+}
+
+/// A platform list analyze() can compare: a baseline plus at least one
+/// platform, and no more than one comparison holds (opt::kMaxPlatforms).
+void check_platform_count(std::size_t n) {
+  if (n < 2) throw std::runtime_error("metadata: platform list too short");
+  if (n > opt::kMaxPlatforms)
+    throw std::runtime_error("metadata: more than " +
+                             std::to_string(opt::kMaxPlatforms) +
+                             " platforms");
 }
 
 }  // namespace
 
 Metadata Metadata::create(const CampaignConfig& config) {
+  check_platform_count(config.platforms.size());
   const gen::Generator generator(config.gen, config.seed);
   const gen::InputGenerator input_gen(config.seed);
 
@@ -45,9 +86,7 @@ Metadata Metadata::create(const CampaignConfig& config) {
   cfg["num_programs"] = config.num_programs;
   cfg["inputs_per_program"] = config.inputs_per_program;
   cfg["max_records"] = static_cast<long long>(config.max_records);
-  Json levels = Json::array();
-  for (auto level : config.levels) levels.push_back(opt::to_string(level));
-  cfg["levels"] = std::move(levels);
+  cfg["levels"] = levels_to_json(config.levels);
   Json platforms = Json::array();
   for (const auto& spec : config.platforms) platforms.push_back(spec.name);
   cfg["platforms"] = std::move(platforms);
@@ -89,8 +128,7 @@ std::vector<std::string> Metadata::platform_names() const {
     // Pre-registry metadata files carried the paper pair implicitly.
     names = {"nvcc", "hipcc"};
   }
-  if (names.size() < 2)
-    throw std::runtime_error("metadata: platform list too short");
+  check_platform_count(names.size());
   return names;
 }
 
@@ -124,24 +162,18 @@ void Metadata::record_platform(const opt::PlatformSpec& platform,
         for (const auto& in : tests[ti].at("inputs").as_array())
           inputs.push_back(vgpu::KernelArgs::from_json(in, program));
 
+        // One batch per level, as the campaign loop runs them: a level
+        // whose kernel an earlier level already ran on these inputs copies
+        // its results (vgpu::BatchReuse).
+        vgpu::ExecContext exec;
+        std::vector<vgpu::RunResult> runs(inputs.size());
         Json by_level = Json::object();
         for (const auto level : levels) {
           const opt::Executable exe =
               opt::compile(program, platform, level, hipify);
-          Json runs = Json::array();
-          for (const auto& args : inputs) {
-            const vgpu::RunResult run = vgpu::run_kernel(exe, args);
-            Json entry = Json::object();
-            if (program.precision() == ir::Precision::FP32) {
-              entry["bits"] = fp::encode_bits(fp::from_bits<float>(
-                  static_cast<std::uint32_t>(run.value_bits)));
-            } else {
-              entry["bits"] = fp::encode_bits(fp::from_bits<double>(run.value_bits));
-            }
-            entry["printed"] = run.printed();
-            runs.push_back(std::move(entry));
-          }
-          by_level[opt::to_string(level)] = std::move(runs);
+          vgpu::run_kernel_batch(exe, inputs, runs.data(), exec);
+          by_level[opt::to_string(level)] =
+              runs_to_json(runs, program.precision());
         }
         per_test[ti] = std::move(by_level);
       },
@@ -192,78 +224,34 @@ CampaignResults Metadata::analyze() const {
       static_cast<int>(cfg.at("inputs_per_program").as_int());
   results.platforms = names;
   results.levels = levels;
-  results.per_level.assign(levels.size(), LevelStats::zero(n_platforms));
 
+  // Each test's stored runs go back into run lanes, level by level, and
+  // through the campaign loop's own compare, tally and merge steps.
+  RangeOutcome range;
+  range.per_level.assign(levels.size(), LevelStats::zero(n_platforms));
   const auto& tests = root_.at("tests").as_array();
-  // Per-platform scratch for one (level, input) cell, hoisted so the
-  // non-discrepant majority of cells allocates nothing.
-  std::vector<std::uint64_t> bits(n_platforms);
-  std::vector<fp::Outcome> outcomes(n_platforms);
-  std::vector<DiscrepancyClass> pair_cls(n_platforms);
+  std::vector<std::vector<vgpu::RunResult>> lanes(n_platforms);
+  std::vector<ComparisonResult> cmps;
   for (std::size_t ti = 0; ti < tests.size(); ++ti) {
     const Json& res = tests[ti].at("results");
-    // Iterate input-major so records come out in the campaign driver's
-    // canonical (program, input, level) order.
-    std::vector<std::vector<const JsonArray*>> by_level(n_platforms);
+    ProgramTally tally(ti, levels, n_platforms);
     std::size_t n_runs = 0;
-    for (std::size_t p = 0; p < n_platforms; ++p) {
-      const Json& platform_res = res.at(platform_key(names[p]));
-      by_level[p].resize(levels.size());
-      for (std::size_t li = 0; li < levels.size(); ++li) {
-        by_level[p][li] = &platform_res.at(opt::to_string(levels[li])).as_array();
-        if ((p > 0 || li > 0) && by_level[p][li]->size() != n_runs)
+    for (std::size_t li = 0; li < levels.size(); ++li) {
+      for (std::size_t p = 0; p < n_platforms; ++p) {
+        runs_from_json(
+            res.at(platform_key(names[p])).at(opt::to_string(levels[li])),
+            precision, lanes[p]);
+        if ((p > 0 || li > 0) && lanes[p].size() != n_runs)
           throw std::runtime_error("metadata: run count mismatch");
-        n_runs = by_level[p][li]->size();
+        n_runs = lanes[p].size();
       }
+      compare_lanes(lanes, precision, cmps);
+      tally.add_level(li, cmps);
     }
-    for (std::size_t ii = 0; ii < n_runs; ++ii) {
-      for (std::size_t li = 0; li < levels.size(); ++li) {
-        LevelStats& stats = results.per_level[li];
-        ++stats.comparisons;
-        for (std::size_t p = 0; p < n_platforms; ++p) {
-          const Json& entry = (*by_level[p][li])[ii];
-          if (precision == ir::Precision::FP32) {
-            const auto v = fp::decode_bits32(entry.at("bits").as_string());
-            if (!v) throw std::runtime_error("metadata: bad bits");
-            bits[p] = fp::to_bits(*v);
-            outcomes[p] = fp::outcome_of(*v);
-          } else {
-            const auto v = fp::decode_bits64(entry.at("bits").as_string());
-            if (!v) throw std::runtime_error("metadata: bad bits");
-            bits[p] = fp::to_bits(*v);
-            outcomes[p] = fp::outcome_of(*v);
-          }
-        }
-        DiscrepancyClass first = DiscrepancyClass::None;
-        pair_cls.assign(n_platforms, DiscrepancyClass::None);
-        for (std::size_t p = 1; p < n_platforms; ++p) {
-          const DiscrepancyClass cls =
-              classify_pair(outcomes[0], bits[0], outcomes[p], bits[p]);
-          pair_cls[p] = cls;
-          if (cls == DiscrepancyClass::None) continue;
-          if (first == DiscrepancyClass::None) first = cls;
-          PairStats& pair = results.per_level[li].pairs[p - 1];
-          ++pair.class_counts[class_index(cls)];
-          ++pair.adjacency[static_cast<int>(outcomes[0].cls)]
-                          [static_cast<int>(outcomes[p].cls)];
-        }
-        if (first == DiscrepancyClass::None) continue;
-        if (results.records.size() < max_records) {
-          DiscrepancyRecord rec;
-          rec.program_index = ti;
-          rec.input_index = static_cast<int>(ii);
-          rec.level = levels[li];
-          rec.cls = first;
-          rec.outcomes = outcomes;
-          rec.pair_cls = std::move(pair_cls);
-          for (std::size_t p = 0; p < n_platforms; ++p)
-            rec.printed.push_back(
-                (*by_level[p][li])[ii].at("printed").as_string());
-          results.records.push_back(std::move(rec));
-        }
-      }
-    }
+    append_outcome(range, std::move(tally).finish(), max_records);
   }
+  results.per_level = std::move(range.per_level);
+  results.records = std::move(range.records);
   return results;
 }
 

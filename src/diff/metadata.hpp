@@ -11,7 +11,8 @@
 //     inputs are recompiled with the local toolchain and re-run, and the
 //     updated metadata with both platforms' results is saved.
 //   Analysis: the combined file yields the same discrepancy statistics a
-//     single-machine run would (locked by an integration test).
+//     single-machine run would: the stored runs go through the campaign
+//     loop's own compare and tally steps (locked by tests).
 //
 // Results are stored as IEEE bit strings so the file round-trips exactly.
 
@@ -28,9 +29,11 @@ class Metadata {
   /// config's platform selection is recorded so every system runs — and
   /// the analysis step demands — the same named platforms; its record cap
   /// is recorded so analyze() keeps the records run_campaign keeps.
+  /// Throws on a platform selection platform_names() would refuse.
   static Metadata create(const CampaignConfig& config);
 
-  /// Run every test on one platform and store its results under the
+  /// Run every test on one platform, each level's inputs as one
+  /// vgpu::run_kernel_batch call, and store the results under the
   /// platform's registry name.  Re-recording a platform overwrites its
   /// previous results.
   void record_platform(const opt::PlatformSpec& platform, unsigned threads = 0);
@@ -39,11 +42,17 @@ class Metadata {
   bool has_platform(const std::string& name) const;
 
   /// Platform names this campaign compares (element 0 the baseline).
+  /// Throws on fewer than two or more than opt::kMaxPlatforms of them.
   std::vector<std::string> platform_names() const;
 
-  /// Combine every platform's stored results into campaign statistics
-  /// (each non-baseline platform classified against the baseline).
-  /// Throws if any selected platform has not been recorded.
+  /// Combine every platform's stored results into campaign statistics:
+  /// each test's stored bits become run lanes per level and pass through
+  /// compare_lanes, ProgramTally and append_outcome, the steps
+  /// run_campaign_range takes, so the results equal run_campaign's for the
+  /// same configuration.  Throws on a platform list platform_names()
+  /// refuses, if any selected platform has not been recorded, on bits that
+  /// do not decode, and on a test whose platforms or levels hold different
+  /// run counts.
   CampaignResults analyze() const;
 
   /// Number of tests (programs) carried by this metadata.

@@ -84,23 +84,35 @@ ComparisonResult compare_run(const CompiledSet& set, const vgpu::KernelArgs& arg
   return out;
 }
 
+void compare_lanes(std::span<const std::vector<vgpu::RunResult>> lanes,
+                   ir::Precision precision, std::vector<ComparisonResult>& out) {
+  if (lanes.empty())
+    throw std::invalid_argument("compare_lanes: no run lanes");
+  if (lanes.size() > opt::kMaxPlatforms)
+    throw std::invalid_argument("compare_lanes: more than kMaxPlatforms");
+  const std::size_t n_inputs = lanes.front().size();
+  for (const auto& lane : lanes)
+    if (lane.size() != n_inputs)
+      throw std::invalid_argument("compare_lanes: lanes differ in length");
+  out.resize(n_inputs);
+  for (std::size_t i = 0; i < n_inputs; ++i) {
+    ComparisonResult& cmp = out[i];
+    cmp.count = static_cast<std::uint32_t>(lanes.size());
+    for (std::size_t p = 0; p < lanes.size(); ++p)
+      cmp.platforms[p] = to_platform_result(lanes[p][i], precision);
+    classify_lanes(cmp);
+  }
+}
+
 const std::vector<ComparisonResult>& compare_batch(
     const CompiledSet& set, std::span<const vgpu::KernelArgs> inputs,
     SweepContext& ctx) {
-  const ir::Precision prec = set.precision();
   if (ctx.runs.size() < set.size()) ctx.runs.resize(set.size());
   for (std::size_t p = 0; p < set.size(); ++p) {
     ctx.runs[p].resize(inputs.size());
     vgpu::run_kernel_batch(set.exes[p], inputs, ctx.runs[p].data(), ctx.exec);
   }
-  ctx.cmps.resize(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    ComparisonResult& cmp = ctx.cmps[i];
-    cmp.count = static_cast<std::uint32_t>(set.size());
-    for (std::size_t p = 0; p < set.size(); ++p)
-      cmp.platforms[p] = to_platform_result(ctx.runs[p][i], prec);
-    classify_lanes(cmp);
-  }
+  compare_lanes({ctx.runs.data(), set.size()}, set.precision(), ctx.cmps);
   return ctx.cmps;
 }
 

@@ -95,11 +95,20 @@ struct SweepContext {
   std::vector<ComparisonResult> cmps;
 };
 
+/// Compare per-platform run lanes: lane p holds platform p's runs, one per
+/// input, and every lane holds the same number of them.  out[i] gets each
+/// platform's i-th run, classified against lane 0 (the baseline).  The
+/// second half of compare_batch, and the step Metadata::analyze feeds with
+/// runs decoded from a metadata file, so both classify one way.  Throws
+/// when `lanes` is empty, exceeds opt::kMaxPlatforms or differs in length.
+void compare_lanes(std::span<const std::vector<vgpu::RunResult>> lanes,
+                   ir::Precision precision, std::vector<ComparisonResult>& out);
+
 /// Batched sweep: run every input through one VM invocation loop per
 /// platform, amortizing argument validation and execution-context setup
-/// across the program's whole input set.  Result i is bit-identical to
-/// compare_run(set, inputs[i]).  The returned reference aliases ctx.cmps
-/// and is valid until the next call with the same context.
+/// across the program's whole input set, then compare_lanes.  Result i is
+/// bit-identical to compare_run(set, inputs[i]).  The returned reference
+/// aliases ctx.cmps and is valid until the next call with the same context.
 const std::vector<ComparisonResult>& compare_batch(
     const CompiledSet& set, std::span<const vgpu::KernelArgs> inputs,
     SweepContext& ctx);

@@ -23,9 +23,4 @@ std::string emit_cuda(const ir::Program& program);
 /// Full HIP translation unit (what the extended Varity generates natively).
 std::string emit_hip(const ir::Program& program);
 
-/// File extension Varity uses for each API ("cu" / "hip"); compiler matching
-/// in the harness keys off this (paper §III-D "Compiler Matching").
-inline const char* cuda_extension() { return "cu"; }
-inline const char* hip_extension() { return "hip"; }
-
 }  // namespace gpudiff::emit

@@ -53,20 +53,6 @@ ExprId rewrite_post(Arena& a, ExprId id, const Fn& fn) {
   return fn(id);
 }
 
-/// Pre-order expression rewrite: the walk descends into the children of
-/// whatever `fn` returns.
-template <typename Fn>
-ExprId rewrite_pre(Arena& a, ExprId id, const Fn& fn) {
-  const ExprId root = fn(id);
-  const int n = a[root].n_kids;
-  for (int i = 0; i < n; ++i) {
-    const ExprId kid = a[root].kid[i];
-    const ExprId replacement = rewrite_pre(a, kid, fn);
-    a[root].kid[i] = replacement;
-  }
-  return root;
-}
-
 /// Rewrite every expression of the program post-order with `fn`.
 template <typename Fn>
 void rewrite_all_post(Program& prog, const Fn& fn) {
@@ -251,41 +237,62 @@ ExprId build_left(Arena& arena, const std::vector<ExprId>& leaves, ir::BinOp op,
   return acc;
 }
 
-ExprId build_balanced(Arena& arena, const std::vector<ExprId>& leaves,
-                      ir::BinOp op, std::size_t lo, std::size_t hi) {
-  if (hi - lo == 1) return leaves[lo];
-  const std::size_t mid = lo + (hi - lo) / 2;
-  const ExprId lhs = build_balanced(arena, leaves, op, lo, mid);
-  const ExprId rhs = build_balanced(arena, leaves, op, mid, hi);
+/// The canonical shape of leaves [lo, hi) of a chain: a left spine under
+/// FlattenLeft or below `min_chain` leaves, otherwise the two halves split
+/// at n/2, each shaped by the same rule.  Every sub-chain of this shape is
+/// already in its own canonical shape, so one build is the fixpoint the
+/// rule asks for: each of the chain's n - 1 operation nodes is allocated
+/// once.
+ExprId build_chain(Arena& arena, const std::vector<ExprId>& leaves,
+                   ir::BinOp op, ReassocStyle style, int min_chain,
+                   std::size_t lo, std::size_t hi) {
+  const std::size_t n = hi - lo;
+  if (n == 1 || style == ReassocStyle::FlattenLeft ||
+      static_cast<int>(n) < min_chain)
+    return build_left(arena, leaves, op, lo, hi);
+  const std::size_t mid = lo + n / 2;
+  const ExprId lhs = build_chain(arena, leaves, op, style, min_chain, lo, mid);
+  const ExprId rhs = build_chain(arena, leaves, op, style, min_chain, mid, hi);
   return ir::make_bin(arena, op, lhs, rhs);
+}
+
+/// Reassociate every add/mul chain in the expression at `id`: reassociate
+/// the chain's leaves (each is some other kind of node, or another op's
+/// chain), then build the chain once in its canonical shape.  `leaves` is
+/// a stack: this chain's leaves sit above `base`, and a nested chain's
+/// above them until it returns.
+ExprId reassociate_expr(Arena& arena, ExprId id, ReassocStyle style,
+                        int min_chain, std::vector<ExprId>& leaves) {
+  const Expr e = arena[id];
+  if (e.kind == ExprKind::Bin &&
+      (e.bin_op == ir::BinOp::Add || e.bin_op == ir::BinOp::Mul)) {
+    const std::size_t base = leaves.size();
+    collect_chain(arena, id, e.bin_op, leaves);
+    for (std::size_t i = base; i < leaves.size(); ++i) {
+      const ExprId leaf =
+          reassociate_expr(arena, leaves[i], style, min_chain, leaves);
+      leaves[i] = leaf;
+    }
+    const ExprId root = build_chain(arena, leaves, e.bin_op, style, min_chain,
+                                    base, leaves.size());
+    leaves.resize(base);
+    return root;
+  }
+  for (int i = 0; i < e.n_kids; ++i) {
+    const ExprId kid =
+        reassociate_expr(arena, arena[id].kid[i], style, min_chain, leaves);
+    arena[id].kid[i] = kid;
+  }
+  return id;
 }
 
 }  // namespace
 
 void reassociate(ir::Program& prog, ReassocStyle style, int min_chain) {
   Arena& arena = prog.arena();
-  std::vector<ExprId> leaves;  // one buffer for every chain of the program
-  const auto reassoc = [&](ExprId id) -> ExprId {
-    const Expr e = arena[id];
-    if (e.kind != ExprKind::Bin) return id;
-    if (e.bin_op != ir::BinOp::Add && e.bin_op != ir::BinOp::Mul) return id;
-    const ir::BinOp op = e.bin_op;
-    // Only rewrite the chain root: if the parent will also match, let the
-    // outermost invocation handle it (the walk below runs top-down, so we
-    // conservatively rebuild at every level, which converges because
-    // rebuilt subtrees are in canonical shape).
-    leaves.clear();
-    collect_chain(arena, id, op, leaves);
-    if (static_cast<int>(leaves.size()) < min_chain)
-      return build_left(arena, leaves, op, 0, leaves.size());
-    if (style == ReassocStyle::FlattenLeft)
-      return build_left(arena, leaves, op, 0, leaves.size());
-    return build_balanced(arena, leaves, op, 0, leaves.size());
-  };
-  // Top-down single pass at expression roots: find maximal chains.  Each
-  // rebuild is done with `leaves` before the walk descends.
+  std::vector<ExprId> leaves;  // one stack for every chain of the program
   transform_exprs(prog, prog.body(), [&](ExprId root) {
-    return rewrite_pre(arena, root, reassoc);
+    return reassociate_expr(arena, root, style, min_chain, leaves);
   });
 }
 
@@ -370,7 +377,5 @@ std::size_t count_stmts_matching(const Program& prog,
 std::size_t count_fma_nodes(const ir::Program& prog) {
   return count_stmts_matching(prog, prog.body(), ExprKind::Fma);
 }
-
-std::size_t count_nodes(const ir::Program& prog) { return prog.node_count(); }
 
 }  // namespace gpudiff::opt

@@ -50,8 +50,7 @@ void reassociate(ir::Program& prog, ReassocStyle style, int min_chain = 3);
 /// literal powers of two, which are exact either way.
 void reciprocal_division(ir::Program& prog);
 
-/// Statistics helpers used by benches/tests.
+/// Statistics helper used by benches/tests.
 std::size_t count_fma_nodes(const ir::Program& prog);
-std::size_t count_nodes(const ir::Program& prog);
 
 }  // namespace gpudiff::opt

@@ -22,8 +22,6 @@ class Table {
   /// A horizontal rule between body rows (e.g. before a Total row).
   void add_rule();
 
-  std::size_t row_count() const noexcept { return rows_.size(); }
-
   /// Render with unicode-free ASCII borders.
   std::string render() const;
 

@@ -209,7 +209,6 @@ struct ExecContext {
 class BytecodeProgram {
  public:
   ir::Precision precision() const noexcept { return precision_; }
-  std::size_t insn_count() const noexcept { return code_.size(); }
 
   /// Whether `other` executes exactly as this program does on every input:
   /// the same instructions, constants (by bit pattern), array slots,

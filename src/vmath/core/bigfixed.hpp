@@ -22,7 +22,6 @@ class BigFixed {
 
   std::uint32_t int_part = 0;
 
-  std::size_t limb_count() const noexcept { return frac_.size(); }
   std::uint32_t limb(std::size_t i) const noexcept { return frac_[i]; }
 
   /// this := a / d  (d small, nonzero).

@@ -76,6 +76,4 @@ inline DD dd_div(double a, double b) noexcept {
   return quick_two_sum(q1, q2);
 }
 
-inline double dd_to_double(DD a) noexcept { return a.hi + a.lo; }
-
 }  // namespace gpudiff::vmath::core

@@ -1,7 +1,6 @@
 #include "vmath/core/kernels.hpp"
 
 #include "vmath/core/dd.hpp"
-#include "vmath/core/poly.hpp"
 
 namespace gpudiff::vmath::core {
 

@@ -427,10 +427,20 @@ TEST(Coordinator, RefusesHellosAndBlocksThatCouldNeverMerge) {
   junk["lease"]["index"] = 2;
   junk["lease"]["count"] = count;
   junk["hello"] = "world";
+  // The first lease block with a record, its first record naming a
+  // discrepancy class past the seven.
+  support::Json bad_class;
+  for (int k = 0; k < count && bad_class.is_null(); ++k) {
+    support::Json doc = block_doc(cfg, count, k, k);
+    if (!doc.at("records").as_array().empty()) bad_class = std::move(doc);
+  }
+  ASSERT_FALSE(bad_class.is_null()) << "no lease block holds a record";
+  bad_class["records"].as_array()[0]["class"] = 99;
   const std::vector<std::pair<std::string, support::Json>> blocks = {
       {"another seed's block", block_doc(other, count, 1, 1)},
       {"lease 2's range as index 1", block_doc(cfg, count, 2, 1)},
       {"not a block", junk},
+      {"a record of class 99", bad_class},
   };
   for (const auto& [what, block] : blocks) {
     support::Json publish = support::Json::object();

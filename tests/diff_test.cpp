@@ -256,33 +256,50 @@ TEST(Campaign, PaperShapeHolds) {
 // ---------------------------------------------------------------------------
 
 TEST(Metadata, TwoSystemFlowMatchesDirectCampaign) {
-  // The default record cap, and one small enough to bind.
-  for (const std::size_t max_records : {CampaignConfig{}.max_records,
-                                        std::size_t{3}}) {
+  // The paper pair (the legacy report layout) at the default record cap
+  // and at one small enough to bind, and three FP32 platforms (the N-way
+  // layout: every record carries its per-pair classes).
+  struct Input {
+    const char* platforms;
+    ir::Precision precision;
+    std::size_t max_records;
+  };
+  const Input inputs[] = {
+      {"nvcc,hipcc", ir::Precision::FP64, CampaignConfig{}.max_records},
+      {"nvcc,hipcc", ir::Precision::FP64, 3},
+      {"nvcc,hipcc,hipcc-ftz", ir::Precision::FP32,
+       CampaignConfig{}.max_records},
+  };
+  for (const Input& in : inputs) {
     auto cfg = small_config(40);
-    cfg.max_records = max_records;
-    // System 1: create + run nvcc side.  System 2: run hipcc side.
+    cfg.platforms = opt::parse_platform_list(in.platforms);
+    cfg.gen.precision = in.precision;
+    cfg.max_records = in.max_records;
+    const std::string what = std::string(in.platforms) + " " +
+                             ir::to_string(in.precision) + " max_records " +
+                             std::to_string(in.max_records);
+    // System 1 creates the tests and runs the baseline; each later system
+    // runs its own platform from the same file.
     Metadata md = Metadata::create(cfg);
-    const auto& nvcc = *opt::find_platform("nvcc");
-    const auto& hipcc = *opt::find_platform("hipcc");
-    EXPECT_FALSE(md.has_platform(nvcc));
-    md.record_platform(nvcc);
-    EXPECT_TRUE(md.has_platform(nvcc));
-    EXPECT_FALSE(md.has_platform(hipcc));
-    md.record_platform(hipcc);
+    for (const opt::PlatformSpec& spec : cfg.platforms) {
+      EXPECT_FALSE(md.has_platform(spec)) << what << ": " << spec.name;
+      md.record_platform(spec);
+      EXPECT_TRUE(md.has_platform(spec)) << what << ": " << spec.name;
+    }
     const CampaignResults via_metadata = md.analyze();
     const CampaignResults direct = run_campaign(cfg);
-    ASSERT_EQ(via_metadata.per_level.size(), direct.per_level.size());
+    ASSERT_EQ(via_metadata.per_level.size(), direct.per_level.size()) << what;
     for (std::size_t li = 0; li < direct.per_level.size(); ++li) {
       EXPECT_EQ(via_metadata.per_level[li].pairs, direct.per_level[li].pairs)
-          << "level " << li;
+          << what << ": level " << li;
     }
-    if (max_records == 3) {
+    EXPECT_FALSE(via_metadata.records.empty()) << what;
+    if (in.max_records == 3) {
       EXPECT_EQ(via_metadata.records.size(), 3u) << "the cap must bind";
     }
     EXPECT_EQ(campaign::results_to_json(via_metadata).dump(1),
               campaign::results_to_json(direct).dump(1))
-        << "max_records " << max_records;
+        << what;
   }
 }
 
@@ -305,6 +322,51 @@ TEST(Metadata, AnalyzeRequiresAllPlatforms) {
   EXPECT_THROW(md.analyze(), std::runtime_error);
   md.record_platform(*opt::find_platform("nvcc"));
   EXPECT_THROW(md.analyze(), std::runtime_error);
+}
+
+TEST(Metadata, RefusesDocumentsItCannotAnalyze) {
+  Metadata md = Metadata::create(small_config(3));
+  for (const opt::PlatformSpec& spec : opt::default_platforms())
+    md.record_platform(spec);
+  const auto refused = [](const support::Json& doc, const std::string& name) {
+    try {
+      Metadata::from_json(doc).analyze();
+      ADD_FAILURE() << "analyze accepted a document that should fail with '"
+                    << name << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  };
+
+  // Nine platforms, every one recorded (names may repeat): more than one
+  // comparison holds.
+  support::Json nine = md.json();
+  support::Json names = support::Json::array();
+  for (std::size_t p = 0; p <= opt::kMaxPlatforms; ++p)
+    names.push_back(p % 2 == 0 ? "nvcc" : "hipcc");
+  nine["config"]["platforms"] = std::move(names);
+  refused(nine,
+          "more than " + std::to_string(opt::kMaxPlatforms) + " platforms");
+  EXPECT_THROW(Metadata::from_json(nine).platform_names(), std::runtime_error);
+  auto too_many = small_config(1);
+  too_many.platforms.assign(opt::kMaxPlatforms + 1, opt::platform_registry()[0]);
+  EXPECT_THROW(Metadata::create(too_many), std::runtime_error);
+
+  // A stored result whose bits do not decode.
+  support::Json bad_bits = md.json();
+  bad_bits["tests"].as_array()[1]["results"]["hipcc-sim"]["O2"].as_array()[0]
+          ["bits"] = "0xnot-bits";
+  refused(bad_bits, "metadata: bad bits");
+
+  // One platform's level with a run missing.
+  support::Json short_level = md.json();
+  short_level["tests"].as_array()[2]["results"]["nvcc-sim"]["O3"]
+      .as_array()
+      .pop_back();
+  refused(short_level, "metadata: run count mismatch");
+
+  EXPECT_NO_THROW(Metadata::from_json(md.json()).analyze());
 }
 
 TEST(Metadata, TestsRegenerateFromFile) {

@@ -359,6 +359,29 @@ TEST(Reassociate, MulChainsToo) {
   EXPECT_EQ(kid(p, root_expr(p), 1).kind, ExprKind::Bin);
 }
 
+TEST(Reassociate, BuildsEachChainOnce) {
+  // A 32-leaf chain has 31 operation nodes: one build of its canonical
+  // shape allocates those and nothing else, and is already the fixpoint
+  // (a second pass gives the same program).
+  for (const ReassocStyle style :
+       {ReassocStyle::FlattenLeft, ReassocStyle::BalancedTree}) {
+    ProgramBuilder b = four_scalar_builder();
+    Arena& A = b.arena();
+    ExprId chain = make_param(A, 1);
+    for (int i = 1; i < 32; ++i)
+      chain = make_bin(A, BinOp::Add, chain, make_param(A, 1 + i % 4));
+    b.assign_comp(AssignOp::Add, chain);
+    Program p = b.build();
+    const std::size_t before = p.arena().expr_count();
+    reassociate(p, style, 4);
+    EXPECT_LE(p.arena().expr_count() - before, 31u)
+        << (style == ReassocStyle::FlattenLeft ? "flatten-left" : "balanced");
+    Program again = p;
+    reassociate(again, style, 4);
+    EXPECT_EQ(again.dump(), p.dump());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // reciprocal_division
 // ---------------------------------------------------------------------------

@@ -344,28 +344,37 @@ TEST(StoreIngest, CorruptInputsNamedAndQuarantined) {
   const std::string db = dir.file("db");
   const std::string truncated = dir.file("truncated.json");
   const std::string foreign = dir.file("foreign.json");
+  const std::string tampered = dir.file("tampered.json");
   support::write_file(truncated, "{\"format\":\"gpudiff-campaign-resu");
   support::write_file(foreign, "{\"hello\":1}");
+  // Well-formed JSON whose first record names a class past the seven.
+  Json bad_class = golden_report();
+  bad_class["records"].as_array().at(0)["class"] = 99;
+  write_json(tampered, bad_class);
 
   // Without --quarantine the first bad file aborts, naming itself.
-  try {
-    store::ingest(db, "c1", {truncated, kGoldenReport});
-    FAIL() << "corrupt ingest did not throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("truncated.json"), std::string::npos)
-        << e.what();
+  for (const std::string& bad : {truncated, tampered}) {
+    try {
+      store::ingest(db, "c1", {bad, kGoldenReport});
+      FAIL() << "corrupt ingest did not throw: " << bad;
+    } catch (const std::runtime_error& e) {
+      const std::string name = std::filesystem::path(bad).filename().string();
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
   }
 
   // With it, bad files are set aside and good ones still land.
   store::IngestOptions options;
   options.quarantine = true;
-  const auto outcome =
-      store::ingest(db, "c1", {truncated, foreign, kGoldenReport}, options);
+  const auto outcome = store::ingest(
+      db, "c1", {truncated, foreign, tampered, kGoldenReport}, options);
   EXPECT_EQ(outcome.reports, 1);
-  ASSERT_EQ(outcome.quarantined.size(), 2u);
+  ASSERT_EQ(outcome.quarantined.size(), 3u);
   EXPECT_FALSE(std::filesystem::exists(truncated));
   EXPECT_TRUE(std::filesystem::exists(truncated + ".quarantined"));
   EXPECT_TRUE(std::filesystem::exists(foreign + ".quarantined"));
+  EXPECT_TRUE(std::filesystem::exists(tampered + ".quarantined"));
   EXPECT_EQ(store::load_store(db).populations.at("c1").size(), 1u);
 
   // Commit labels that would escape the layout are refused outright.

@@ -9,7 +9,6 @@
 #include "ir/builder.hpp"
 #include "opt/pipeline.hpp"
 #include "vgpu/args.hpp"
-#include "vgpu/device.hpp"
 #include "vgpu/fpu.hpp"
 #include "vgpu/interp.hpp"
 #include "vgpu/pseudo_asm.hpp"
@@ -338,15 +337,8 @@ TEST(Interp, DeterministicAcrossRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// Devices & pseudo-assembly
+// Pseudo-assembly
 // ---------------------------------------------------------------------------
-
-TEST(Device, DescriptorsPairToolchains) {
-  EXPECT_EQ(device_for(opt::Toolchain::Nvcc).name, "V100-sim");
-  EXPECT_EQ(device_for(opt::Toolchain::Hipcc).name, "MI250X-sim");
-  EXPECT_EQ(nvidia_v100_sim().cluster, "Lassen");
-  EXPECT_EQ(amd_mi250x_sim().cluster, "Tioga");
-}
 
 TEST(PseudoAsm, ShowsLibrarySymbolsPerVendor) {
   ProgramBuilder b(Precision::FP64);

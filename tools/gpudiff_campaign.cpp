@@ -69,22 +69,12 @@ void handle_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
 bool stop_requested() { return g_stop.load(std::memory_order_relaxed); }
 
-// Machine-readable registry dump: the same field spelling as the
-// config fingerprint (campaign::config_to_json), plus the blurb — so
-// store keys and external tooling agree with the fingerprint on what
-// constitutes platform-set identity.
+// Machine-readable registry dump: each platform as the config
+// fingerprint spells it (campaign::platform_to_json), plus the blurb.
 void list_platforms_json() {
   support::Json arr = support::Json::array();
   for (const opt::PlatformSpec& spec : opt::platform_registry()) {
-    support::Json p = support::Json::object();
-    p["name"] = spec.name;
-    p["toolchain"] = opt::to_string(spec.toolchain);
-    p["fast_math"] = spec.fast_math;
-    p["ftz32"] = spec.force_ftz32;
-    p["daz32"] = spec.force_daz32;
-    p["fma"] = opt::to_string(spec.fma);
-    p["div32"] = opt::to_string(spec.div32);
-    p["mathlib"] = spec.mathlib;
+    support::Json p = campaign::platform_to_json(spec);
     p["blurb"] = spec.blurb;
     arr.push_back(std::move(p));
   }

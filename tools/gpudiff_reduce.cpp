@@ -53,31 +53,16 @@ diff::CampaignConfig config_of_report(const support::Json& report) {
                "gpudiff-reduce: version-1 report carries no config "
                "fingerprint; assuming the default generator grammar and "
                "record cap (re-merge with --report-v2 to pin them)\n");
+  const diff::CampaignResults header = campaign::results_from_json(report);
   diff::CampaignConfig config;
-  config.seed = static_cast<std::uint64_t>(report.at("seed").as_int());
-  if (!ir::parse_precision(report.at("precision").as_string(),
-                           &config.gen.precision))
-    throw std::runtime_error("bad precision in report");
-  config.hipify_converted = report.at("hipify_converted").as_bool();
-  config.num_programs = static_cast<int>(report.at("num_programs").as_int());
-  config.inputs_per_program =
-      static_cast<int>(report.at("inputs_per_program").as_int());
-  config.levels.clear();
-  for (const auto& l : report.at("levels").as_array()) {
-    opt::OptLevel level;
-    if (!opt::parse_opt_level(l.as_string(), &level))
-      throw std::runtime_error("bad opt level in report");
-    config.levels.push_back(level);
-  }
+  config.seed = header.seed;
+  config.gen.precision = header.precision;
+  config.hipify_converted = header.hipify_converted;
+  config.num_programs = header.num_programs;
+  config.inputs_per_program = header.inputs_per_program;
+  config.levels = header.levels;
   config.platforms.clear();
-  std::vector<std::string> names;
-  if (report.contains("platforms")) {
-    for (const auto& p : report.at("platforms").as_array())
-      names.push_back(p.as_string());
-  } else {
-    names = {"nvcc", "hipcc"};
-  }
-  for (const auto& name : names) {
+  for (const auto& name : header.platforms) {
     const opt::PlatformSpec* spec = opt::find_platform(name);
     if (!spec)
       throw std::runtime_error("report names unknown platform \"" + name +

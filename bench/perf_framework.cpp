@@ -10,8 +10,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -408,9 +411,67 @@ void BM_SchedulerOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerOverhead)->Unit(benchmark::kMicrosecond);
 
-/// The same claim + heartbeat + release cycle over the TCP coordinator on
-/// localhost (in-process server, real sockets, line-framed JSON) — the
-/// network transport's per-lease coordination price next to
+/// Claim + heartbeat + release cycles of `clients` TCP workers on one
+/// coordinator on localhost (in-process server, real sockets, line-framed
+/// JSON), each on its own thread with its own 64 leases.  The benchmark
+/// thread is client 0 and the others cycle until it is done, so one
+/// iteration is one cycle of client 0 under the load of the rest.
+void lease_cycles_tcp(benchmark::State& state, int clients) {
+  const auto dir = std::filesystem::temp_directory_path() / "gpudiff_bm_coord";
+  const auto journal =
+      std::filesystem::temp_directory_path() / "gpudiff_bm_coord_journal";
+  std::filesystem::remove_all(dir);
+  diff::CampaignConfig cfg;
+  cfg.num_programs = 64 * clients;
+  campaign::CoordinatorOptions copts;
+  copts.dir = dir.string();
+  campaign::Coordinator coordinator(copts);
+  coordinator.start();
+  const auto connect = [&](int client) {
+    campaign::TcpTransportOptions topts;
+    topts.host = "127.0.0.1";
+    topts.port = coordinator.port();
+    topts.worker_id = "bench-" + std::to_string(client);
+    topts.journal_dir = journal.string() + std::to_string(client);
+    auto transport =
+        std::make_unique<campaign::TcpLeaseTransport>(std::move(topts));
+    transport->publish_or_verify_manifest(
+        campaign::config_to_json(cfg), 1,
+        campaign::lease_count(cfg.num_programs, 1));
+    return transport;
+  };
+  const auto cycle = [](campaign::LeaseTransport& transport, int k) {
+    benchmark::DoNotOptimize(transport.try_claim(k));
+    transport.heartbeat(k);
+    transport.release(k);
+  };
+  std::atomic<int> connected{0};
+  std::atomic<bool> finished{false};
+  std::vector<std::thread> peers;
+  for (int c = 1; c < clients; ++c)
+    peers.emplace_back([&, c] {
+      const auto transport = connect(c);
+      ++connected;
+      for (int k = 0; !finished.load(); k = (k + 1) % 64)
+        cycle(*transport, 64 * c + k);
+    });
+  const auto transport = connect(0);
+  while (connected.load() < clients - 1) std::this_thread::yield();
+  int k = 0;
+  for (auto _ : state) {
+    cycle(*transport, k);
+    k = (k + 1) % 64;
+  }
+  finished = true;
+  for (std::thread& peer : peers) peer.join();
+  coordinator.stop();
+  std::filesystem::remove_all(dir);
+  for (int c = 0; c < clients; ++c)
+    std::filesystem::remove_all(journal.string() + std::to_string(c));
+}
+
+/// The same claim + heartbeat + release cycle over the TCP coordinator —
+/// the network transport's per-lease coordination price next to
 /// BM_SchedulerOverhead's ~21µs filesystem number.  Three request
 /// round-trips per iteration, each answered by the same filesystem board
 /// operation BM_SchedulerOverhead times; the dominant term is neither but
@@ -418,38 +479,16 @@ BENCHMARK(BM_SchedulerOverhead)->Unit(benchmark::kMicrosecond);
 /// and directory, so wall time is disk-bound (hundreds of microseconds)
 /// while CPU stays in the tens of microseconds.  A heartbeat is an mtime
 /// touch and a release an unlink, neither synced.
-void BM_LeaseCycleTcp(benchmark::State& state) {
-  const auto dir = std::filesystem::temp_directory_path() / "gpudiff_bm_coord";
-  const auto journal =
-      std::filesystem::temp_directory_path() / "gpudiff_bm_coord_journal";
-  std::filesystem::remove_all(dir);
-  std::filesystem::remove_all(journal);
-  diff::CampaignConfig cfg;
-  cfg.num_programs = 64;
-  campaign::CoordinatorOptions copts;
-  copts.dir = dir.string();
-  campaign::Coordinator coordinator(copts);
-  coordinator.start();
-  campaign::TcpTransportOptions topts;
-  topts.host = "127.0.0.1";
-  topts.port = coordinator.port();
-  topts.worker_id = "bench";
-  topts.journal_dir = journal.string();
-  campaign::TcpLeaseTransport transport(std::move(topts));
-  transport.publish_or_verify_manifest(campaign::config_to_json(cfg), 1,
-                                       campaign::lease_count(64, 1));
-  int k = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(transport.try_claim(k));
-    transport.heartbeat(k);
-    transport.release(k);
-    k = (k + 1) % 64;
-  }
-  coordinator.stop();
-  std::filesystem::remove_all(dir);
-  std::filesystem::remove_all(journal);
-}
+void BM_LeaseCycleTcp(benchmark::State& state) { lease_cycles_tcp(state, 1); }
 BENCHMARK(BM_LeaseCycleTcp)->Unit(benchmark::kMicrosecond);
+
+/// BM_LeaseCycleTcp with two more clients cycling their own leases: about
+/// BM_LeaseCycleTcp's time when the coordinator serves workers at once,
+/// up to three times it when one client's fsyncs stall the others.
+void BM_LeaseCycleTcpThreeClients(benchmark::State& state) {
+  lease_cycles_tcp(state, 3);
+}
+BENCHMARK(BM_LeaseCycleTcpThreeClients)->Unit(benchmark::kMicrosecond);
 
 void BM_FullComparison(benchmark::State& state) {
   gen::GenConfig cfg;

@@ -28,6 +28,34 @@ int index_member(const support::Json& request, const char* key) {
 
 }  // namespace
 
+/// Holds one request's turn in its worker's lane: joins (or opens) the lane
+/// under mu_, then waits on the lane alone, so other workers' requests go
+/// ahead meanwhile.  The last request to leave a lane drops it.
+class Coordinator::Turn {
+ public:
+  Turn(Coordinator& coordinator, const std::string& worker)
+      : coordinator_(coordinator), worker_(worker) {
+    {
+      std::lock_guard<std::mutex> lock(coordinator_.mu_);
+      lane_ = &coordinator_.lanes_[worker_];
+      ++lane_->users;
+    }
+    lane_->turn.lock();
+  }
+  ~Turn() {
+    lane_->turn.unlock();
+    std::lock_guard<std::mutex> lock(coordinator_.mu_);
+    if (--lane_->users == 0) coordinator_.lanes_.erase(worker_);
+  }
+  Turn(const Turn&) = delete;
+  Turn& operator=(const Turn&) = delete;
+
+ private:
+  Coordinator& coordinator_;
+  const std::string& worker_;
+  Lane* lane_ = nullptr;
+};
+
 Coordinator::Coordinator(CoordinatorOptions options)
     : options_(std::move(options)),
       server_([this](const support::Json& request,
@@ -57,11 +85,13 @@ void Coordinator::make_durable(const std::string& path) const {
 }
 
 int Coordinator::done_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  int count = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    count = lease_count_;
+  }
   return static_cast<int>(
-      FsLeaseTransport(options_.dir, "coordinator", lease_count_)
-          .list_done()
-          .size());
+      FsLeaseTransport(options_.dir, "coordinator", count).list_done().size());
 }
 
 support::Json Coordinator::hello(const support::Json& request,
@@ -116,17 +146,24 @@ support::Json Coordinator::handle(const support::Json& request,
                                   const std::string& worker) {
   const std::string op =
       request.get_or("op", support::Json("")).as_string();
+  // The manifest fields were set, once, before this connection's hello was
+  // answered: read under the lock, they hold for the whole request.
+  int lease_count = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    lease_count = lease_count_;
+  }
+  const Turn turn(*this, worker);
   // Malformed requests throw std::invalid_argument: the client is wrong,
   // and net::Server refuses them fatally.
   const auto lease_of = [&] {
     const int k = index_member(request, "lease");
-    if (k < 0 || k >= lease_count_)
+    if (k < 0 || k >= lease_count)
       throw std::invalid_argument("request carries no lease index in range");
     return k;
   };
 
-  std::lock_guard<std::mutex> lock(mu_);
-  FsLeaseTransport board(options_.dir, worker, lease_count_);
+  FsLeaseTransport board(options_.dir, worker, lease_count);
   support::Json resp = net::ok_response(request);
   if (op == "claim") {
     const int k = lease_of();
@@ -164,7 +201,7 @@ support::Json Coordinator::handle(const support::Json& request,
       if (doc.get_or("config", kAbsent) != config_echo_)
         throw std::invalid_argument("another campaign's configuration");
       block = block_from_json(doc, &k, &count);
-      if (count != lease_count_ || k < 0 || k >= count ||
+      if (count != lease_count || k < 0 || k >= count ||
           std::make_pair(block.begin, block.end) != lease_range(n, count, k))
         throw std::invalid_argument("not its lease's program range");
     } catch (const std::exception& e) {
@@ -172,11 +209,7 @@ support::Json Coordinator::handle(const support::Json& request,
           std::string("publish refused, the block can never merge: ") +
           e.what());
     }
-    // Done files are immutable: a duplicate publish (a paused owner and
-    // its stealer both finishing, or a retried request whose first
-    // response was lost) is acknowledged without rewriting — by the
-    // determinism invariant the duplicate carries identical bytes.
-    if (!board.is_done(k)) board.publish_done(k, count, block);
+    board.publish_done(k, count, block);
   } else {
     throw std::invalid_argument("unknown op \"" + op + "\"");
   }

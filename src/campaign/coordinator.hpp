@@ -20,10 +20,16 @@
 // worker id that cannot end a file name, a block of another campaign or
 // of the wrong range — is refused fatally and writes nothing.
 //
-// Concurrency: net::Server's accept loop and one thread per connection,
-// every request under a single mutex (the expensive work — executing
-// leases — happens on the workers).
+// Concurrency: net::Server's accept loop and one thread per connection.
+// Requests of different workers run at once, as worker processes sharing
+// one lease directory do: the board's link, rename and atomic-write rules
+// arbitrate, and one worker's fsync no longer stalls the others.  Requests
+// of one worker id take turns, because a reconnect can race its old
+// connection's last request and both would write the same
+// ".tmp.<worker>" file.  The coordinator-wide mutex guards only the
+// manifest fields (set once) and the per-worker lanes.
 
+#include <map>
 #include <mutex>
 #include <string>
 
@@ -71,20 +77,28 @@ class Coordinator {
   /// manifest and names the connection's worker; refusals throw
   /// std::invalid_argument.
   support::Json hello(const support::Json& request, std::string* worker);
-  /// One request against the board, under the mutex.  `worker` is the
-  /// connection's hello-established identity.
+  /// One request against the board, in its worker's turn.  `worker` is
+  /// the connection's hello-established identity.
   support::Json handle(const support::Json& request,
                        const std::string& worker);
   /// fsync `path` and the state directory that holds it.
   void make_durable(const std::string& path) const;
 
+  /// One worker id's requests, in line for their turn.
+  struct Lane {
+    std::mutex turn;
+    int users = 0;  ///< requests holding or awaiting the turn (under mu_)
+  };
+  class Turn;
+
   CoordinatorOptions options_;
 
-  /// Serializes every request; guards the manifest fields below, set
-  /// once by the startup read or the first accepted hello.
+  /// Serializes hellos; guards the manifest fields below, set once by the
+  /// startup read or the first accepted hello, and the lanes.
   mutable std::mutex mu_;
   support::Json config_echo_;  ///< the manifest's config fingerprint
   int lease_count_ = -1;       ///< -1 until the manifest exists
+  std::map<std::string, Lane> lanes_;  ///< workers with a request in flight
 
   /// Declared last, so it is destroyed (stopped) before the state its
   /// connection threads read.

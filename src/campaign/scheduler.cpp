@@ -1,6 +1,7 @@
 #include "campaign/scheduler.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -93,6 +94,25 @@ std::string claim_owner(const std::string& path) {
     // Missing or torn-away claim file: nobody's.
   }
   return "";
+}
+
+int done_lease_of(std::string_view file_name) {
+  constexpr std::string_view kPrefix = "lease-";
+  constexpr std::string_view kSuffix = ".done.json";
+  if (file_name.size() <= kPrefix.size() + kSuffix.size() ||
+      file_name.substr(0, kPrefix.size()) != kPrefix ||
+      file_name.substr(file_name.size() - kSuffix.size()) != kSuffix)
+    return -1;
+  const std::string_view digits = file_name.substr(
+      kPrefix.size(), file_name.size() - kPrefix.size() - kSuffix.size());
+  const char* end = digits.data() + digits.size();
+  int k = -1;
+  // The round trip refuses what from_chars takes but done_path never
+  // writes: a sign, leading zeros.
+  if (std::from_chars(digits.data(), end, k).ptr != end || k < 0 ||
+      std::to_string(k) != digits)
+    return -1;
+  return k;
 }
 
 std::string default_worker_id() {
@@ -255,12 +275,20 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
   }
   down_spells = 0;
 
-  std::vector<char> done(static_cast<std::size_t>(count), 0);
+  // What the worker knows of each lease.  The done set comes from one
+  // list_done() when a pass starts and when a claim is refused — never one
+  // request per lease, and not after every lease either, which would make
+  // a large campaign quadratic in its lease count.
+  enum Known : char { kOpen, kDone, kPublished };  // kPublished: by this worker
+  std::vector<Known> known(static_cast<std::size_t>(count), kOpen);
   int n_done = 0;
-  const auto refresh = [&](int k) {
-    if (done[static_cast<std::size_t>(k)] == 0 && transport.is_done(k)) {
-      done[static_cast<std::size_t>(k)] = 1;
-      ++n_done;
+  const auto refresh = [&] {
+    for (const int k : transport.list_done()) {
+      Known& state = known[static_cast<std::size_t>(k)];
+      if (state == kOpen) {
+        state = kDone;
+        ++n_done;
+      }
     }
   };
   // A worker that runs out of claimable leases waits for its peers (or for
@@ -290,10 +318,10 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
     bool progressed = false;
     bool transport_down = false;
     try {
-      for (int step = 0; step < count; ++step) {
+      refresh();
+      for (int step = 0; step < count && n_done < count; ++step) {
         const int k = (offset + step) % count;
-        refresh(k);
-        if (done[static_cast<std::size_t>(k)] != 0) continue;
+        if (known[static_cast<std::size_t>(k)] != kOpen) continue;
         if ((stopped = stop())) break;
         bool stolen = false;
         // Check the claim's age before attempting one, so workers waiting
@@ -303,34 +331,28 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
         // free.
         const double age = transport.claim_age_seconds(k);
         if (age < 0.0) {
-          if (!transport.try_claim(k)) continue;  // lost the race
-        } else {
-          if (age < options.stale_after_seconds) continue;
-          // A worker killed between publishing its done file and releasing
-          // its claim leaves a stale claim on a finished lease: completion
-          // wins — no steal — but reap the claim so it does not haunt the
-          // directory forever.
-          refresh(k);
-          if (done[static_cast<std::size_t>(k)] != 0) {
-            transport.reap_claim(k);
+          // Refused: a peer won the race, or the lease is finished (claims
+          // refuse finished leases) and the done set is out of date.
+          if (!transport.try_claim(k)) {
+            refresh();
             continue;
           }
+        } else {
+          if (age < options.stale_after_seconds) continue;
+          // A stale claim on a finished lease (its owner was killed
+          // between the done file and the end of its claim) is reaped by
+          // the steal, which then refuses the lease.
           transport.maintain(options.stale_after_seconds);
-          if (!transport.try_steal(k)) continue;
+          if (!transport.try_steal(k)) {
+            refresh();
+            continue;
+          }
           stolen = true;
-        }
-        // We hold the claim, but it may have been winnable only because a
-        // peer released it a moment ago — and peers always publish their
-        // done file before releasing.  Re-check under the claim so a
-        // just-finished lease is never re-executed.
-        refresh(k);
-        if (done[static_cast<std::size_t>(k)] != 0) {
-          transport.release(k);
-          continue;
         }
         // We own lease k.  Execute and flush it even if a stop arrives
         // mid-lease — an interrupted worker never strands claimed work;
-        // the interrupt latency is bounded by one lease.
+        // the interrupt latency is bounded by one lease.  The publish ends
+        // the claim.
         const auto [begin, end] = lease_range(config.num_programs, count, k);
         try {
           const ResultBlock block =
@@ -344,8 +366,7 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
           transport.release(k);
           throw;
         }
-        transport.release(k);
-        done[static_cast<std::size_t>(k)] = 1;
+        known[static_cast<std::size_t>(k)] = kPublished;
         ++n_done;
         ++outcome.leases_completed;
         if (stolen) ++outcome.leases_stolen;
@@ -387,16 +408,14 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
     }
   }
   try {
-    for (int k = 0; k < count; ++k) {
-      refresh(k);
-      // A claim lingering on a done lease is garbage (done is terminal; a
-      // racing fresh claimer re-checks done and backs off) — typically a
-      // peer killed between publish and release.  Reap it so a finished
-      // directory holds no claim files.
-      if (done[static_cast<std::size_t>(k)] != 0 &&
+    // A claim lingering on a lease a peer finished is garbage — its owner
+    // was killed between the done file and the end of its claim.  Reap it
+    // so a finished directory holds no claim files.  The leases this
+    // worker published ended their own claims.
+    for (int k = 0; k < count; ++k)
+      if (known[static_cast<std::size_t>(k)] == kDone &&
           transport.claim_age_seconds(k) >= 0.0)
         transport.reap_claim(k);
-    }
   } catch (const TransportError&) {
     // Final housekeeping is best-effort; stale claims age out anyway.
   }

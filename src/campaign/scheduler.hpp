@@ -22,7 +22,9 @@
 //   lease-<k>.claim     exclusive claim marker for lease k, content
 //                       identifying the owner.  Its mtime is the owner's
 //                       heartbeat, re-touched every heartbeat interval
-//                       while the lease executes.
+//                       while the lease executes.  The owner's publish
+//                       removes it once the done file is durable, and a
+//                       claim won on a finished lease is given back.
 //   lease-<k>.done.json lease k's completed ResultBlock (atomic
 //                       write-then-rename).  Existence of this file is the
 //                       only thing that marks a lease finished; done files
@@ -47,6 +49,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "campaign/merge.hpp"
@@ -85,6 +88,11 @@ std::string claim_document(int lease, const std::string& worker);
 /// The worker named by the claim file at `path`; empty when the file is
 /// missing or unreadable.
 std::string claim_owner(const std::string& path);
+/// k when `file_name` is lease k's done file exactly as done_path spells it
+/// ("lease-<k>.done.json", k in decimal with no sign or leading zero); -1
+/// for any other name — temps, quarantined files, claims,
+/// "lease-07.done.json".
+int done_lease_of(std::string_view file_name);
 
 /// "host-pid", unique across a fleet of worker processes.
 std::string default_worker_id();

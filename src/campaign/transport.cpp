@@ -42,14 +42,10 @@ void sweep_stale_temps(const std::string& dir, double older_than) {
 std::vector<std::filesystem::path> journal_entries(const std::string& dir) {
   std::vector<std::filesystem::path> entries;
   if (!std::filesystem::is_directory(dir)) return entries;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("lease-", 0) == 0 &&
-        name.find(".done.json") != std::string::npos &&
-        name.find(".tmp") == std::string::npos)
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    if (entry.is_regular_file() &&
+        done_lease_of(entry.path().filename().string()) >= 0)
       entries.push_back(entry.path());
-  }
   std::sort(entries.begin(), entries.end());
   return entries;
 }
@@ -108,18 +104,33 @@ bool FsLeaseTransport::is_done(int lease) {
 }
 
 std::vector<int> FsLeaseTransport::list_done() {
-  std::vector<int> done;
+  // One directory read, not one stat per lease.  Done files are never
+  // removed, so every one that exists when the read starts is listed.
+  std::vector<char> done(static_cast<std::size_t>(lease_count_), 0);
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    const int k = done_lease_of(entry.path().filename().string());
+    if (k >= 0 && k < lease_count_) done[static_cast<std::size_t>(k)] = 1;
+  }
+  std::vector<int> listed;
   for (int k = 0; k < lease_count_; ++k)
-    if (is_done(k)) done.push_back(k);
-  return done;
+    if (done[static_cast<std::size_t>(k)] != 0) listed.push_back(k);
+  return listed;
 }
 
 bool FsLeaseTransport::try_claim(int lease) {
   // A claim this worker already holds is re-touched, not lost.
-  return support::publish_file_exclusive(claim_path(dir_, lease),
-                                         claim_document(lease, worker_),
-                                         "." + worker_) ||
-         heartbeat(lease);
+  if (!support::publish_file_exclusive(claim_path(dir_, lease),
+                                       claim_document(lease, worker_),
+                                       "." + worker_) &&
+      !heartbeat(lease))
+    return false;
+  // The claim may have been winnable only because its owner published the
+  // lease a moment ago (publish_done ends the claim after the done file is
+  // durable), so the check comes after the link: a finished lease is
+  // given back, never run again.
+  if (!is_done(lease)) return true;
+  release(lease);
+  return false;
 }
 
 double FsLeaseTransport::claim_age_seconds(int lease) {
@@ -153,14 +164,19 @@ bool FsLeaseTransport::heartbeat(int lease) {
 
 void FsLeaseTransport::publish_done(int lease, int count,
                                     const ResultBlock& block) {
-  // Per-worker temp suffix: the at-least-once design means a paused owner
-  // and its stealer can publish the same lease concurrently, and they
-  // must not tear each other's temp file.  The final renames race, but
-  // both sides rename identical bytes, so either winner is whole and
-  // right.
-  support::write_file_atomic(done_path(dir_, lease),
-                             block_to_json(block, lease, count).dump(1),
-                             ".tmp." + worker_);
+  // Done files are immutable: a duplicate publish (a paused owner and its
+  // stealer both finishing, or a retried request whose first answer was
+  // lost) writes nothing; by the determinism invariant it carries the same
+  // bytes.  Per-worker temp suffix: two publishers can still pass the check
+  // together, and they must not tear each other's temp file.  The final
+  // renames race, but both sides rename identical bytes, so either winner
+  // is whole and right.
+  if (!is_done(lease))
+    support::write_file_atomic(done_path(dir_, lease),
+                               block_to_json(block, lease, count).dump(1),
+                               ".tmp." + worker_);
+  // The done file is durable, so the claim has done its work.
+  release(lease);
 }
 
 void FsLeaseTransport::release(int lease) {
@@ -320,8 +336,14 @@ std::vector<int> TcpLeaseTransport::list_done() {
   req["op"] = "list_done";
   const support::Json resp = request(std::move(req));
   std::vector<int> done;
-  for (const auto& k : resp.at("done").as_array())
+  for (const auto& k : resp.at("done").as_array()) {
+    // The caller indexes its lease table with these.
+    if (k.as_int() < 0 || k.as_int() >= lease_count_)
+      throw std::runtime_error("coordinator listed lease " +
+                               std::to_string(k.as_int()) + " of " +
+                               std::to_string(lease_count_) + " as done");
     done.push_back(static_cast<int>(k.as_int()));
+  }
   return done;
 }
 

@@ -75,17 +75,22 @@ class LeaseTransport {
                                           int lease_size, int count) = 0;
 
   virtual bool is_done(int lease) = 0;
-  /// Every lease index with a published done block, ascending.
+  /// Every lease index with a published done block, ascending, in one
+  /// backend request: the worker loop's only view of the done set.  Each
+  /// block published before the call is listed.
   virtual std::vector<int> list_done() = 0;
   /// Claim the lease exclusively.  Idempotent for this worker: a claim it
   /// already holds answers true (a heartbeat), so a retried claim whose
-  /// answer was lost never reads as a lost race.
+  /// answer was lost never reads as a lost race.  A finished lease answers
+  /// false and keeps no claim — done is checked after the claim is won,
+  /// so a claim freed by its owner's publish never runs the lease again.
   virtual bool try_claim(int lease) = 0;
   /// Seconds since the current claim's last heartbeat; negative if the
   /// lease is unclaimed.
   virtual double claim_age_seconds(int lease) = 0;
-  /// Clear whatever claim exists and claim afresh; false if no claim
-  /// existed (the steal lost its race).
+  /// Clear whatever claim exists and claim afresh as try_claim does; false
+  /// if no claim existed (the steal lost its race) or the lease is
+  /// finished.
   virtual bool try_steal(int lease) = 0;
   /// Clear a claim without taking the lease (stale claim stranded on an
   /// already-done lease).  Best-effort.
@@ -95,11 +100,15 @@ class LeaseTransport {
   /// unreachable — execution continues either way, protected by
   /// determinism.  Safe to call from the heartbeat timer thread.
   virtual bool heartbeat(int lease) = 0;
-  /// Publish the lease's completed ResultBlock.  Must not lose the block:
-  /// the TCP backend journals locally when the coordinator is
-  /// unreachable and re-publishes on reconnect.
+  /// Publish the lease's completed ResultBlock, then end this worker's
+  /// claim on it (ownership-checked, as release): no release follows a
+  /// publish.  The done file is written once; a lease already done keeps
+  /// its bytes.  Must not lose the block: the TCP backend journals locally
+  /// when the coordinator is unreachable and re-publishes on reconnect,
+  /// which ends the claim then.
   virtual void publish_done(int lease, int count, const ResultBlock& block) = 0;
-  /// Remove this worker's claim (ownership-checked, best-effort).
+  /// Remove this worker's claim (ownership-checked, best-effort): a lease
+  /// given up unpublished.
   virtual void release(int lease) = 0;
 
   /// Periodic housekeeping at the caller's staleness window: the
@@ -133,9 +142,12 @@ class FsLeaseTransport : public LeaseTransport {
   void publish_or_verify_manifest(const support::Json& config_echo,
                                   int lease_size, int count) override;
   bool is_done(int lease) override;
+  /// One read of the directory: names done_lease_of accepts, below the
+  /// lease count.
   std::vector<int> list_done() override;
   /// False if another worker's claim file exists, even a stale one —
-  /// staleness is the caller's policy (see try_steal).
+  /// staleness is the caller's policy (see try_steal) — or if the lease's
+  /// done file exists once the claim is won (the claim is then removed).
   bool try_claim(int lease) override;
   double claim_age_seconds(int lease) override;
   bool try_steal(int lease) override;

@@ -62,12 +62,18 @@ void Server::accept_loop() {
 
 void Server::serve(Socket socket) {
   bool greeted = false;
+  int silent_ticks = 0;  // I/O timeouts before an accepted hello
   std::string peer;
   while (!stop_.load()) {
     support::Json request;
     const IoStatus status =
         recv_message(socket, &request, io_timeout_seconds_);
-    if (status == IoStatus::Timeout) continue;  // poll stop_
+    if (status == IoStatus::Timeout) {
+      // Poll stop_; a connection that never says hello would hold its
+      // thread for as long as it stays open.
+      if (!greeted && ++silent_ticks >= kHelloDeadlineTicks) return;
+      continue;
+    }
     if (status != IoStatus::Ok) return;  // closed or desynchronized
     support::Json response;
     bool fatal = false;

@@ -10,7 +10,9 @@
 //     only, and a connection it cannot start a thread for is refused
 //     alone;
 //   - the hello gate: a request before an accepted hello is refused as
-//     fatal;
+//     fatal, and a connection with no accepted hello after
+//     kHelloDeadlineTicks I/O timeouts is closed (10 s at both daemons'
+//     0.25 s), so silent connections cannot pin threads;
 //   - the error mapping: a check or handler throwing std::invalid_argument
 //     means the client is wrong, which earns a fatal response ("do not
 //     retry") and closes the connection; any other std::exception is a
@@ -30,6 +32,9 @@
 #include "support/json.hpp"
 
 namespace gpudiff::net {
+
+/// I/O-timeout ticks a connection may spend without an accepted hello.
+inline constexpr int kHelloDeadlineTicks = 40;
 
 class Server {
  public:

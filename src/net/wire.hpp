@@ -21,24 +21,33 @@
 //
 // Coordinator requests (after hello):
 //   {"op":"claim","lease":k,"seq":n}     -> {"ok":true,"acquired":b,"seq":n}
+//                                           (false, no claim: lease done)
 //   {"op":"age","lease":k,...}           -> {"ok":true,"age":s}   (-1: free)
 //   {"op":"steal","lease":k,...}         -> {"ok":true,"stolen":b}
+//                                           (false, no claim: lease done)
 //   {"op":"heartbeat","lease":k,...}     -> {"ok":true,"beating":b}
-//   {"op":"publish","block":{...},...}   -> {"ok":true}
+//   {"op":"publish","block":{...},...}   -> {"ok":true}  (ends the claim)
 //   {"op":"release","lease":k,...}       -> {"ok":true}
 //   {"op":"reap","lease":k,...}          -> {"ok":true,"reaped":b}
 //   {"op":"done","lease":k,...}          -> {"ok":true,"done":b}
 //   {"op":"list_done",...}               -> {"ok":true,"done":[k,...]}
+//                                           (one directory read, ascending)
 // Errors: {"ok":false,"error":"...","fatal":b,"seq":n}.  Non-fatal errors
 // are retryable (transient server conditions); fatal ones mean the client
 // is wrong (bad hello, malformed op) and must not retry.
 //
 // At-least-once safety is the filesystem board's, because the coordinator
 // answers each request with the matching FsLeaseTransport operation on
-// its state directory: claim is idempotent for the claim's own worker,
-// publish accepts duplicate blocks (their bytes are identical by the
-// determinism invariant), and release/steal on an unexpected state
-// degrade to "lost the race", never to corruption.
+// its state directory: claim is idempotent for the claim's own worker and
+// refuses a finished lease, publish writes a lease's done file once and
+// then ends the publisher's claim (a duplicate block, identical by the
+// determinism invariant, is acknowledged without a write), and
+// release/steal on an unexpected state degrade to "lost the race", never
+// to corruption.  Version 2 made claim refuse finished leases and publish
+// end the claim.  A version-2 worker relies on both — it neither releases
+// after a publish nor re-checks done under a claim — so against a
+// version-1 coordinator it would leave claims behind; the hello refuses
+// the mix.
 
 #include <string>
 
@@ -48,8 +57,9 @@
 namespace gpudiff::net {
 
 /// Wire protocol version, carried by every hello.  Bump on any change to
-/// message shapes; both daemons refuse other versions at connect.
-inline constexpr int kWireVersion = 1;
+/// message shapes or to what an op means; both daemons refuse other
+/// versions at connect.
+inline constexpr int kWireVersion = 2;
 
 /// Send one message as a compact JSON line.
 IoStatus send_message(Socket& socket, const support::Json& message,

@@ -104,11 +104,12 @@ TcpTransportOptions transport_options(int port, const std::string& worker,
 }
 
 /// Run one TCP worker to completion in this thread.
-WorkerOutcome run_tcp_worker(const diff::CampaignConfig& cfg, int port,
-                             const std::string& worker,
-                             const std::string& journal_dir,
-                             double stale_after = 1e9) {
+WorkerOutcome run_tcp_worker(
+    const diff::CampaignConfig& cfg, int port, const std::string& worker,
+    const std::string& journal_dir, double stale_after = 1e9,
+    std::function<void(const WorkerOptions::LeaseEvent&)> on_lease = {}) {
   WorkerOptions wopts;
+  wopts.on_lease = std::move(on_lease);
   wopts.coordinator = "127.0.0.1:" + std::to_string(port);
   wopts.journal_dir = journal_dir;
   wopts.lease_size = 4;
@@ -213,13 +214,18 @@ TEST(Coordinator, ThreeTcpWorkerFleetByteForByte) {
   Coordinator coordinator(copts);
   coordinator.start();
 
+  const int count = campaign::lease_count(45, 4);
+  std::vector<std::atomic<int>> runs(static_cast<std::size_t>(count));
   std::vector<WorkerOutcome> outcomes(3);
   std::vector<std::thread> workers;
   for (int i = 0; i < 3; ++i) {
     workers.emplace_back([&, i] {
       outcomes[static_cast<std::size_t>(i)] = run_tcp_worker(
           cfg, coordinator.port(), "fleet-" + std::to_string(i),
-          journal.str() + "-" + std::to_string(i));
+          journal.str() + "-" + std::to_string(i), 1e9,
+          [&](const WorkerOptions::LeaseEvent& e) {
+            ++runs[static_cast<std::size_t>(e.lease)];
+          });
     });
   }
   for (auto& w : workers) w.join();
@@ -230,9 +236,13 @@ TEST(Coordinator, ThreeTcpWorkerFleetByteForByte) {
     EXPECT_TRUE(o.campaign_complete);
     total_leases += o.leases_completed;
   }
-  // The coordinator serializes claims, so a live fleet runs every lease
-  // exactly once.
-  EXPECT_EQ(total_leases, campaign::lease_count(45, 4));
+  // Claims are exclusive and refuse finished leases, so a live fleet runs
+  // every lease exactly once, and each publish ends its claim.
+  EXPECT_EQ(total_leases, count);
+  for (int k = 0; k < count; ++k)
+    EXPECT_EQ(runs[static_cast<std::size_t>(k)], 1) << "lease " << k;
+  EXPECT_EQ(count_files_with_suffix(state.str(), ".claim"), 0)
+      << "the fleet left claims on the coordinator";
   EXPECT_EQ(canonical(campaign::merge_lease_dir(state.str())), direct);
 }
 
@@ -376,10 +386,9 @@ support::Json raw_exchange(int port, support::Json hello,
   return resp;
 }
 
-/// Lease `k`'s real block under `cfg`, serialized as lease `index` of
-/// `count`.
-support::Json block_doc(const diff::CampaignConfig& cfg, int count, int k,
-                        int index) {
+/// Lease `k`'s real block under `cfg`.
+campaign::ResultBlock lease_block(const diff::CampaignConfig& cfg, int count,
+                                  int k) {
   const auto [b, e] = campaign::lease_range(cfg.num_programs, count, k);
   auto out = diff::run_campaign_range(cfg, b, e);
   campaign::ResultBlock block;
@@ -388,7 +397,14 @@ support::Json block_doc(const diff::CampaignConfig& cfg, int count, int k,
   block.end = e;
   block.per_level = std::move(out.per_level);
   block.records = std::move(out.records);
-  return campaign::block_to_json(block, index, count);
+  return block;
+}
+
+/// Lease `k`'s real block under `cfg`, serialized as lease `index` of
+/// `count`.
+support::Json block_doc(const diff::CampaignConfig& cfg, int count, int k,
+                        int index) {
+  return campaign::block_to_json(lease_block(cfg, count, k), index, count);
 }
 
 TEST(Coordinator, RefusesHellosAndBlocksThatCouldNeverMerge) {
@@ -461,6 +477,79 @@ TEST(Coordinator, RefusesHellosAndBlocksThatCouldNeverMerge) {
             canonical(diff::run_campaign(cfg)));
 }
 
+TEST(Coordinator, ClaimsOnFinishedLeasesAreRefusedOverTcp) {
+  const auto cfg = small_config();
+  const int count = campaign::lease_count(45, 4);
+  TempDir state("gpudiff_coord_finished");
+  TempDir journal("gpudiff_coord_finished_journal");
+  CoordinatorOptions copts;
+  copts.dir = state.str();
+  Coordinator coordinator(copts);
+  coordinator.start();
+  TcpLeaseTransport a(
+      transport_options(coordinator.port(), "a", journal.str() + "-a"));
+  TcpLeaseTransport b(
+      transport_options(coordinator.port(), "b", journal.str() + "-b"));
+  a.publish_or_verify_manifest(campaign::config_to_json(cfg), 4, count);
+  b.publish_or_verify_manifest(campaign::config_to_json(cfg), 4, count);
+
+  ASSERT_TRUE(a.try_claim(2));
+  const campaign::ResultBlock block = lease_block(cfg, count, 2);
+  a.publish_done(2, count, block);
+  EXPECT_EQ(a.list_done(), std::vector<int>{2});
+  EXPECT_LT(a.claim_age_seconds(2), 0.0) << "the publish kept its claim";
+  EXPECT_FALSE(b.try_claim(2)) << "a finished lease was claimed";
+  EXPECT_FALSE(a.try_claim(2)) << "a finished lease was claimed";
+  // A second publish of the same block is acknowledged and writes nothing.
+  const std::string done = campaign::done_path(state.str(), 2);
+  ASSERT_TRUE(support::age_file(done, 100.0));
+  const auto mtime = std::filesystem::last_write_time(done);
+  b.publish_done(2, count, block);
+  EXPECT_EQ(std::filesystem::last_write_time(done), mtime);
+  coordinator.stop();
+  EXPECT_EQ(count_files_with_suffix(state.str(), ".claim"), 0);
+}
+
+TEST(Coordinator, ConnectionsWithoutHelloAreClosedAtTheDeadline) {
+  // Every connection holds a server thread; one that never says hello is
+  // closed after net::kHelloDeadlineTicks I/O timeouts, while a greeted
+  // one may stay idle as long as it likes.
+  const auto cfg = small_config();
+  TempDir state("gpudiff_coord_hello_deadline");
+  CoordinatorOptions copts;
+  copts.dir = state.str();
+  copts.io_timeout_seconds = 0.01;
+  Coordinator coordinator(copts);
+  coordinator.start();
+  const double deadline = net::kHelloDeadlineTicks * copts.io_timeout_seconds;
+
+  net::Socket silent = net::connect_tcp("127.0.0.1", coordinator.port(), 2.0);
+  net::Socket greeted = net::connect_tcp("127.0.0.1", coordinator.port(), 2.0);
+  ASSERT_TRUE(silent.valid());
+  ASSERT_TRUE(greeted.valid());
+  support::Json resp;
+  ASSERT_EQ(net::request_response(
+                greeted,
+                raw_hello(campaign::config_to_json(cfg), 4,
+                          campaign::lease_count(45, 4)),
+                1, &resp, 5.0),
+            net::IoStatus::Ok);
+  ASSERT_TRUE(resp.at("ok").as_bool());
+
+  EXPECT_EQ(net::recv_message(silent, &resp, deadline + 10.0),
+            net::IoStatus::Closed)
+      << "a connection that never said hello was kept open";
+  std::this_thread::sleep_for(
+      std::chrono::duration<double>(2.0 * deadline));
+  support::Json list = support::Json::object();
+  list["op"] = "list_done";
+  ASSERT_EQ(net::request_response(greeted, std::move(list), 2, &resp, 5.0),
+            net::IoStatus::Ok)
+      << "a greeted connection was closed for idling";
+  EXPECT_TRUE(resp.at("ok").as_bool());
+  coordinator.stop();
+}
+
 TEST(Coordinator, DirectoryAndTcpWorkersShareOneBoard) {
   // A --worker on the coordinator's state directory and two TCP workers
   // are one fleet: every lease runs once, and the merge is the single
@@ -526,16 +615,7 @@ TEST(Coordinator, RecoversClaimsAndDoneBlocksAcrossRestart) {
     ASSERT_TRUE(t.try_claim(0));
     // Publish lease 1 the long way so the done file carries real bytes.
     ASSERT_TRUE(t.try_claim(1));
-    const auto [b, e] = campaign::lease_range(45, count, 1);
-    auto out = diff::run_campaign_range(cfg, b, e);
-    campaign::ResultBlock block;
-    block.config_echo = echo;
-    block.begin = b;
-    block.end = e;
-    block.per_level = std::move(out.per_level);
-    block.records = std::move(out.records);
-    t.publish_done(1, count, block);
-    t.release(1);
+    t.publish_done(1, count, lease_block(cfg, count, 1));
     coordinator.stop();
   }  // SIGKILL stand-in: no graceful shutdown protocol exists to miss
 
@@ -591,15 +671,7 @@ TEST(Coordinator, DisconnectedWorkerJournalsAndRepublishes) {
 
     // Coordinator is gone.  The publish must not be lost — and must not
     // throw: it degrades to the local journal.
-    const auto [b, e] = campaign::lease_range(45, count, 0);
-    auto out = diff::run_campaign_range(cfg, b, e);
-    campaign::ResultBlock block;
-    block.config_echo = echo;
-    block.begin = b;
-    block.end = e;
-    block.per_level = std::move(out.per_level);
-    block.records = std::move(out.records);
-    t.publish_done(0, count, block);
+    t.publish_done(0, count, lease_block(cfg, count, 0));
     EXPECT_EQ(t.journaled_blocks(), 1);
     EXPECT_FALSE(t.drain()) << "drain must not report clean while a block "
                                "is stranded locally";
@@ -614,6 +686,8 @@ TEST(Coordinator, DisconnectedWorkerJournalsAndRepublishes) {
     EXPECT_TRUE(t.drain());
     EXPECT_EQ(t.journaled_blocks(), 0);
     EXPECT_TRUE(t.is_done(0));
+    EXPECT_LT(t.claim_age_seconds(0), 0.0)
+        << "the republished block did not end its claim";
     revived.stop();
   }
   // The republished block landed in the durable directory with the exact

@@ -613,14 +613,16 @@ TEST(Pipeline, EqualKeysImplySameKernel) {
             p.precision());
         const Executable& exe = set.exes[i];
         for (std::size_t j = 0; j < i; ++j)
-          if (level_keys[j] == key)
+          if (level_keys[j] == key) {
             EXPECT_EQ(exe.bytecode_cache, set.exes[j].bytecode_cache)
                 << "compile_set compiled a duplicate pipeline twice";
+          }
         level_keys.push_back(key);
         for (const auto& [other_key, other] : seen)
-          if (other_key == key)
+          if (other_key == key) {
             EXPECT_TRUE(exe.bytecode().same_kernel(other->bytecode()))
                 << platforms[i].name << " " << to_string(kAllOptLevels[li]);
+          }
         seen.emplace_back(key, &exe);
       }
     }

@@ -150,8 +150,8 @@ TEST(Scheduler, ThreeWorkerFleetSelfBalancesByteForByte) {
     total_programs += o.programs_executed;
   }
   // Nothing is stale in a live fleet, claims are exclusive, and a claim
-  // won after a peer's release is re-checked against the peer's done file
-  // before executing — so every lease runs exactly once.
+  // freed by a peer's publish is refused once the peer's done file exists
+  // — so every lease runs exactly once.
   EXPECT_EQ(total_leases, campaign::lease_count(45, 2));
   EXPECT_EQ(total_programs, 45u);
   EXPECT_EQ(canonical(campaign::merge_lease_dir(dir.str())), direct);
@@ -305,6 +305,175 @@ TEST(Scheduler, ClaimProtocolIsExclusiveAndOwnershipAware) {
   // Stealing a nonexistent claim loses the race cleanly.
   EXPECT_FALSE(a.try_steal(4));
   EXPECT_EQ(a.claim_age_seconds(4), -1.0);
+}
+
+TEST(Scheduler, ClaimsRefuseFinishedLeasesAndPublishEndsTheClaim) {
+  const auto cfg = small_config(10);
+  TempDir dir("gpudiff_sched_finished");
+  const int count = campaign::lease_count(10, 2);
+  FsLeaseTransport a(dir.str(), "a");
+  FsLeaseTransport b(dir.str(), "b");
+  a.publish_or_verify_manifest(campaign::config_to_json(cfg), 2, count);
+  b.publish_or_verify_manifest(campaign::config_to_json(cfg), 2, count);
+  const auto block_of = [&](int k) {
+    const auto [begin, end] = campaign::lease_range(10, count, k);
+    return make_block(cfg, begin, end);
+  };
+  const auto claimed = [&](int k) {
+    return std::filesystem::exists(campaign::claim_path(dir.str(), k));
+  };
+
+  // The publish ends the publisher's claim ...
+  ASSERT_TRUE(a.try_claim(0));
+  a.publish_done(0, count, block_of(0));
+  EXPECT_TRUE(a.is_done(0));
+  EXPECT_FALSE(claimed(0)) << "publish_done left its own claim behind";
+  // ... and a claim on the finished lease, even by the publisher, is
+  // refused with no claim file left.
+  EXPECT_FALSE(b.try_claim(0)) << "a finished lease was claimed";
+  EXPECT_FALSE(a.try_claim(0)) << "a finished lease was claimed";
+  EXPECT_FALSE(claimed(0));
+
+  // A stale claim on a finished lease (an owner killed between its done
+  // file and the end of its claim) is reaped by the steal, not stolen.
+  support::write_file(campaign::claim_path(dir.str(), 0),
+                      campaign::claim_document(0, "dead"));
+  ASSERT_TRUE(support::age_file(campaign::claim_path(dir.str(), 0), 3600.0));
+  EXPECT_FALSE(b.try_steal(0)) << "a finished lease was stolen";
+  EXPECT_FALSE(claimed(0));
+
+  // Another worker's claim survives a publish: here a paused owner
+  // publishes after its lease was stolen.
+  ASSERT_TRUE(a.try_claim(1));
+  ASSERT_TRUE(b.try_steal(1));
+  a.publish_done(1, count, block_of(1));
+  EXPECT_EQ(campaign::claim_owner(campaign::claim_path(dir.str(), 1)), "b")
+      << "a publish removed another worker's claim";
+
+  // A duplicate publish writes nothing: the done file keeps its bytes and
+  // its mtime.
+  const std::string done = campaign::done_path(dir.str(), 1);
+  ASSERT_TRUE(support::age_file(done, 100.0));
+  const std::string bytes = support::read_file(done);
+  const auto mtime = std::filesystem::last_write_time(done);
+  b.publish_done(1, count, block_of(1));
+  EXPECT_EQ(support::read_file(done), bytes);
+  EXPECT_EQ(std::filesystem::last_write_time(done), mtime)
+      << "a duplicate publish rewrote the done file";
+  EXPECT_FALSE(claimed(1)) << "the duplicate publish kept its claim";
+}
+
+TEST(Scheduler, ListDoneReadsOnlyDoneFilesOfThisPartition) {
+  const auto cfg = small_config(20);
+  TempDir dir("gpudiff_sched_list_done");
+  const int count = campaign::lease_count(20, 2);  // 10 leases
+  FsLeaseTransport board(dir.str(), "w");
+  board.publish_or_verify_manifest(campaign::config_to_json(cfg), 2, count);
+  for (const int k : {0, 2, 9})
+    support::write_file(campaign::done_path(dir.str(), k), "{}");
+  // Litter a crash, a quarantine, a claim or a hand may leave beside them.
+  for (const std::string name :
+       {"lease-3.done.json.tmp.w", "lease-4.done.json.quarantined",
+        "lease-5.claim", "lease-5.claim.stale.w", "campaign.json.w",
+        "lease-07.done.json", "lease-12.done.json", "lease-+1.done.json"})
+    support::write_file(dir.str() + "/" + name, "{}");
+
+  std::vector<int> one_by_one;
+  for (int k = 0; k < count; ++k)
+    if (board.is_done(k)) one_by_one.push_back(k);
+  EXPECT_EQ(board.list_done(), one_by_one);
+  EXPECT_EQ(board.list_done(), (std::vector<int>{0, 2, 9}));
+  EXPECT_EQ(campaign::done_lease_of("lease-12.done.json"), 12);
+  EXPECT_EQ(campaign::done_lease_of("lease-07.done.json"), -1);
+  EXPECT_EQ(campaign::done_lease_of("lease-99999999999.done.json"), -1);
+}
+
+/// Counts the calls a worker makes into the board it forwards them to.
+class CountingTransport final : public campaign::LeaseTransport {
+ public:
+  explicit CountingTransport(campaign::LeaseTransport& inner)
+      : inner_(inner) {}
+
+  // Atomic: heartbeats arrive from the lease's timer thread.
+  std::atomic<int> is_done_calls{0}, list_done_calls{0}, claim_calls{0},
+      age_calls{0}, steal_calls{0}, reap_calls{0}, publish_calls{0},
+      release_calls{0};
+
+  const std::string& worker_id() const noexcept override {
+    return inner_.worker_id();
+  }
+  void publish_or_verify_manifest(const support::Json& config_echo,
+                                  int lease_size, int count) override {
+    inner_.publish_or_verify_manifest(config_echo, lease_size, count);
+  }
+  bool is_done(int lease) override {
+    ++is_done_calls;
+    return inner_.is_done(lease);
+  }
+  std::vector<int> list_done() override {
+    ++list_done_calls;
+    return inner_.list_done();
+  }
+  bool try_claim(int lease) override {
+    ++claim_calls;
+    return inner_.try_claim(lease);
+  }
+  double claim_age_seconds(int lease) override {
+    ++age_calls;
+    return inner_.claim_age_seconds(lease);
+  }
+  bool try_steal(int lease) override {
+    ++steal_calls;
+    return inner_.try_steal(lease);
+  }
+  void reap_claim(int lease) override {
+    ++reap_calls;
+    inner_.reap_claim(lease);
+  }
+  bool heartbeat(int lease) override { return inner_.heartbeat(lease); }
+  void publish_done(int lease, int count,
+                    const campaign::ResultBlock& block) override {
+    ++publish_calls;
+    inner_.publish_done(lease, count, block);
+  }
+  void release(int lease) override {
+    ++release_calls;
+    inner_.release(lease);
+  }
+  void maintain(double stale_after_seconds) override {
+    inner_.maintain(stale_after_seconds);
+  }
+  bool drain() override { return inner_.drain(); }
+
+ private:
+  campaign::LeaseTransport& inner_;
+};
+
+TEST(Scheduler, LoneWorkerClaimsAndPublishesEachLeaseOnce) {
+  // The request budget of a worker with no peer: one claim and one
+  // publish per lease, at most one age check per lease, the done set
+  // listed at most twice, and nothing asked of one lease at a time.
+  const auto cfg = small_config(24);
+  TempDir dir("gpudiff_sched_budget");
+  FsLeaseTransport board(dir.str(), "solo");
+  CountingTransport counted(board);
+  WorkerOptions options;
+  options.lease_size = 2;
+  const WorkerOutcome outcome = campaign::run_worker(cfg, options, counted);
+  const int n = campaign::lease_count(24, 2);
+  EXPECT_TRUE(outcome.campaign_complete);
+  EXPECT_EQ(outcome.leases_completed, n);
+  EXPECT_EQ(counted.claim_calls, n);
+  EXPECT_EQ(counted.publish_calls, n);
+  EXPECT_LE(counted.age_calls, n);
+  EXPECT_LE(counted.list_done_calls, 2);
+  EXPECT_EQ(counted.is_done_calls, 0);
+  EXPECT_EQ(counted.release_calls, 0);
+  EXPECT_EQ(counted.steal_calls, 0);
+  EXPECT_EQ(counted.reap_calls, 0);
+  EXPECT_EQ(count_files_with_suffix(dir.str(), ".claim"), 0);
+  EXPECT_EQ(canonical(campaign::merge_lease_dir(dir.str())),
+            canonical(diff::run_campaign(cfg)));
 }
 
 TEST(Scheduler, WorkerIdsMustEndFileNames) {
@@ -461,8 +630,7 @@ TEST(Scheduler, IdleWorkerWakesSoonAfterLastPublish) {
       << "the worker never finished the leases nobody held";
   std::this_thread::sleep_until(Clock::time_point(Clock::duration(last_lease)) +
                                 std::chrono::milliseconds(60));
-  holder.publish_done(0, count, held);
-  holder.release(0);
+  holder.publish_done(0, count, held);  // ends the holder's claim
   const Clock::time_point published = Clock::now();
   worker.join();
 

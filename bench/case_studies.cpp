@@ -145,8 +145,8 @@ int main(int argc, char** argv) {
 
   if (cli.get_flag("asm")) {
     std::printf("==== Pseudo-assembly evidence (Case Study 3 at O1) ====\n\n");
-    for (auto t : {opt::Toolchain::Nvcc, opt::Toolchain::Hipcc}) {
-      const auto exe = opt::compile(cs3, {t, opt::OptLevel::O1, false});
+    for (const opt::PlatformSpec& spec : opt::default_platforms()) {
+      const auto exe = opt::compile(cs3, spec, opt::OptLevel::O1);
       std::printf("%s\n", vgpu::disassemble(exe).c_str());
     }
   }

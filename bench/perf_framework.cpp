@@ -58,7 +58,7 @@ void BM_CompileO3(benchmark::State& state) {
   const ir::Program p = g.generate(7);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        opt::compile(p, {opt::Toolchain::Hipcc, opt::OptLevel::O3, false}));
+        opt::compile(p, *opt::find_platform("hipcc"), opt::OptLevel::O3));
   }
 }
 BENCHMARK(BM_CompileO3);
@@ -68,7 +68,7 @@ void BM_RunKernel(benchmark::State& state) {
   gen::Generator g(cfg, 42);
   gen::InputGenerator ig(42);
   const ir::Program p = g.generate(7);
-  const auto exe = opt::compile(p, {opt::Toolchain::Nvcc, opt::OptLevel::O2, false});
+  const auto exe = opt::compile(p, *opt::find_platform("nvcc"), opt::OptLevel::O2);
   const auto args = ig.generate(p, 7, 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(vgpu::run_kernel(exe, args));
@@ -81,11 +81,10 @@ void BM_RunKernelBytecode(benchmark::State& state) {
   gen::Generator g(cfg, 42);
   gen::InputGenerator ig(42);
   const ir::Program p = g.generate(7);
-  const auto exe = opt::compile(p, {opt::Toolchain::Nvcc, opt::OptLevel::O2, false});
+  const auto exe = opt::compile(p, *opt::find_platform("nvcc"), opt::OptLevel::O2);
   const auto args = ig.generate(p, 7, 0);
-  vgpu::ExecContext ctx;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(exe.bytecode().run(args, ctx));
+    benchmark::DoNotOptimize(vgpu::run_kernel(exe, args));
   }
 }
 BENCHMARK(BM_RunKernelBytecode);
@@ -95,7 +94,7 @@ void BM_RunKernelTreeWalk(benchmark::State& state) {
   gen::Generator g(cfg, 42);
   gen::InputGenerator ig(42);
   const ir::Program p = g.generate(7);
-  const auto exe = opt::compile(p, {opt::Toolchain::Nvcc, opt::OptLevel::O2, false});
+  const auto exe = opt::compile(p, *opt::find_platform("nvcc"), opt::OptLevel::O2);
   const auto args = ig.generate(p, 7, 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(vgpu::run_kernel_tree(exe, args));
@@ -107,7 +106,7 @@ void BM_CompileBytecode(benchmark::State& state) {
   gen::GenConfig cfg;
   gen::Generator g(cfg, 42);
   const ir::Program p = g.generate(7);
-  const auto exe = opt::compile(p, {opt::Toolchain::Nvcc, opt::OptLevel::O2, false});
+  const auto exe = opt::compile(p, *opt::find_platform("nvcc"), opt::OptLevel::O2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(vgpu::compile_bytecode(exe.program, exe.env, exe.mathlib));
   }
@@ -246,7 +245,7 @@ void BM_RunBatch(benchmark::State& state) {
     gen::Generator g(cfg, 42);
     gen::InputGenerator ig(42);
     const ir::Program p = g.generate(11);
-    Leg leg{opt::compile(p, {opt::Toolchain::Nvcc, opt::OptLevel::O2, false}),
+    Leg leg{opt::compile(p, *opt::find_platform("nvcc"), opt::OptLevel::O2),
             {}, {}};
     for (int ii = 0; ii < 32; ++ii) leg.inputs.push_back(ig.generate(p, 11, ii));
     leg.out.resize(leg.inputs.size());

@@ -15,7 +15,7 @@
 
 #include "fp/bits.hpp"
 #include "ir/builder.hpp"
-#include "opt/pipeline.hpp"
+#include "opt/platform.hpp"
 #include "support/cli.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -92,7 +92,7 @@ Program build_bt_kernel() {
 }
 
 struct Config {
-  opt::Toolchain toolchain;
+  const char* platform;
   opt::OptLevel level;
 };
 
@@ -124,15 +124,15 @@ int main(int argc, char** argv) {
   }
 
   const Config configs[] = {
-      {opt::Toolchain::Nvcc, opt::OptLevel::O0},
-      {opt::Toolchain::Nvcc, opt::OptLevel::O3_FastMath},
-      {opt::Toolchain::Hipcc, opt::OptLevel::O0},
-      {opt::Toolchain::Hipcc, opt::OptLevel::O3_FastMath},
+      {"nvcc", opt::OptLevel::O0},
+      {"nvcc", opt::OptLevel::O3_FastMath},
+      {"hipcc", opt::OptLevel::O0},
+      {"hipcc", opt::OptLevel::O3_FastMath},
   };
 
   // Reference: nvcc-sim -O0.
   const auto ref_exe =
-      opt::compile(kernel, {opt::Toolchain::Nvcc, opt::OptLevel::O0, false});
+      opt::compile(kernel, *opt::find_platform("nvcc"), opt::OptLevel::O0);
   std::vector<double> reference;
   for (const auto& args : sweep)
     reference.push_back(vgpu::run_kernel(ref_exe, args).value);
@@ -140,7 +140,8 @@ int main(int argc, char** argv) {
   support::Table table("TABLE I — INCONSISTENCIES IN BT.S (mini-ADI reproduction)");
   table.set_header({"Compiler", "Options", "Runtime (Mcycles)", "Max Rel Error"});
   for (const auto& cfg : configs) {
-    const auto exe = opt::compile(kernel, {cfg.toolchain, cfg.level, false});
+    const auto exe =
+        opt::compile(kernel, *opt::find_platform(cfg.platform), cfg.level);
     std::uint64_t cycles = 0;
     double max_err = 0.0;
     for (std::size_t i = 0; i < sweep.size(); ++i) {
@@ -152,7 +153,7 @@ int main(int argc, char** argv) {
       }
     }
     const std::string opts = cfg.level == opt::OptLevel::O3_FastMath
-                                 ? (cfg.toolchain == opt::Toolchain::Nvcc
+                                 ? (exe.toolchain == opt::Toolchain::Nvcc
                                         ? "-O3 -use_fast_math"
                                         : "-O3 -ffast-math")
                                  : "-O0";
@@ -160,7 +161,7 @@ int main(int argc, char** argv) {
     std::snprintf(runtime, sizeof runtime, "%.3f",
                   static_cast<double>(cycles) / 1e6);
     std::snprintf(err, sizeof err, "%.5E", max_err);
-    table.add_row({opt::to_string(cfg.toolchain), opts, runtime, err});
+    table.add_row({opt::to_string(exe.toolchain), opts, runtime, err});
   }
   std::printf("%s\n", table.render().c_str());
   std::printf(

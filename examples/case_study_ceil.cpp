@@ -51,8 +51,8 @@ int main(int argc, char** argv) {
       "division by the resulting 0 produces Inf.\n");
 
   if (cli.get_flag("asm")) {
-    for (auto tc : {opt::Toolchain::Nvcc, opt::Toolchain::Hipcc}) {
-      const auto exe = opt::compile(p, {tc, opt::OptLevel::O0, false});
+    for (const opt::PlatformSpec& spec : opt::default_platforms()) {
+      const auto exe = opt::compile(p, spec, opt::OptLevel::O0);
       std::printf("\n%s\n", vgpu::disassemble(exe).c_str());
     }
   }

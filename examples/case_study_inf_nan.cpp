@@ -67,8 +67,8 @@ int main(int argc, char** argv) {
       "steps\" — this is one concrete such reordering.\n");
 
   if (cli.get_flag("asm")) {
-    for (auto tc : {opt::Toolchain::Nvcc, opt::Toolchain::Hipcc}) {
-      const auto exe = opt::compile(p, {tc, opt::OptLevel::O1, false});
+    for (const opt::PlatformSpec& spec : opt::default_platforms()) {
+      const auto exe = opt::compile(p, spec, opt::OptLevel::O1);
       std::printf("\n%s\n", vgpu::disassemble(exe).c_str());
     }
   }

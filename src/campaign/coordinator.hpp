@@ -24,9 +24,10 @@
 // Requests of different workers run at once, as worker processes sharing
 // one lease directory do: the board's link, rename and atomic-write rules
 // arbitrate, and one worker's fsync no longer stalls the others.  Requests
-// of one worker id take turns, because a reconnect can race its old
-// connection's last request and both would write the same
-// ".tmp.<worker>" file.  The coordinator-wide mutex guards only the
+// of one worker id take turns: a request retried over a new connection can
+// arrive while the old one still serves its first attempt, and the turn
+// runs the retry after it, so one worker's check-then-act steps on its own
+// claims never interleave.  The coordinator-wide mutex guards only the
 // manifest fields (set once) and the per-worker lanes.
 
 #include <map>

@@ -15,9 +15,10 @@ namespace gpudiff::campaign {
 namespace {
 
 /// Reap temp files stranded by workers killed mid-publish: claim temps
-/// and tombstones ("lease-<k>.claim.<suffix>"), done-file temps
-/// ("lease-<k>.done.json.tmp.<suffix>") and manifest temps
-/// ("campaign.json.<suffix>") older than the staleness window.  Without
+/// and tombstones ("lease-<k>.claim.tmp.<unique>",
+/// "lease-<k>.claim.stale.<worker>"), done-file temps
+/// ("lease-<k>.done.json.tmp.<unique>") and manifest temps
+/// ("campaign.json.tmp.<unique>") older than the staleness window.  Without
 /// this, every SIGKILL between a temp write and its link/rename leaks one
 /// file into the shared directory forever.  A *live* publisher whose temp
 /// is this old is indistinguishable from a dead one; reaping its temp
@@ -63,10 +64,10 @@ FsLeaseTransport::FsLeaseTransport(std::string dir, std::string worker_id,
       lease_count_(lease_count) {
   if (dir_.empty())
     throw std::invalid_argument("FsLeaseTransport: empty directory");
-  // The id ends file names ("." + id, ".stale." + id, ".tmp." + id); the
-  // longest is a done file's temp at the widest lease index.
+  // The id ends one file name, a steal's tombstone of the claim at the
+  // widest lease index.
   const std::size_t max_id =
-      NAME_MAX - std::filesystem::path(done_path(dir_, INT_MAX) + ".tmp.")
+      NAME_MAX - std::filesystem::path(claim_path(dir_, INT_MAX) + ".stale.")
                      .filename()
                      .string()
                      .size();
@@ -82,8 +83,7 @@ void FsLeaseTransport::publish_or_verify_manifest(
     const support::Json& config_echo, int lease_size, int count) {
   const support::Json manifest =
       make_manifest(config_echo, lease_size, count);
-  if (!support::publish_file_exclusive(manifest_path(dir_), manifest.dump(1),
-                                       "." + worker_)) {
+  if (!support::publish_file_exclusive(manifest_path(dir_), manifest.dump(1))) {
     const support::Json existing = load_manifest(dir_);
     if (existing.at("config") != config_echo)
       throw ManifestMismatch(
@@ -120,8 +120,7 @@ std::vector<int> FsLeaseTransport::list_done() {
 bool FsLeaseTransport::try_claim(int lease) {
   // A claim this worker already holds is re-touched, not lost.
   if (!support::publish_file_exclusive(claim_path(dir_, lease),
-                                       claim_document(lease, worker_),
-                                       "." + worker_) &&
+                                       claim_document(lease, worker_)) &&
       !heartbeat(lease))
     return false;
   // The claim may have been winnable only because its owner published the
@@ -167,14 +166,12 @@ void FsLeaseTransport::publish_done(int lease, int count,
   // Done files are immutable: a duplicate publish (a paused owner and its
   // stealer both finishing, or a retried request whose first answer was
   // lost) writes nothing; by the determinism invariant it carries the same
-  // bytes.  Per-worker temp suffix: two publishers can still pass the check
-  // together, and they must not tear each other's temp file.  The final
-  // renames race, but both sides rename identical bytes, so either winner
-  // is whole and right.
+  // bytes.  Two publishers can still pass the check together; each writes
+  // its own temp file, the final renames race, and both sides rename
+  // identical bytes, so either winner is whole and right.
   if (!is_done(lease))
     support::write_file_atomic(done_path(dir_, lease),
-                               block_to_json(block, lease, count).dump(1),
-                               ".tmp." + worker_);
+                               block_to_json(block, lease, count).dump(1));
   // The done file is durable, so the claim has done its work.
   release(lease);
 }
@@ -409,7 +406,7 @@ void TcpLeaseTransport::publish_done(int lease, int count,
     // function of (fingerprint, range).
     std::filesystem::create_directories(options_.journal_dir);
     support::write_file_atomic(done_path(options_.journal_dir, lease),
-                               doc.dump(1), ".tmp");
+                               doc.dump(1));
   }
 }
 

@@ -48,22 +48,21 @@ CompiledSet compile_set(const ir::Program& program,
     throw std::invalid_argument("compile_set: empty platform list");
   if (platforms.size() > opt::kMaxPlatforms)
     throw std::invalid_argument("compile_set: more than kMaxPlatforms");
-  // Platforms whose options resolve to one pipeline (nvcc and
-  // nvcc-fastmath at O0 and at O3 fast math) compile once; the copies
-  // share the first one's lowering through bytecode_cache.
+  // Platforms that resolve to one pipeline (nvcc and nvcc-fastmath at O0
+  // and at O3 fast math) compile once; the copies share the first one's
+  // lowering through bytecode_cache.
   std::array<opt::PipelineKey, opt::kMaxPlatforms> keys;
   CompiledSet set;
   set.exes.reserve(platforms.size());
   for (std::size_t i = 0; i < platforms.size(); ++i) {
-    const opt::CompileOptions options =
-        opt::compile_options(platforms[i], level, hipify_converted);
-    keys[i] = opt::pipeline_key(options, program.precision());
+    keys[i] = opt::pipeline_key(platforms[i], level, hipify_converted,
+                                program.precision());
     const std::size_t first = static_cast<std::size_t>(
         std::find(keys.begin(), keys.begin() + i, keys[i]) - keys.begin());
     if (first < i)
       set.exes.push_back(set.exes[first]);
     else
-      set.exes.push_back(opt::compile(program, options));
+      set.exes.push_back(opt::compile(program, keys[i], level));
   }
   return set;
 }

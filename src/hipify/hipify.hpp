@@ -7,8 +7,9 @@
 // Translation covers: runtime API renames (cudaMalloc -> hipMalloc, ...),
 // the <<<grid, block>>> launch syntax -> hipLaunchKernelGGL, and header
 // rewrites.  Numerical consequences of compiling *converted* sources are
-// modeled on the compiler side (opt::CompileOptions::hipify_converted binds
-// the CUDA-compat math wrapper — see vmath/compat_math.cpp and DESIGN.md).
+// modeled on the compiler side (opt::pipeline_key's hipify_converted binds
+// hipcc-based platforms to the CUDA-compat math wrapper — see
+// vmath/compat_math.cpp).
 
 #include <string>
 #include <vector>

@@ -65,69 +65,11 @@ const vgpu::BytecodeProgram& Executable::bytecode() const {
   return *bytecode_cache;
 }
 
-namespace {
-
-const vmath::MathLib* select_mathlib(const CompileOptions& o) {
-  const bool fast = o.level == OptLevel::O3_FastMath;
-  if (o.toolchain == Toolchain::Nvcc)
-    return fast ? &vmath::nv_fast() : &vmath::nv_libdevice();
-  if (o.hipify_converted)
-    return fast ? &vmath::hip_cuda_compat_native() : &vmath::hip_cuda_compat();
-  return fast ? &vmath::amd_ocml_native() : &vmath::amd_ocml();
-}
-
-}  // namespace
-
-PipelineKey pipeline_key(const CompileOptions& options,
-                         ir::Precision precision) {
-  PipelineKey key;
-  key.toolchain = options.toolchain;
-  key.passes = options.level == OptLevel::O0 ? PassClass::None
-               : options.level == OptLevel::O3_FastMath ? PassClass::FastMath
-                                                        : PassClass::Optimized;
-  if (key.passes != PassClass::None)
-    key.fma = options.fma != FmaMode::Auto ? options.fma
-              : options.toolchain == Toolchain::Nvcc ? FmaMode::LeftProduct
-                                                      : FmaMode::RightProduct;
-  key.mathlib =
-      options.mathlib != nullptr ? options.mathlib : select_mathlib(options);
-
-  fp::FpEnv& env = key.env;
-  if (key.passes == PassClass::FastMath) {
-    if (options.toolchain == Toolchain::Nvcc) {
-      // -use_fast_math: .ftz on FP32 ops, approximate FP32 division; FP64
-      // arithmetic stays IEEE on real nvcc.
-      env.ftz32 = true;
-      env.daz32 = true;
-      env.div32 = fp::Div32Mode::NvApprox;
-    } else {
-      env.div32 = fp::Div32Mode::AmdApprox;
-      // -ffinite-math-only lowers FP32 fmin/fmax to a bare compare-select;
-      // the FP64 entry points keep IEEE NaN semantics because the paper's
-      // recommended -DHIP_FAST_MATH spelling only swaps FP32 intrinsics
-      // (paper §III-D, footnote on ROCm issue #28).
-      if (precision == ir::Precision::FP32) env.naive_minmax = true;
-    }
-  }
-  // Platform-registry overrides land after the level pipeline so a
-  // registry entry can pin the FP environment independently of the level
-  // ("hipcc with FTZ on at every level").
-  if (options.force_ftz32) env.ftz32 = true;
-  if (options.force_daz32) env.daz32 = true;
-  switch (options.div32) {
-    case Div32Override::Auto: break;
-    case Div32Override::IEEE: env.div32 = fp::Div32Mode::IEEE; break;
-    case Div32Override::NvApprox: env.div32 = fp::Div32Mode::NvApprox; break;
-    case Div32Override::AmdApprox: env.div32 = fp::Div32Mode::AmdApprox; break;
-  }
-  return key;
-}
-
-Executable compile(const ir::Program& program, const CompileOptions& options) {
-  const PipelineKey key = pipeline_key(options, program.precision());
+Executable compile(const ir::Program& program, const PipelineKey& key,
+                   OptLevel level) {
   Executable exe;
   exe.toolchain = key.toolchain;
-  exe.level = options.level;
+  exe.level = key.passes == PassClass::FastMath ? OptLevel::O3_FastMath : level;
   exe.mathlib = key.mathlib;
   exe.env = key.env;
   if (key.passes == PassClass::None) {

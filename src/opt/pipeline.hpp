@@ -17,8 +17,11 @@
 // only value-preserving cleanup on real compilers too, which reproduces the
 // identical per-level counts of paper Tables V/VII/IX.
 //
-// HIPIFY-converted sources (CompileOptions::hipify_converted) bind the
-// CUDA-compat math wrapper instead of plain OCML (see compat_math.cpp).
+// A build is a platform spec at a level (opt/platform.hpp).  pipeline_key()
+// resolves it into the PipelineKey below — the level's pass class and FP
+// environment, the spec's overrides, and the math library (HIPIFY-converted
+// hipcc sources bind the CUDA-compat wrapper instead of plain OCML, see
+// compat_math.cpp) — and compile() runs the pipeline that key names.
 
 #include <memory>
 #include <string>
@@ -58,35 +61,18 @@ inline constexpr OptLevel kAllOptLevels[] = {
     OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3,
     OptLevel::O3_FastMath};
 
-struct CompileOptions {
-  Toolchain toolchain = Toolchain::Nvcc;
-  OptLevel level = OptLevel::O0;
-  /// hipcc only: source was produced by HIPIFY rather than generated as HIP.
-  bool hipify_converted = false;
-
-  // Platform-registry overrides (opt/platform.hpp).  All default to the
-  // plain toolchain behaviour, so the paper's two platforms compile
-  // exactly as before.
-  FmaMode fma = FmaMode::Auto;
-  bool force_ftz32 = false;  ///< flush FP32 subnormal results at every level
-  bool force_daz32 = false;  ///< treat FP32 subnormal inputs as zero
-  Div32Override div32 = Div32Override::Auto;
-  /// Math-library binding override (null = select by toolchain/level).
-  const vmath::MathLib* mathlib = nullptr;
-};
-
 /// Which passes a level runs: none at O0, the optimizing set at O1..O3
 /// (the three run the same passes), or the fast-math set at O3 fast math.
 enum class PassClass : std::uint8_t { None, Optimized, FastMath };
 
-/// Everything compile() branches on, resolved from the options and the
-/// program's precision: the toolchain, the pass class, the FMA contraction
-/// side, the FP environment after the level and the platform overrides,
-/// and the bound math library after the HIPIFY binding and any override.
-/// compile() builds the key first and reads only its fields, so compiles
-/// of one program under equal keys produce the same kernel
-/// (vgpu::BytecodeProgram::same_kernel); diff::compile_set compiles each
-/// distinct key once.
+/// Everything compile() branches on, resolved by opt::pipeline_key from a
+/// platform spec, a level and the program's precision: the toolchain, the
+/// pass class, the FMA contraction side, the FP environment after the
+/// level and the platform overrides, and the bound math library after the
+/// HIPIFY binding and any override.  compile() reads only the key's
+/// fields, so compiles of one program under equal keys produce the same
+/// kernel (vgpu::BytecodeProgram::same_kernel); diff::compile_set compiles
+/// each distinct key once.
 struct PipelineKey {
   Toolchain toolchain = Toolchain::Nvcc;
   PassClass passes = PassClass::None;
@@ -97,8 +83,6 @@ struct PipelineKey {
 
   friend bool operator==(const PipelineKey&, const PipelineKey&) = default;
 };
-
-PipelineKey pipeline_key(const CompileOptions& options, ir::Precision precision);
 
 /// A compiled test: what the virtual GPU executes.
 struct Executable {
@@ -121,10 +105,14 @@ struct Executable {
   mutable std::shared_ptr<const vgpu::BytecodeProgram> bytecode_cache;
 };
 
-/// Run the toolchain's pipeline for the given level.  The input program is
-/// copied; generation artifacts are never mutated.  A compile costs one
-/// program copy (its expression pool sized once for what the passes add),
-/// the passes and one bytecode lowering.
-Executable compile(const ir::Program& program, const CompileOptions& options);
+/// Run the pipeline `key` names.  `level` is the level the build asked for
+/// and only labels the Executable (a fast-math key is labelled O3 fast
+/// math whatever level resolved to it).  The input program is copied;
+/// generation artifacts are never mutated.  A compile costs one program
+/// copy (its expression pool sized once for what the passes add), the
+/// passes and one bytecode lowering.  Compile a platform spec with
+/// opt::compile(program, spec, level, hipify) (opt/platform.hpp).
+Executable compile(const ir::Program& program, const PipelineKey& key,
+                   OptLevel level);
 
 }  // namespace gpudiff::opt

@@ -104,30 +104,73 @@ std::vector<std::string> platform_names(std::span<const PlatformSpec> specs) {
   return names;
 }
 
-CompileOptions compile_options(const PlatformSpec& spec, OptLevel level,
-                               bool hipify_converted) {
-  CompileOptions o;
-  o.toolchain = spec.toolchain;
-  o.level = spec.fast_math && level != OptLevel::O0 ? OptLevel::O3_FastMath
-                                                    : level;
-  o.hipify_converted = hipify_converted && spec.toolchain == Toolchain::Hipcc;
-  o.fma = spec.fma;
-  o.force_ftz32 = spec.force_ftz32;
-  o.force_daz32 = spec.force_daz32;
-  o.div32 = spec.div32;
+PipelineKey pipeline_key(const PlatformSpec& spec, OptLevel level,
+                         bool hipify_converted, ir::Precision precision) {
+  if (spec.fast_math && level != OptLevel::O0) level = OptLevel::O3_FastMath;
+  PipelineKey key;
+  key.toolchain = spec.toolchain;
+  key.passes = level == OptLevel::O0            ? PassClass::None
+               : level == OptLevel::O3_FastMath ? PassClass::FastMath
+                                                : PassClass::Optimized;
+  const bool nvcc = spec.toolchain == Toolchain::Nvcc;
+  const bool fast = key.passes == PassClass::FastMath;
+  if (key.passes != PassClass::None)
+    key.fma = spec.fma != FmaMode::Auto ? spec.fma
+              : nvcc                    ? FmaMode::LeftProduct
+                                        : FmaMode::RightProduct;
+
   if (!spec.mathlib.empty()) {
-    o.mathlib = vmath::find_mathlib(spec.mathlib);
-    if (o.mathlib == nullptr)
+    key.mathlib = vmath::find_mathlib(spec.mathlib);
+    if (key.mathlib == nullptr)
       throw std::runtime_error("platform '" + spec.name +
                                "': unknown math library '" + spec.mathlib +
                                "'");
+  } else if (nvcc) {
+    key.mathlib = fast ? &vmath::nv_fast() : &vmath::nv_libdevice();
+  } else if (hipify_converted) {
+    key.mathlib =
+        fast ? &vmath::hip_cuda_compat_native() : &vmath::hip_cuda_compat();
+  } else {
+    key.mathlib = fast ? &vmath::amd_ocml_native() : &vmath::amd_ocml();
   }
-  return o;
+
+  fp::FpEnv& env = key.env;
+  if (fast) {
+    if (nvcc) {
+      // -use_fast_math: .ftz on FP32 ops, approximate FP32 division; FP64
+      // arithmetic stays IEEE on real nvcc.
+      env.ftz32 = true;
+      env.daz32 = true;
+      env.div32 = fp::Div32Mode::NvApprox;
+    } else {
+      env.div32 = fp::Div32Mode::AmdApprox;
+      // -ffinite-math-only lowers FP32 fmin/fmax to a bare compare-select;
+      // the FP64 entry points keep IEEE NaN semantics because the paper's
+      // recommended -DHIP_FAST_MATH spelling only swaps FP32 intrinsics
+      // (paper §III-D, footnote on ROCm issue #28).
+      if (precision == ir::Precision::FP32) env.naive_minmax = true;
+    }
+  }
+  // The spec's overrides land after the level pipeline so a registry entry
+  // can pin the FP environment independently of the level ("hipcc with FTZ
+  // on at every level").
+  if (spec.force_ftz32) env.ftz32 = true;
+  if (spec.force_daz32) env.daz32 = true;
+  switch (spec.div32) {
+    case Div32Override::Auto: break;
+    case Div32Override::IEEE: env.div32 = fp::Div32Mode::IEEE; break;
+    case Div32Override::NvApprox: env.div32 = fp::Div32Mode::NvApprox; break;
+    case Div32Override::AmdApprox: env.div32 = fp::Div32Mode::AmdApprox; break;
+  }
+  return key;
 }
 
 Executable compile(const ir::Program& program, const PlatformSpec& spec,
                    OptLevel level, bool hipify_converted) {
-  return compile(program, compile_options(spec, level, hipify_converted));
+  return compile(
+      program,
+      pipeline_key(spec, level, hipify_converted, program.precision()),
+      level);
 }
 
 }  // namespace gpudiff::opt

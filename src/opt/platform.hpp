@@ -10,7 +10,8 @@
 // nvcc -O3 -use_fast_math over the same program").
 //
 // A PlatformSpec bundles a Toolchain (pass schedule + math-library family)
-// with the FP-environment knobs, and the differential core
+// with the FP-environment knobs; pipeline_key() resolves a spec at a level
+// into the pipeline compile() runs.  The differential core
 // (diff/runner.hpp) runs any list of specs against the first entry — the
 // baseline.  The built-in registry ships the two paper platforms plus
 // scenario configurations; campaigns select a subset with
@@ -75,17 +76,19 @@ std::vector<PlatformSpec> default_platforms();
 /// Names of `specs`, in order (campaign results carry these labels).
 std::vector<std::string> platform_names(std::span<const PlatformSpec> specs);
 
-/// The compile options `spec` resolves to at `level`: fast_math maps every
-/// optimized level to O3 fast math, and `hipify_converted` applies only to
-/// hipcc-based platforms.  Throws std::runtime_error when the spec names
-/// an unknown math library.
-CompileOptions compile_options(const PlatformSpec& spec, OptLevel level,
-                               bool hipify_converted = false);
+/// The pipeline `spec` builds at `level` for a program of `precision`: the
+/// one place a spec's build fields are read (the table in opt/pipeline.hpp).
+/// fast_math maps every optimized level to O3 fast math, the spec's
+/// overrides land on the level's FP environment, and `hipify_converted`
+/// binds hipcc-based specs to the CUDA-compat library.  Throws
+/// std::runtime_error naming the platform and the library when the spec
+/// names an unknown math library (a manifest or version-2 report can).
+PipelineKey pipeline_key(const PlatformSpec& spec, OptLevel level,
+                         bool hipify_converted, ir::Precision precision);
 
-/// Compile `program` for `spec` at `level`.  `hipify_converted` applies
-/// only to hipcc-based platforms (Tables VII/VIII).  For the built-in
-/// "nvcc"/"hipcc" specs this is bit-for-bit the pre-registry compile
-/// pipeline, which is what keeps default campaign output byte-identical.
+/// compile(program, pipeline_key(spec, level, hipify_converted, precision),
+/// level).  For the built-in "nvcc"/"hipcc" specs this is bit-for-bit the
+/// pre-registry pipeline, which keeps default campaign output byte-identical.
 Executable compile(const ir::Program& program, const PlatformSpec& spec,
                    OptLevel level, bool hipify_converted = false);
 

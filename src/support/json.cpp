@@ -13,6 +13,8 @@
 #include <unistd.h>
 #endif
 
+#include "support/lockfile.hpp"
+
 namespace gpudiff::support {
 
 std::int64_t Json::as_int() const {
@@ -373,15 +375,19 @@ void write_file(const std::string& path, std::string_view contents) {
   if (!out) throw std::runtime_error("write failed: " + path);
 }
 
-void write_file_atomic(const std::string& path, std::string_view contents,
-                       const std::string& temp_suffix) {
-  const std::string tmp = path + temp_suffix;
+void write_file_atomic(const std::string& path, std::string_view contents) {
+  const std::string tmp = temp_path_for(path);
+  const auto fail = [&tmp](const std::string& what) {
+    std::error_code ignored;
+    std::filesystem::remove(tmp, ignored);  // the name is this call's alone
+    throw std::runtime_error(what);
+  };
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) throw std::runtime_error("cannot open file for writing: " + tmp);
     out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
     out.flush();
-    if (!out) throw std::runtime_error("write failed: " + tmp);
+    if (!out) fail("write failed: " + tmp);
   }
   // Flush the data before the rename so a power loss cannot persist the
   // rename ahead of the contents (which would leave a truncated file where
@@ -389,9 +395,7 @@ void write_file_atomic(const std::string& path, std::string_view contents,
   sync_path(tmp);
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
-  if (ec)
-    throw std::runtime_error("rename failed: " + tmp + " -> " + path + ": " +
-                             ec.message());
+  if (ec) fail("rename failed: " + tmp + " -> " + path + ": " + ec.message());
   // Make the rename itself durable.
   const std::string dir = std::filesystem::path(path).parent_path().string();
   sync_path(dir.empty() ? "." : dir);

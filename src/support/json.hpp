@@ -127,15 +127,15 @@ class Json {
 std::string read_file(const std::string& path);
 /// Write a string to a file atomically enough for our purposes.
 void write_file(const std::string& path, std::string_view contents);
-/// Crash-safe write: the contents land in `path + temp_suffix` first and
-/// are renamed over `path` only after the write completes, so readers
+/// Crash-safe write: the contents land in a temp file beside `path` first
+/// and are renamed over `path` only after the write completes, so readers
 /// never observe a torn file (done files, reports and store documents all
-/// need this: a kill mid write leaves the previous file intact).  When
-/// several processes may write the same path concurrently (the scheduler's
-/// at-least-once duplicate publishes), each must pass its own unique
-/// temp_suffix or the racing writers can tear each other's temp file.
-void write_file_atomic(const std::string& path, std::string_view contents,
-                       const std::string& temp_suffix = ".tmp");
+/// need this: a kill mid write leaves the previous file intact).  Every
+/// call names its own temp file (support::temp_path_for), so concurrent
+/// writers of one path — the scheduler's at-least-once duplicate
+/// publishes, fleet workers writing the same report and bundles — each
+/// land whole; which rename wins is unspecified.
+void write_file_atomic(const std::string& path, std::string_view contents);
 /// fsync(2) the file or directory at `path`.  Best-effort: a filesystem
 /// that rejects the sync still gets process-kill atomicity.
 void sync_path(const std::string& path);

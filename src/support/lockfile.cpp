@@ -1,10 +1,13 @@
 #include "support/lockfile.hpp"
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <random>
 #include <stdexcept>
 #include <system_error>
 
@@ -21,9 +24,22 @@ namespace {
 
 }  // namespace
 
-bool publish_file_exclusive(const std::string& path, std::string_view contents,
-                            const std::string& temp_suffix) {
-  const std::string tmp = path + temp_suffix;
+std::string temp_path_for(const std::string& path) {
+  // The nonce tells hosts apart, the pid processes of one host (a fork
+  // inherits the nonce), the counter calls of one process.
+  static const std::string nonce = [] {
+    std::random_device device;
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%08x%08x", device(), device());
+    return std::string(hex);
+  }();
+  static std::atomic<std::uint64_t> counter{0};
+  return path + ".tmp." + nonce + "." + std::to_string(::getpid()) + "." +
+         std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
+}
+
+bool publish_file_exclusive(const std::string& path, std::string_view contents) {
+  const std::string tmp = temp_path_for(path);
   {
     std::FILE* f = std::fopen(tmp.c_str(), "wb");
     if (f == nullptr) throw_errno("open", tmp, errno);

@@ -22,21 +22,26 @@
 
 namespace gpudiff::support {
 
+/// A temp-file name beside `path` for a write that is then renamed or
+/// linked into place: `path` + ".tmp." + a random per-process nonce, the
+/// process id and a per-call counter.  No two calls share a name, whether
+/// they come from threads of one process or from processes on hosts that
+/// share the directory, so concurrent writers of one path never write the
+/// same temp file.
+std::string temp_path_for(const std::string& path);
+
 /// Atomically publish `contents` at `path` if and only if nothing exists
-/// there yet.  The contents are written to `path + temp_suffix` first and
+/// there yet.  The contents are written to temp_path_for(path) first and
 /// hard-linked into place — link(2) fails with EEXIST instead of
 /// overwriting (unlike rename), so exactly one of N racing publishers
 /// wins, and readers never observe a partially-written file.  Returns true
 /// if this call created the file, false if one already existed.  Throws
 /// std::runtime_error on any other I/O failure.
 ///
-/// `temp_suffix` must be unique per publisher (e.g. "." + worker id) so
-/// racing publishers do not clobber each other's temp files.  If the temp
-/// file disappears between write and link — a stale-temp reaper presumed
-/// this publisher dead — the call also returns false: the publish did not
-/// happen, which callers already handle as losing the race.
-bool publish_file_exclusive(const std::string& path, std::string_view contents,
-                            const std::string& temp_suffix);
+/// If the temp file disappears between write and link — a stale-temp
+/// reaper presumed this publisher dead — the call also returns false: the
+/// publish did not happen, which callers already handle as losing the race.
+bool publish_file_exclusive(const std::string& path, std::string_view contents);
 
 /// Bump the file's mtime to now — the heartbeat.  Returns false if the
 /// file no longer exists (e.g. the lease was stolen and released).

@@ -494,17 +494,7 @@ BytecodeProgram compile_bytecode(const ir::Program& program, const fp::FpEnv& en
   out.env_ = env;
   out.mathlib_ = mathlib;
 
-  // Issue-cycle model, mirroring the tree-walk interpreter's CycleModel.
-  const bool fp32 = program.precision() == ir::Precision::FP32;
-  out.cyc_div_ = fp32 ? 8 : 16;
-  if (fp32 && env.div32 != fp::Div32Mode::IEEE) out.cyc_div_ = 2;
-  out.cyc_call_ = 24;
-  if (mathlib) {
-    const std::string& lib = mathlib->name();
-    if (lib == "nv-fastmath-sim" || lib == "amd-ocml-native-sim" ||
-        lib == "hip-cuda-compat-native-sim")
-      out.cyc_call_ = fp32 ? 6 : 24;  // fast paths are FP32-only
-  }
+  out.cycles_ = cycle_model(program.precision(), env, mathlib);
 
   thread_local LoweringScratch scratch;
   BytecodeCompiler compiler(program, env, out, scratch);
@@ -528,8 +518,7 @@ bool BytecodeProgram::same_kernel(const BytecodeProgram& other) const noexcept {
   return mathlib_ == other.mathlib_ && env_ == other.env_ &&
          precision_ == other.precision_ && num_params_ == other.num_params_ &&
          num_regs_ == other.num_regs_ && num_temps_ == other.num_temps_ &&
-         cyc_div_ == other.cyc_div_ && cyc_call_ == other.cyc_call_ &&
-         code_ == other.code_ && same_bits(consts64_, other.consts64_) &&
+         cycles_ == other.cycles_ && code_ == other.code_ && same_bits(consts64_, other.consts64_) &&
          same_bits(consts32_, other.consts32_) &&
          array_params_ == other.array_params_;
 }
@@ -598,8 +587,10 @@ void BatchReuse::remember(std::span<const KernelArgs> inputs) {
   input_count_ = inputs.size();
 }
 
+/// Size `ctx`'s buffers for this program once, then run every input.
 template <typename T>
-void BytecodeProgram::prepare(ExecContext& ctx) const {
+void BytecodeProgram::run_batch_impl(std::span<const KernelArgs> inputs,
+                                     ExecContext& ctx, RunResult* out) const {
   constexpr bool kFp32 = sizeof(T) == 4;
   auto& regs_vec = [&]() -> auto& {
     if constexpr (kFp32) return ctx.regs32; else return ctx.regs64;
@@ -624,13 +615,7 @@ void BytecodeProgram::prepare(ExecContext& ctx) const {
   // freshly grown slot starts unmaterialized.
   if (epoch_vec.size() < array_params_.size())
     epoch_vec.resize(array_params_.size());
-}
-
-template <typename T>
-void BytecodeProgram::run_impl(const KernelArgs& args, ExecContext& ctx,
-                               RunResult& out) const {
-  prepare<T>(ctx);
-  run_one<T>(args, ctx, out);
+  for (std::size_t i = 0; i < inputs.size(); ++i) run_one<T>(inputs[i], ctx, out[i]);
 }
 
 template <typename T>
@@ -720,7 +705,7 @@ void BytecodeProgram::run_one(const KernelArgs& args, ExecContext& ctx,
         regs[in.dst] = fpu.mul(regs[in.a], regs[in.b]);
         break;
       case BcOp::Div:
-        ++ops; cycles += cyc_div_;
+        ++ops; cycles += cycles_.divide;
         regs[in.dst] = fpu.div(regs[in.a], regs[in.b]);
         break;
       case BcOp::Fma:
@@ -732,7 +717,7 @@ void BytecodeProgram::run_one(const KernelArgs& args, ExecContext& ctx,
         const T a = regs[in.a];
         const T b = in.op == BcOp::Call2 ? regs[in.b] : T(0);
         ++ops;
-        cycles += cyc_call_;
+        cycles += cycles_.call;
         T r;
         if constexpr (kFp32) {
           r = mathlib_->call32(static_cast<ir::MathFn>(in.u16), a, b);
@@ -747,14 +732,14 @@ void BytecodeProgram::run_one(const KernelArgs& args, ExecContext& ctx,
       }
       case BcOp::MinNaive: {
         ++ops;
-        cycles += cyc_call_;
+        cycles += cycles_.call;
         const T a = regs[in.a], b = regs[in.b];
         regs[in.dst] = a < b ? a : b;
         break;
       }
       case BcOp::MaxNaive: {
         ++ops;
-        cycles += cyc_call_;
+        cycles += cycles_.call;
         const T a = regs[in.a], b = regs[in.b];
         regs[in.dst] = a > b ? a : b;
         break;
@@ -788,7 +773,7 @@ void BytecodeProgram::run_one(const KernelArgs& args, ExecContext& ctx,
           case ir::AssignOp::Div: comp = fpu.div(comp, v); break;
         }
         ++ops;
-        cycles += static_cast<ir::AssignOp>(in.aux) == ir::AssignOp::Div ? cyc_div_ : 1;
+        cycles += static_cast<ir::AssignOp>(in.aux) == ir::AssignOp::Div ? cycles_.divide : 1;
         break;
       }
       case BcOp::CmpJump: {
@@ -860,18 +845,6 @@ void BytecodeProgram::run_one(const KernelArgs& args, ExecContext& ctx,
   }
 }
 
-RunResult BytecodeProgram::run(const KernelArgs& args, ExecContext& ctx) const {
-  if (args.fp.size() != static_cast<std::size_t>(num_params_) ||
-      args.ints.size() != static_cast<std::size_t>(num_params_))
-    throw std::runtime_error("run_kernel: argument/parameter count mismatch");
-  RunResult out;
-  if (precision_ == ir::Precision::FP32)
-    run_impl<float>(args, ctx, out);
-  else
-    run_impl<double>(args, ctx, out);
-  return out;
-}
-
 void BytecodeProgram::run_batch(std::span<const KernelArgs> inputs,
                                 ExecContext& ctx, RunResult* out) const {
   // Give every output a defined value before validation or execution: a
@@ -888,13 +861,6 @@ void BytecodeProgram::run_batch(std::span<const KernelArgs> inputs,
     run_batch_impl<float>(inputs, ctx, out);
   else
     run_batch_impl<double>(inputs, ctx, out);
-}
-
-template <typename T>
-void BytecodeProgram::run_batch_impl(std::span<const KernelArgs> inputs,
-                                     ExecContext& ctx, RunResult* out) const {
-  prepare<T>(ctx);
-  for (std::size_t i = 0; i < inputs.size(); ++i) run_one<T>(inputs[i], ctx, out[i]);
 }
 
 }  // namespace gpudiff::vgpu

@@ -22,9 +22,10 @@
 //     that is allocated once (per thread) and reset between runs.
 //
 // Execution semantics are bit-identical to the tree-walk interpreter —
-// same Fpu, same FpEnv application, same op_count/cycle_count accounting,
-// same exception flags — which tests/bytecode_test.cpp proves
-// differentially over generated programs at every optimization level.
+// same Fpu, same FpEnv application, same op_count and cycle model
+// (vgpu::cycle_model), same exception flags — which tests/bytecode_test.cpp
+// proves differentially over generated programs at every optimization
+// level.
 // The tree-walk interpreter remains available as the reference oracle
 // (vgpu::run_kernel_tree, or globally via vgpu::set_exec_backend).
 
@@ -216,15 +217,12 @@ class BytecodeProgram {
   /// model.
   bool same_kernel(const BytecodeProgram& other) const noexcept;
 
-  /// Execute once.  Throws std::runtime_error on argument/parameter count
-  /// mismatch; numerical misbehaviour never throws.
-  RunResult run(const KernelArgs& args, ExecContext& ctx) const;
-
   /// Execute the kernel over a batch of inputs, in input order, writing one
-  /// RunResult per input.  Semantically identical to calling run() per
-  /// input, but the argument validation and buffer sizing are performed
-  /// once for the whole batch (the campaign sweep shape: one compiled
-  /// variant x many inputs).
+  /// RunResult per input; the VM's one entry (vgpu::run_kernel runs a
+  /// batch of one).  Argument validation and buffer sizing happen once for
+  /// the whole batch (the campaign sweep shape: one compiled variant x many
+  /// inputs).  Throws std::runtime_error on an argument/parameter count
+  /// mismatch; numerical misbehaviour never throws.
   ///
   /// Every entry of `out` is zeroed before validation or execution, so on
   /// a throw (argument mismatch, trap mid-batch) the span holds only
@@ -241,15 +239,11 @@ class BytecodeProgram {
   friend BytecodeProgram compile_bytecode(const ir::Program&, const fp::FpEnv&,
                                           const vmath::MathLib* mathlib);
   template <typename T>
-  void run_impl(const KernelArgs& args, ExecContext& ctx, RunResult& out) const;
-  /// run_impl minus buffer sizing: requires prepare<T> was called on `ctx`.
-  template <typename T>
-  void run_one(const KernelArgs& args, ExecContext& ctx, RunResult& out) const;
-  template <typename T>
   void run_batch_impl(std::span<const KernelArgs> inputs, ExecContext& ctx,
                       RunResult* out) const;
+  /// One input on buffers run_batch_impl sized.
   template <typename T>
-  void prepare(ExecContext& ctx) const;
+  void run_one(const KernelArgs& args, ExecContext& ctx, RunResult& out) const;
 
   std::vector<BcInsn> code_;
   std::vector<double> consts64_;
@@ -261,8 +255,7 @@ class BytecodeProgram {
   int num_params_ = 0;
   int num_regs_ = 0;
   int num_temps_ = 0;
-  std::uint64_t cyc_div_ = 16;   ///< issue cycles per divide (CycleModel)
-  std::uint64_t cyc_call_ = 24;  ///< issue cycles per library call
+  CycleModel cycles_;
 };
 
 /// Lower an optimized program once.  Never throws for malformed IR:

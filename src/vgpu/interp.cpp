@@ -23,27 +23,14 @@ using ir::Stmt;
 using ir::StmtId;
 using ir::StmtKind;
 
-/// Issue-cycle model (see RunResult::cycle_count).
-struct CycleModel {
-  std::uint64_t basic = 1;
-  std::uint64_t divide = 16;
-  std::uint64_t call = 24;
-};
-
 template <typename T>
 class Interp {
  public:
   Interp(const opt::Executable& exe, const KernelArgs& args, RunResult& out,
          const StmtObserver* observer = nullptr)
       : exe_(exe), arena_(exe.program.arena()), args_(args), out_(out),
-        observer_(observer), fpu_(exe.env, out.flags) {
-    if (sizeof(T) == 4) cycles_.divide = 8;
-    if (exe_.env.div32 != fp::Div32Mode::IEEE && sizeof(T) == 4)
-      cycles_.divide = 2;
-    const std::string& lib = exe_.mathlib->name();
-    if (lib == "nv-fastmath-sim" || lib == "amd-ocml-native-sim" ||
-        lib == "hip-cuda-compat-native-sim")
-      cycles_.call = sizeof(T) == 4 ? 6 : 24;  // fast paths are FP32-only
+        observer_(observer), fpu_(exe.env, out.flags),
+        cycles_(cycle_model(exe.program.precision(), exe.env, exe.mathlib)) {
     const auto& params = exe_.program.params();
     if (args_.fp.size() != params.size() || args_.ints.size() != params.size())
       throw std::runtime_error("run_kernel: argument/parameter count mismatch");
@@ -88,7 +75,7 @@ class Interp {
         }
         ++out_.op_count;
         out_.cycle_count +=
-            s.assign_op == ir::AssignOp::Div ? cycles_.divide : cycles_.basic;
+            s.assign_op == ir::AssignOp::Div ? cycles_.divide : 1;
         break;
       }
       case StmtKind::StoreArray: {
@@ -149,7 +136,7 @@ class Interp {
         const T b = eval(e.kid[1]);
         ++out_.op_count;
         out_.cycle_count +=
-            e.bin_op == ir::BinOp::Div ? cycles_.divide : cycles_.basic;
+            e.bin_op == ir::BinOp::Div ? cycles_.divide : 1;
         switch (e.bin_op) {
           case ir::BinOp::Add: return fpu_.add(a, b);
           case ir::BinOp::Sub: return fpu_.sub(a, b);
@@ -163,7 +150,7 @@ class Interp {
         const T b = eval(e.kid[1]);
         const T c = eval(e.kid[2]);
         ++out_.op_count;
-        out_.cycle_count += cycles_.basic;
+        ++out_.cycle_count;
         return fpu_.fma_op(a, b, c);
       }
       case ExprKind::Call:
@@ -210,7 +197,7 @@ class Interp {
         const T a = eval(e.kid[0]);
         const T b = eval(e.kid[1]);
         ++out_.op_count;
-        out_.cycle_count += cycles_.basic;
+        ++out_.cycle_count;
         // IEEE comparison semantics: any NaN operand makes all ordered
         // comparisons false and != true.
         switch (e.cmp_op) {
@@ -261,12 +248,22 @@ class Interp {
   RunResult& out_;
   const StmtObserver* observer_;
   Fpu<T> fpu_;
-  CycleModel cycles_;
+  const CycleModel cycles_;
   T comp_{};
   std::vector<T> temps_;
   std::vector<std::vector<T>> arrays_;
   std::vector<int> loop_vars_;
 };
+
+RunResult run_tree(const opt::Executable& exe, const KernelArgs& args,
+                   const StmtObserver* observer) {
+  RunResult out;
+  if (exe.program.precision() == ir::Precision::FP32)
+    Interp<float>(exe, args, out, observer).run();
+  else
+    Interp<double>(exe, args, out, observer).run();
+  return out;
+}
 
 std::atomic<ExecBackend> g_backend{[] {
   const char* env = std::getenv("GPUDIFF_EXEC");
@@ -275,6 +272,16 @@ std::atomic<ExecBackend> g_backend{[] {
 }()};
 
 }  // namespace
+
+CycleModel cycle_model(ir::Precision precision, const fp::FpEnv& env,
+                       const vmath::MathLib* mathlib) noexcept {
+  CycleModel model;
+  if (precision == ir::Precision::FP32) {
+    model.divide = env.div32 == fp::Div32Mode::IEEE ? 8 : 2;
+    if (mathlib != nullptr) model.call = mathlib->fp32_call_cycles();
+  }
+  return model;
+}
 
 ExecBackend exec_backend() noexcept {
   return g_backend.load(std::memory_order_relaxed);
@@ -285,34 +292,20 @@ void set_exec_backend(ExecBackend backend) noexcept {
 }
 
 RunResult run_kernel_tree(const opt::Executable& exe, const KernelArgs& args) {
-  RunResult out;
-  if (exe.program.precision() == ir::Precision::FP32) {
-    Interp<float> interp(exe, args, out);
-    interp.run();
-  } else {
-    Interp<double> interp(exe, args, out);
-    interp.run();
-  }
-  return out;
+  return run_tree(exe, args, nullptr);
 }
 
 RunResult run_kernel_tree(const opt::Executable& exe, const KernelArgs& args,
                           const StmtObserver& observer) {
-  RunResult out;
-  if (exe.program.precision() == ir::Precision::FP32) {
-    Interp<float> interp(exe, args, out, &observer);
-    interp.run();
-  } else {
-    Interp<double> interp(exe, args, out, &observer);
-    interp.run();
-  }
-  return out;
+  return run_tree(exe, args, &observer);
 }
 
 RunResult run_kernel(const opt::Executable& exe, const KernelArgs& args) {
   if (exec_backend() == ExecBackend::TreeWalk) return run_kernel_tree(exe, args);
   thread_local ExecContext ctx;
-  return exe.bytecode().run(args, ctx);
+  RunResult out;
+  exe.bytecode().run_batch({&args, 1}, ctx, &out);
+  return out;
 }
 
 void run_kernel_batch(const opt::Executable& exe,

@@ -41,14 +41,26 @@ struct RunResult {
   fp::ExceptionFlags flags;   ///< accumulated FP exceptions
   std::uint64_t op_count = 0; ///< FP operations executed (deterministic cost)
   /// Deterministic cost under a simple device timing model (issue cycles:
-  /// add/mul/fma = 1, IEEE divide = 16 (FP64) / 8 (FP32), approximate
-  /// divide = 2, library call = 24, fast-math intrinsic = 6).  Drives the
-  /// runtime column of the Table I reproduction.
+  /// add/mul/fma = 1, divide and library call per vgpu::cycle_model).
+  /// Drives the runtime column of the Table I reproduction.
   std::uint64_t cycle_count = 0;
 
   /// printf("%.17g\n", comp) payload (no \n), formatted on demand.
   std::string printed() const { return fp::print_g17(value); }
 };
+
+/// Issue cycles of a divide and of a library call; every other counted
+/// operation costs 1.  cycle_model() decides them once for both backends:
+/// an IEEE divide costs 16 (FP64) or 8 (FP32), an approximate FP32 divide
+/// 2; an FP64 call 24, an FP32 call what the library states (24 if null).
+struct CycleModel {
+  std::uint64_t divide = 16;
+  std::uint64_t call = 24;
+
+  friend bool operator==(const CycleModel&, const CycleModel&) = default;
+};
+CycleModel cycle_model(ir::Precision precision, const fp::FpEnv& env,
+                       const vmath::MathLib* mathlib) noexcept;
 
 /// Which interpreter run_kernel dispatches to (process-wide).
 enum class ExecBackend : std::uint8_t { Bytecode, TreeWalk };

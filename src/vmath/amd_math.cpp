@@ -93,7 +93,8 @@ constexpr Fn32 kAmd32 = {
 }  // namespace
 
 const MathLib& amd_ocml() {
-  static const MathLib lib("amd-ocml-sim", SymbolStyle::AmdOcml, kAmd64, kAmd32);
+  static const MathLib lib("amd-ocml-sim", SymbolStyle::AmdOcml, kAmd64, kAmd32,
+                           /*fp32_call_cycles=*/24);
   return lib;
 }
 

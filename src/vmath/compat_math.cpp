@@ -71,7 +71,8 @@ const MathLib& hip_cuda_compat() {
     f64.pow_ = compat_pow;
     f32.fmod_ = compat_fmodf;
     f32.pow_ = compat_powf;
-    return MathLib("hip-cuda-compat-sim", SymbolStyle::HipCudaCompat, f64, f32);
+    return MathLib("hip-cuda-compat-sim", SymbolStyle::HipCudaCompat, f64, f32,
+                   /*fp32_call_cycles=*/24);
   }();
   return lib;
 }
@@ -86,7 +87,8 @@ const MathLib& hip_cuda_compat_native() {
     Fn32 f32 = detail::amd_native_table32();
     f32.fmod_ = compat_fmodf;
     f32.pow_ = compat_powf;
-    return MathLib("hip-cuda-compat-native-sim", SymbolStyle::HipCudaCompat, f64, f32);
+    return MathLib("hip-cuda-compat-native-sim", SymbolStyle::HipCudaCompat, f64, f32,
+                   /*fp32_call_cycles=*/6);
   }();
   return lib;
 }

@@ -215,7 +215,8 @@ const MathLib& nv_fast() {
     f32.exp_ = nv_fast_expf;
     f32.log_ = nv_fast_logf;
     f32.pow_ = nv_fast_powf;
-    return MathLib("nv-fastmath-sim", SymbolStyle::NvFast, f64, f32);
+    return MathLib("nv-fastmath-sim", SymbolStyle::NvFast, f64, f32,
+                   /*fp32_call_cycles=*/6);
   }();
   return lib;
 }
@@ -238,7 +239,8 @@ const Fn32& amd_native_table32() {
 const MathLib& amd_ocml_native() {
   static const MathLib lib(
       "amd-ocml-native-sim", SymbolStyle::AmdOcmlNative,
-      detail::amd_table64(), detail::amd_native_table32());
+      detail::amd_table64(), detail::amd_native_table32(),
+      /*fp32_call_cycles=*/6);
   return lib;
 }
 

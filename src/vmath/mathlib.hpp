@@ -3,7 +3,7 @@
 //
 // A MathLib is the set of math-function entry points a virtual compiler
 // links a kernel against — the analogue of NVIDIA's libdevice / inline PTX
-// sequences and AMD's ROCm device-libs (OCML).  Five bindings exist:
+// sequences and AMD's ROCm device-libs (OCML).  Six bindings exist:
 //
 //   nv_libdevice()     — NVIDIA-sim default library
 //   amd_ocml()         — AMD-sim default library (OCML-style)
@@ -12,10 +12,12 @@
 //                        through hipcc's CUDA-compat wrapper layer
 //   nv_fast()          — nvcc -use_fast_math FP32 intrinsics (__sinf, ...)
 //   amd_ocml_native()  — hipcc fast-math FP32 native_* functions
+//   hip_cuda_compat_native() — native_* on top of the CUDA-compat layer
 //
 // Shared cores (core/kernels.hpp) back the functions the real vendors agree
 // on; vendor files implement the divergent algorithms.  See DESIGN.md §1.
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -50,10 +52,17 @@ enum class SymbolStyle {
 
 class MathLib {
  public:
-  MathLib(std::string name, SymbolStyle style, Fn64 f64, Fn32 f32)
-      : name_(std::move(name)), style_(style), f64_(f64), f32_(f32) {}
+  MathLib(std::string name, SymbolStyle style, Fn64 f64, Fn32 f32,
+          std::uint64_t fp32_call_cycles)
+      : name_(std::move(name)), style_(style), f64_(f64), f32_(f32),
+        fp32_call_cycles_(fp32_call_cycles) {}
 
   const std::string& name() const noexcept { return name_; }
+
+  /// Issue cycles of one FP32 call in vgpu::cycle_model (Table I's runtime
+  /// column): 24, or 6 for fast-math intrinsics.  FP64 calls cost 24 in
+  /// every library; the fast paths are FP32-only.
+  std::uint64_t fp32_call_cycles() const noexcept { return fp32_call_cycles_; }
 
   /// Invoke the bound implementation (b ignored for unary functions).
   double call64(ir::MathFn fn, double a, double b = 0.0) const;
@@ -67,6 +76,7 @@ class MathLib {
   SymbolStyle style_;
   Fn64 f64_;
   Fn32 f32_;
+  std::uint64_t fp32_call_cycles_;
 };
 
 const MathLib& nv_libdevice();

@@ -244,7 +244,8 @@ constexpr Fn32 kNv32 = {
 }  // namespace
 
 const MathLib& nv_libdevice() {
-  static const MathLib lib("nv-libdevice-sim", SymbolStyle::NvLibdevice, kNv64, kNv32);
+  static const MathLib lib("nv-libdevice-sim", SymbolStyle::NvLibdevice, kNv64, kNv32,
+                           /*fp32_call_cycles=*/24);
   return lib;
 }
 

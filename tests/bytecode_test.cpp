@@ -24,7 +24,7 @@
 #include "gen/generator.hpp"
 #include "gen/inputs.hpp"
 #include "ir/builder.hpp"
-#include "opt/pipeline.hpp"
+#include "opt/platform.hpp"
 #include "support/cpu.hpp"
 #include "vgpu/bytecode.hpp"
 #include "vgpu/interp.hpp"
@@ -57,16 +57,15 @@ TEST_P(BytecodeDifferential, MatchesTreeWalkOracle) {
   const gen::Generator generator(cfg, 20240901);
   const gen::InputGenerator input_gen(20240901);
 
-  vgpu::ExecContext ctx;
+  const std::vector<opt::PlatformSpec> platforms = opt::default_platforms();
   for (std::uint64_t pi = 0; pi < 200; ++pi) {
     const Program program = generator.generate(pi);
     for (std::uint64_t ii = 0; ii < 2; ++ii) {
       const vgpu::KernelArgs args = input_gen.generate(program, pi, ii);
       for (const opt::OptLevel level : opt::kAllOptLevels) {
-        for (const opt::Toolchain tc : {opt::Toolchain::Nvcc, opt::Toolchain::Hipcc}) {
-          const opt::Executable exe =
-              opt::compile(program, {tc, level, hipify && tc == opt::Toolchain::Hipcc});
-          const vgpu::RunResult vm = exe.bytecode().run(args, ctx);
+        for (const opt::PlatformSpec& spec : platforms) {
+          const opt::Executable exe = opt::compile(program, spec, level, hipify);
+          const vgpu::RunResult vm = vgpu::run_kernel(exe, args);
           const vgpu::RunResult tree = vgpu::run_kernel_tree(exe, args);
           expect_identical(vm, tree,
                            "program " + std::to_string(pi) + " input " +
@@ -126,7 +125,7 @@ TEST(BytecodeCampaign, FixedSeedCampaignIdenticalAcrossBackends) {
 // ---------------------------------------------------------------------------
 
 opt::Executable compile_o0(Program p) {
-  return opt::compile(p, {opt::Toolchain::Nvcc, opt::OptLevel::O0, false});
+  return opt::compile(p, *opt::find_platform("nvcc"), opt::OptLevel::O0);
 }
 
 TEST(Bytecode, ShortCircuitSkipsUncountedOperand) {
@@ -756,7 +755,7 @@ TEST(Bytecode, CompiledProgramIsCachedOnExecutable) {
   gen::GenConfig cfg;
   const gen::Generator generator(cfg, 7);
   const opt::Executable exe = opt::compile(
-      generator.generate(0), {opt::Toolchain::Nvcc, opt::OptLevel::O2, false});
+      generator.generate(0), *opt::find_platform("nvcc"), opt::OptLevel::O2);
   ASSERT_NE(exe.bytecode_cache, nullptr);  // built eagerly by compile()
   const vgpu::BytecodeProgram* first = &exe.bytecode();
   EXPECT_EQ(first, &exe.bytecode());  // stable across calls

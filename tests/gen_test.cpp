@@ -11,7 +11,7 @@
 #include "gen/generator.hpp"
 #include "gen/inputs.hpp"
 #include "ir/serialize.hpp"
-#include "opt/pipeline.hpp"
+#include "opt/platform.hpp"
 #include "vgpu/interp.hpp"
 
 namespace {
@@ -345,9 +345,9 @@ TEST(Inputs, GeneratedProgramsRunWithGeneratedInputs) {
     for (int ii = 0; ii < 3; ++ii) {
       const auto args = ig.generate(p, pi, ii);
       for (auto level : opt::kAllOptLevels) {
-        for (auto t : {opt::Toolchain::Nvcc, opt::Toolchain::Hipcc}) {
+        for (const opt::PlatformSpec& spec : opt::default_platforms()) {
           EXPECT_NO_THROW({
-            const auto exe = opt::compile(p, {t, level, false});
+            const auto exe = opt::compile(p, spec, level);
             (void)vgpu::run_kernel(exe, args);
           });
         }

@@ -193,10 +193,10 @@ TEST(CaseStudy3, ConsistentAtO0DivergesAtO1Plus) {
 TEST(CaseStudy3, AssemblyShowsTheRootCause) {
   const Program p = case_study_3_program();
   const auto amd_o1 =
-      opt::compile(p, {opt::Toolchain::Hipcc, opt::OptLevel::O1, false});
+      opt::compile(p, *opt::find_platform("hipcc"), opt::OptLevel::O1);
   EXPECT_NE(vgpu::disassemble(amd_o1).find("if-conversion"), std::string::npos);
   const auto nv_o1 =
-      opt::compile(p, {opt::Toolchain::Nvcc, opt::OptLevel::O1, false});
+      opt::compile(p, *opt::find_platform("nvcc"), opt::OptLevel::O1);
   EXPECT_EQ(vgpu::disassemble(nv_o1).find("if-conversion"), std::string::npos);
 }
 
@@ -231,7 +231,7 @@ TEST(Pipeline, HipifiedSourceTextMatchesHipifyCompileMode) {
   const auto converted = hipify::hipify_source(emit::emit_cuda(p));
   EXPECT_EQ(converted.source.find("cuda"), std::string::npos);
   const auto set = diff::compile_pair(p, opt::OptLevel::O0, true);
-  EXPECT_EQ(set.exes[1].mathlib->name(), "hip-cuda-compat-sim");
+  EXPECT_EQ(set.exes[1].mathlib, &vmath::hip_cuda_compat());
 }
 
 TEST(Pipeline, MetadataDrivenHipifyCampaignReproduces) {
@@ -259,7 +259,7 @@ TEST(Pipeline, ExceptionFlagsTrackSeriousEventsAcrossCampaign) {
        saw_underflow = false;
   for (int pi = 0; pi < 120; ++pi) {
     const Program p = g.generate(pi);
-    const auto exe = opt::compile(p, {opt::Toolchain::Nvcc, opt::OptLevel::O0, false});
+    const auto exe = opt::compile(p, *opt::find_platform("nvcc"), opt::OptLevel::O0);
     for (int ii = 0; ii < 3; ++ii) {
       const auto r = vgpu::run_kernel(exe, ig.generate(p, pi, ii));
       saw_overflow |= r.flags.overflow();

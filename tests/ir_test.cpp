@@ -8,7 +8,7 @@
 #include "ir/builder.hpp"
 #include "ir/program.hpp"
 #include "ir/serialize.hpp"
-#include "opt/pipeline.hpp"
+#include "opt/platform.hpp"
 #include "vgpu/bytecode.hpp"
 #include "vgpu/interp.hpp"
 
@@ -246,8 +246,7 @@ TEST(Compact, PoolShrinksToReachableNodeCount) {
     // The fast-math pipeline (fold + contraction + reassociation) is the
     // heaviest rewriter, so its executables carry the most garbage.
     auto exe = gpudiff::opt::compile(
-        g.generate(pi), {gpudiff::opt::Toolchain::Nvcc,
-                         gpudiff::opt::OptLevel::O3_FastMath, false});
+        g.generate(pi), *gpudiff::opt::find_platform("nvcc"), gpudiff::opt::OptLevel::O3_FastMath);
     const auto args = ig.generate(exe.program, pi, 0);
     const auto before_bits = gpudiff::vgpu::run_kernel_tree(exe, args).value_bits;
     const std::string before_json = program_to_json(exe.program).dump();
@@ -267,8 +266,7 @@ TEST(Compact, PoolShrinksToReachableNodeCount) {
     EXPECT_EQ(program_to_json(exe.program).dump(), before_json);
     exe.bytecode_cache.reset();  // program was rewritten in place
     EXPECT_EQ(gpudiff::vgpu::run_kernel_tree(exe, args).value_bits, before_bits);
-    gpudiff::vgpu::ExecContext ctx;
-    EXPECT_EQ(exe.bytecode().run(args, ctx).value_bits, before_bits);
+    EXPECT_EQ(gpudiff::vgpu::run_kernel(exe, args).value_bits, before_bits);
   }
   EXPECT_GT(shrunk, 0) << "no optimized program carried orphaned nodes; the "
                           "test is vacuous";
@@ -337,9 +335,9 @@ TEST_P(ProgramRoundTrip, JsonPreservesProgramAndExecution) {
   namespace opt = gpudiff::opt;
   namespace vgpu = gpudiff::vgpu;
   for (const opt::OptLevel level : opt::kAllOptLevels) {
-    for (const opt::Toolchain tc : {opt::Toolchain::Nvcc, opt::Toolchain::Hipcc}) {
-      const opt::Executable ep = opt::compile(p, {tc, level, false});
-      const opt::Executable eq = opt::compile(q, {tc, level, false});
+    for (const opt::PlatformSpec& spec : opt::default_platforms()) {
+      const opt::Executable ep = opt::compile(p, spec, level);
+      const opt::Executable eq = opt::compile(q, spec, level);
       const auto rp = vgpu::run_kernel(ep, args);
       const auto rq = vgpu::run_kernel(eq, args);
       EXPECT_EQ(rp.value_bits, rq.value_bits);

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "diff/runner.hpp"
@@ -189,13 +191,10 @@ TEST(ContractFma, ContractionChangesRoundingObservably) {
   args.fp = {0.0, 1.0 + 0x1p-52, 1.0 - 0x1p-52, -1.0, 0.0};
   args.ints = {0, 0, 0, 0, 0};
 
-  CompileOptions o0;
-  const Executable e0 = compile(p, o0);
+  const Executable e0 = compile(p, *find_platform("nvcc"), OptLevel::O0);
   EXPECT_EQ(vgpu::run_kernel(e0, args).value, 0.0);
 
-  CompileOptions o1;
-  o1.level = OptLevel::O1;
-  const Executable e1 = compile(p, o1);
+  const Executable e1 = compile(p, *find_platform("nvcc"), OptLevel::O1);
   EXPECT_EQ(vgpu::run_kernel(e1, args).value, -0x1p-104);
 }
 
@@ -274,10 +273,10 @@ TEST(IfConvert, ZeroTimesInfinityProducesNaN) {
   args.fp = {-1.0, 1.5e308};  // comp = -1 (condition false), 2*x overflows
   args.ints = {0, 0};
 
-  CompileOptions nv{Toolchain::Nvcc, OptLevel::O1, false};
-  CompileOptions amd{Toolchain::Hipcc, OptLevel::O1, false};
-  const auto nv_run = vgpu::run_kernel(compile(p, nv), args);
-  const auto amd_run = vgpu::run_kernel(compile(p, amd), args);
+  const auto nv_run = vgpu::run_kernel(
+      compile(p, *find_platform("nvcc"), OptLevel::O1), args);
+  const auto amd_run = vgpu::run_kernel(
+      compile(p, *find_platform("hipcc"), OptLevel::O1), args);
   EXPECT_EQ(nv_run.value, -1.0);                 // branch not taken
   EXPECT_TRUE(std::isnan(amd_run.value));        // comp += 0 * inf
 }
@@ -444,20 +443,20 @@ TEST(Pipeline, MathLibSelection) {
   gen::Generator g(cfg, 5);
   const Program p = g.generate(0);
 
-  const auto lib_name = [&](Toolchain t, OptLevel l, bool hipify) {
-    CompileOptions o{t, l, hipify};
-    return compile(p, o).mathlib->name();
+  const auto lib = [&](const char* platform, OptLevel l, bool hipify) {
+    return compile(p, *find_platform(platform), l, hipify).mathlib;
   };
-  EXPECT_EQ(lib_name(Toolchain::Nvcc, OptLevel::O0, false), "nv-libdevice-sim");
-  EXPECT_EQ(lib_name(Toolchain::Nvcc, OptLevel::O3, false), "nv-libdevice-sim");
-  EXPECT_EQ(lib_name(Toolchain::Nvcc, OptLevel::O3_FastMath, false),
-            "nv-fastmath-sim");
-  EXPECT_EQ(lib_name(Toolchain::Hipcc, OptLevel::O2, false), "amd-ocml-sim");
-  EXPECT_EQ(lib_name(Toolchain::Hipcc, OptLevel::O3_FastMath, false),
-            "amd-ocml-native-sim");
-  EXPECT_EQ(lib_name(Toolchain::Hipcc, OptLevel::O0, true), "hip-cuda-compat-sim");
-  EXPECT_EQ(lib_name(Toolchain::Hipcc, OptLevel::O3_FastMath, true),
-            "hip-cuda-compat-native-sim");
+  EXPECT_EQ(lib("nvcc", OptLevel::O0, false), &vmath::nv_libdevice());
+  EXPECT_EQ(lib("nvcc", OptLevel::O3, false), &vmath::nv_libdevice());
+  EXPECT_EQ(lib("nvcc", OptLevel::O3_FastMath, false), &vmath::nv_fast());
+  EXPECT_EQ(lib("nvcc", OptLevel::O3_FastMath, true), &vmath::nv_fast())
+      << "HIPIFY binds only on hipcc";
+  EXPECT_EQ(lib("hipcc", OptLevel::O2, false), &vmath::amd_ocml());
+  EXPECT_EQ(lib("hipcc", OptLevel::O3_FastMath, false),
+            &vmath::amd_ocml_native());
+  EXPECT_EQ(lib("hipcc", OptLevel::O0, true), &vmath::hip_cuda_compat());
+  EXPECT_EQ(lib("hipcc", OptLevel::O3_FastMath, true),
+            &vmath::hip_cuda_compat_native());
 }
 
 TEST(Pipeline, EnvironmentFlags) {
@@ -465,25 +464,23 @@ TEST(Pipeline, EnvironmentFlags) {
   gen::Generator g(cfg, 6);
   const Program p = g.generate(1);
 
-  CompileOptions nv_fm{Toolchain::Nvcc, OptLevel::O3_FastMath, false};
-  const Executable e1 = compile(p, nv_fm);
+  const Executable e1 = compile(p, *find_platform("nvcc"), OptLevel::O3_FastMath);
   EXPECT_TRUE(e1.env.ftz32);
   EXPECT_TRUE(e1.env.daz32);
   EXPECT_EQ(e1.env.div32, fp::Div32Mode::NvApprox);
 
-  CompileOptions amd_fm{Toolchain::Hipcc, OptLevel::O3_FastMath, false};
-  const Executable e2 = compile(p, amd_fm);
+  const PlatformSpec& amd = *find_platform("hipcc");
+  const Executable e2 = compile(p, amd, OptLevel::O3_FastMath);
   EXPECT_FALSE(e2.env.ftz32);
   EXPECT_EQ(e2.env.div32, fp::Div32Mode::AmdApprox);
   EXPECT_FALSE(e2.env.naive_minmax);  // FP64 program keeps IEEE min/max
 
   Program p32 = p;
   p32.set_precision(Precision::FP32);
-  const Executable e3 = compile(p32, amd_fm);
+  const Executable e3 = compile(p32, amd, OptLevel::O3_FastMath);
   EXPECT_TRUE(e3.env.naive_minmax);
 
-  CompileOptions o0{Toolchain::Nvcc, OptLevel::O0, false};
-  const Executable e4 = compile(p, o0);
+  const Executable e4 = compile(p, *find_platform("nvcc"), OptLevel::O0);
   EXPECT_EQ(e4.env, fp::FpEnv{});
 }
 
@@ -496,10 +493,10 @@ TEST(Pipeline, O1EqualsO2EqualsO3Numerically) {
   for (int pi = 0; pi < 40; ++pi) {
     const Program p = g.generate(pi);
     const auto args = ig.generate(p, pi, 0);
-    for (Toolchain t : {Toolchain::Nvcc, Toolchain::Hipcc}) {
-      const auto r1 = vgpu::run_kernel(compile(p, {t, OptLevel::O1, false}), args);
-      const auto r2 = vgpu::run_kernel(compile(p, {t, OptLevel::O2, false}), args);
-      const auto r3 = vgpu::run_kernel(compile(p, {t, OptLevel::O3, false}), args);
+    for (const PlatformSpec& spec : default_platforms()) {
+      const auto r1 = vgpu::run_kernel(compile(p, spec, OptLevel::O1), args);
+      const auto r2 = vgpu::run_kernel(compile(p, spec, OptLevel::O2), args);
+      const auto r3 = vgpu::run_kernel(compile(p, spec, OptLevel::O3), args);
       EXPECT_EQ(r1.value_bits, r2.value_bits) << "prog " << pi;
       EXPECT_EQ(r2.value_bits, r3.value_bits) << "prog " << pi;
     }
@@ -510,11 +507,11 @@ TEST(Pipeline, DescriptionSpellsFlags) {
   gen::GenConfig cfg;
   gen::Generator g(cfg, 8);
   const Program p = g.generate(0);
-  EXPECT_EQ(compile(p, {Toolchain::Nvcc, OptLevel::O2, false}).description(),
+  EXPECT_EQ(compile(p, *find_platform("nvcc"), OptLevel::O2).description(),
             "nvcc-sim -O2");
-  EXPECT_EQ(compile(p, {Toolchain::Nvcc, OptLevel::O3_FastMath, false}).description(),
+  EXPECT_EQ(compile(p, *find_platform("nvcc"), OptLevel::O3_FastMath).description(),
             "nvcc-sim -O3 -use_fast_math");
-  EXPECT_EQ(compile(p, {Toolchain::Hipcc, OptLevel::O3_FastMath, false}).description(),
+  EXPECT_EQ(compile(p, *find_platform("hipcc"), OptLevel::O3_FastMath).description(),
             "hipcc-sim -O3 -DHIP_FAST_MATH");
 }
 
@@ -608,9 +605,8 @@ TEST(Pipeline, EqualKeysImplySameKernel) {
       const diff::CompiledSet& set = sets[li];
       std::vector<PipelineKey> level_keys;
       for (std::size_t i = 0; i < platforms.size(); ++i) {
-        const PipelineKey key = pipeline_key(
-            compile_options(platforms[i], kAllOptLevels[li], hipify),
-            p.precision());
+        const PipelineKey key = pipeline_key(platforms[i], kAllOptLevels[li],
+                                             hipify, p.precision());
         const Executable& exe = set.exes[i];
         for (std::size_t j = 0; j < i; ++j)
           if (level_keys[j] == key) {
@@ -643,8 +639,120 @@ TEST(Pipeline, CompileDoesNotMutateInput) {
   gen::Generator g(cfg, 9);
   const Program p = g.generate(2);
   const std::string before = p.dump();
-  (void)compile(p, {Toolchain::Hipcc, OptLevel::O3_FastMath, false});
+  (void)compile(p, *find_platform("hipcc"), OptLevel::O3_FastMath);
   EXPECT_EQ(p.dump(), before);
+}
+
+
+// ---------------------------------------------------------------------------
+// Platform overrides: what a registry spec's knobs resolve to.  No built-in
+// platform sets FmaMode, Div32Override or a math library, so these specs
+// are the only check that the overrides reach the pipeline key.
+// ---------------------------------------------------------------------------
+
+PlatformSpec probe_spec(Toolchain toolchain) {
+  PlatformSpec spec;
+  spec.name = toolchain == Toolchain::Nvcc ? "probe-nvcc" : "probe-hipcc";
+  spec.toolchain = toolchain;
+  return spec;
+}
+
+/// The key `spec` resolves to at `level` for an FP32 program.
+PipelineKey key_of(const PlatformSpec& spec, OptLevel level,
+                   bool hipify = false) {
+  return pipeline_key(spec, level, hipify, Precision::FP32);
+}
+
+TEST(PlatformOverrides, FmaSidePinsContractionWhenPassesRun) {
+  for (const Toolchain t : {Toolchain::Nvcc, Toolchain::Hipcc}) {
+    for (const FmaMode side : {FmaMode::LeftProduct, FmaMode::RightProduct}) {
+      PlatformSpec spec = probe_spec(t);
+      spec.fma = side;
+      PipelineKey expected = key_of(probe_spec(t), OptLevel::O1);
+      EXPECT_EQ(expected.passes, PassClass::Optimized);
+      expected.fma = side;
+      EXPECT_EQ(key_of(spec, OptLevel::O1), expected)
+          << to_string(t) << " " << to_string(side);
+      // O0 runs no passes, so there is no side to pin.
+      const PipelineKey o0 = key_of(spec, OptLevel::O0);
+      EXPECT_EQ(o0, key_of(probe_spec(t), OptLevel::O0));
+      EXPECT_EQ(o0.passes, PassClass::None);
+      EXPECT_EQ(o0.fma, FmaMode::Auto);
+    }
+  }
+}
+
+TEST(PlatformOverrides, Div32ReplacesTheLevelsDivision) {
+  const std::pair<Div32Override, fp::Div32Mode> cases[] = {
+      {Div32Override::IEEE, fp::Div32Mode::IEEE},
+      {Div32Override::NvApprox, fp::Div32Mode::NvApprox},
+      {Div32Override::AmdApprox, fp::Div32Mode::AmdApprox}};
+  for (const Toolchain t : {Toolchain::Nvcc, Toolchain::Hipcc}) {
+    for (const OptLevel level : {OptLevel::O1, OptLevel::O3_FastMath}) {
+      for (const auto& [override_mode, mode] : cases) {
+        PlatformSpec spec = probe_spec(t);
+        spec.div32 = override_mode;
+        PipelineKey expected = key_of(probe_spec(t), level);
+        expected.env.div32 = mode;  // and nothing else moves
+        EXPECT_EQ(key_of(spec, level), expected)
+            << to_string(t) << " " << to_string(level) << " "
+            << to_string(override_mode);
+      }
+    }
+  }
+}
+
+TEST(PlatformOverrides, ForcedFtzAndDazApplyAloneAtEveryLevel) {
+  for (const Toolchain t : {Toolchain::Nvcc, Toolchain::Hipcc}) {
+    for (const OptLevel level : kAllOptLevels) {
+      PlatformSpec ftz = probe_spec(t);
+      ftz.force_ftz32 = true;
+      PipelineKey expected = key_of(probe_spec(t), level);
+      expected.env.ftz32 = true;
+      EXPECT_EQ(key_of(ftz, level), expected)
+          << to_string(t) << " " << to_string(level);
+
+      PlatformSpec daz = probe_spec(t);
+      daz.force_daz32 = true;
+      expected = key_of(probe_spec(t), level);
+      expected.env.daz32 = true;
+      EXPECT_EQ(key_of(daz, level), expected)
+          << to_string(t) << " " << to_string(level);
+    }
+  }
+  // Below fast math neither toolchain sets the other flag.
+  PlatformSpec ftz = probe_spec(Toolchain::Hipcc);
+  ftz.force_ftz32 = true;
+  EXPECT_FALSE(key_of(ftz, OptLevel::O2).env.daz32);
+  PlatformSpec daz = probe_spec(Toolchain::Hipcc);
+  daz.force_daz32 = true;
+  EXPECT_FALSE(key_of(daz, OptLevel::O2).env.ftz32);
+}
+
+TEST(PlatformOverrides, NamedMathLibraryBindsAtEveryLevel) {
+  for (const Toolchain t : {Toolchain::Nvcc, Toolchain::Hipcc}) {
+    PlatformSpec spec = probe_spec(t);
+    spec.mathlib = vmath::nv_fast().name();
+    for (const OptLevel level : kAllOptLevels)
+      for (const bool hipify : {false, true})
+        EXPECT_EQ(key_of(spec, level, hipify).mathlib, &vmath::nv_fast())
+            << to_string(t) << " " << to_string(level) << " hipify " << hipify;
+  }
+}
+
+TEST(PlatformOverrides, UnknownMathLibraryIsRefusedByName) {
+  PlatformSpec spec = probe_spec(Toolchain::Hipcc);
+  spec.mathlib = "no-such-library";
+  for (const OptLevel level : kAllOptLevels) {
+    try {
+      (void)key_of(spec, level);
+      ADD_FAILURE() << "expected runtime_error at " << to_string(level);
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("probe-hipcc"), std::string::npos) << what;
+      EXPECT_NE(what.find("no-such-library"), std::string::npos) << what;
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 
 #include "diff/runner.hpp"
 #include "fp/bits.hpp"
@@ -80,29 +81,6 @@ TEST(PlatformRegistry, ParseListIsStrict) {
 // scenario configurations
 // ---------------------------------------------------------------------------
 
-TEST(PlatformCompile, DefaultSpecsMatchLegacyCompile) {
-  // The registry path for "nvcc"/"hipcc" must be bit-for-bit the plain
-  // CompileOptions pipeline — the root of default-campaign byte identity.
-  gen::GenConfig cfg;
-  gen::Generator g(cfg, 42);
-  gen::InputGenerator ig(42);
-  for (std::uint64_t pi = 0; pi < 8; ++pi) {
-    const ir::Program p = g.generate(pi);
-    const auto args = ig.generate(p, pi, 0);
-    for (const auto level : opt::kAllOptLevels) {
-      const auto via_registry =
-          opt::compile(p, *opt::find_platform("hipcc"), level);
-      const auto legacy =
-          opt::compile(p, {opt::Toolchain::Hipcc, level, false});
-      EXPECT_EQ(vgpu::run_kernel(via_registry, args).value_bits,
-                vgpu::run_kernel(legacy, args).value_bits)
-          << opt::to_string(level);
-      EXPECT_EQ(via_registry.env, legacy.env);
-      EXPECT_EQ(via_registry.mathlib, legacy.mathlib);
-    }
-  }
-}
-
 TEST(PlatformCompile, HipccFtzFlushesSubnormalResults) {
   // comp = x * y with a subnormal product: plain hipcc keeps the FP32
   // denormal, hipcc-ftz flushes it to zero at every level including O0.
@@ -125,6 +103,43 @@ TEST(PlatformCompile, HipccFtzFlushesSubnormalResults) {
         opt::compile(p, *opt::find_platform("hipcc-ftz"), level), args);
     EXPECT_NE(plain.value, 0.0) << opt::to_string(level);
     EXPECT_EQ(ftz.value, 0.0) << opt::to_string(level);
+  }
+}
+
+TEST(PlatformCompile, DazReadsSubnormalInputsAsSignedZero) {
+  // comp *= 0x1p24f with comp = +-0x1p-130f, an FP32 subnormal.  The exact
+  // product +-0x1p-106f is normal, so flushing results (FTZ) alone keeps
+  // it; only treating the subnormal input as signed zero (DAZ) gives +-0.
+  // hipcc keeps FP32 denormals; hipcc-ftz is -fgpu-flush-denormals-to-zero
+  // (DAZ too); nvcc's -use_fast_math sets .ftz, which on PTX flushes
+  // subnormal inputs and results of FP32 instructions.
+  ir::ProgramBuilder b(ir::Precision::FP32);
+  ir::Arena& A = b.arena();
+  b.assign_comp(ir::AssignOp::Mul, ir::make_literal(A, 0x1p24));
+  const ir::Program p = b.build();
+
+  const auto bits = [](float f) -> std::uint64_t { return fp::to_bits(f); };
+  for (const float sign : {1.0f, -1.0f}) {
+    vgpu::KernelArgs args;
+    args.fp = {static_cast<double>(sign * 0x1p-130f)};
+    args.ints = {0};
+    const std::uint64_t normal = bits(sign * 0x1p-106f);
+    const std::uint64_t zero = bits(sign * 0.0f);
+    for (const auto level : opt::kAllOptLevels) {
+      const std::pair<const char*, std::uint64_t> expected[] = {
+          {"hipcc", normal},
+          {"hipcc-ftz", zero},
+          {"nvcc", level == opt::OptLevel::O3_FastMath ? zero : normal}};
+      for (const auto& [name, want] : expected) {
+        const opt::Executable exe =
+            opt::compile(p, *opt::find_platform(name), level);
+        EXPECT_EQ(vgpu::run_kernel(exe, args).value_bits, want)
+            << name << " " << opt::to_string(level) << " sign " << sign;
+        EXPECT_EQ(vgpu::run_kernel_tree(exe, args).value_bits, want)
+            << name << " " << opt::to_string(level) << " sign " << sign
+            << " (tree oracle)";
+      }
+    }
   }
 }
 

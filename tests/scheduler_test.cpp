@@ -477,15 +477,17 @@ TEST(Scheduler, LoneWorkerClaimsAndPublishesEachLeaseOnce) {
 }
 
 TEST(Scheduler, WorkerIdsMustEndFileNames) {
-  // The board appends the id to file names; an id that cannot be a name
-  // suffix would fail every claim with a retryable I/O error, forever.
+  // The board appends the id to a steal's tombstone name; an id that cannot
+  // be a name suffix would fail every steal with a retryable I/O error,
+  // forever.  The longest tombstone, "lease-2147483647.claim.stale.<id>",
+  // leaves NAME_MAX - 29 = 226 bytes.
   TempDir dir("gpudiff_sched_ids");
   for (const std::string& id :
        {std::string(), std::string("a/b"), std::string("a\0b", 3),
-        std::string(225, 'w')})
+        std::string(227, 'w')})
     EXPECT_THROW(FsLeaseTransport(dir.str(), id), std::invalid_argument)
         << "id of " << id.size() << " bytes";
-  EXPECT_NO_THROW(FsLeaseTransport(dir.str(), std::string(224, 'w')));
+  EXPECT_NO_THROW(FsLeaseTransport(dir.str(), std::string(226, 'w')));
 }
 
 TEST(Scheduler, ReapsTempFilesStrandedByKilledPublishers) {

@@ -57,6 +57,7 @@ void run_stress(ir::Precision precision, int programs) {
   gcfg.precision = precision;
   const gen::Generator generator(gcfg, kSeed);
   const gen::InputGenerator input_gen(kSeed);
+  const std::vector<opt::PlatformSpec> platforms = opt::default_platforms();
 
   std::atomic<std::uint64_t> comparisons{0};
   std::mutex mu;
@@ -70,11 +71,9 @@ void run_stress(ir::Precision precision, int programs) {
         inputs.reserve(kInputsPerProgram);
         for (int ii = 0; ii < kInputsPerProgram; ++ii)
           inputs.push_back(input_gen.generate(program, pi, ii));
-        for (const auto toolchain :
-             {opt::Toolchain::Nvcc, opt::Toolchain::Hipcc}) {
+        for (const opt::PlatformSpec& spec : platforms) {
           for (const auto level : opt::kAllOptLevels) {
-            const opt::Executable exe =
-                opt::compile(program, {toolchain, level, false});
+            const opt::Executable exe = opt::compile(program, spec, level);
             for (int ii = 0; ii < kInputsPerProgram; ++ii) {
               const vgpu::RunResult vm = vgpu::run_kernel(exe, inputs[ii]);
               const vgpu::RunResult oracle =

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -10,6 +11,11 @@
 #include <filesystem>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include <unistd.h>
 
 #include "support/cli.hpp"
 #include "support/cpu.hpp"
@@ -490,6 +496,85 @@ TEST(Lockfile, FileAgeClampsFutureMtimesToFresh) {
   EXPECT_DOUBLE_EQ(file_age_seconds(path), 0.0);
   remove_file(path);
   EXPECT_LT(file_age_seconds(path), 0.0) << "missing file stays negative";
+}
+
+
+// ---------------------------------------------------------------------------
+// Atomic writes from concurrent writers of one path
+// ---------------------------------------------------------------------------
+
+/// A fresh, empty directory under the system temp dir, removed on exit.
+struct FreshDir {
+  std::filesystem::path path;
+  explicit FreshDir(const std::string& name)
+      : path(std::filesystem::temp_directory_path() /
+             (name + "-" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~FreshDir() { std::filesystem::remove_all(path); }
+  std::vector<std::string> names() const {
+    std::vector<std::string> out;
+    for (const auto& entry : std::filesystem::directory_iterator(path))
+      out.push_back(entry.path().filename().string());
+    return out;
+  }
+};
+
+TEST(AtomicWrite, ConcurrentWritersOfOnePathAllSucceed) {
+  // Fleet workers that finish together write the same report and bundle
+  // paths with identical bytes.  Every write must land whole, whichever
+  // rename wins, and none may trip over another writer's temp file.
+  FreshDir dir("gpudiff_atomic_race");
+  const std::string path = (dir.path / "bundle.json").string();
+  constexpr int kThreads = 4;
+  constexpr int kWrites = 50;
+  std::vector<std::string> contents;
+  for (int t = 0; t < kThreads; ++t)
+    contents.push_back(std::string(1 << 16, static_cast<char>('a' + t)));
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kWrites; ++i) {
+        try {
+          write_file_atomic(path, contents[static_cast<std::size_t>(t)]);
+        } catch (const std::exception&) {
+          ++failures;
+        }
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  const std::string final_bytes = read_file(path);
+  EXPECT_NE(std::find(contents.begin(), contents.end(), final_bytes),
+            contents.end())
+      << "the file must be one writer's whole contents";
+  EXPECT_EQ(dir.names(), std::vector<std::string>{"bundle.json"})
+      << "no temp file may remain";
+}
+
+TEST(AtomicWrite, RacingExclusivePublishersHaveOneWinner) {
+  FreshDir dir("gpudiff_publish_race");
+  const std::string path = (dir.path / "lease-0.claim").string();
+  constexpr int kThreads = 4;
+  std::atomic<int> winners{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      try {
+        if (publish_file_exclusive(path, "owner " + std::to_string(t))) ++winners;
+      } catch (const std::exception&) {
+        ++failures;
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(winners.load(), 1);
+  EXPECT_EQ(read_file(path).rfind("owner ", 0), 0u);
+  EXPECT_EQ(dir.names(), std::vector<std::string>{"lease-0.claim"})
+      << "no temp file may remain";
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 
 #include "fp/bits.hpp"
 #include "ir/builder.hpp"
-#include "opt/pipeline.hpp"
+#include "opt/platform.hpp"
 #include "vgpu/args.hpp"
 #include "vgpu/fpu.hpp"
 #include "vgpu/interp.hpp"
@@ -176,9 +176,8 @@ TEST(KernelArgs, JsonRejectsWrongArity) {
 // Interpreter
 // ---------------------------------------------------------------------------
 
-opt::Executable compile_o0(const Program& p,
-                           opt::Toolchain t = opt::Toolchain::Nvcc) {
-  return opt::compile(p, {t, opt::OptLevel::O0, false});
+opt::Executable compile_o0(const Program& p, const char* platform = "nvcc") {
+  return opt::compile(p, *opt::find_platform(platform), opt::OptLevel::O0);
 }
 
 TEST(Interp, LoopAccumulation) {
@@ -312,8 +311,44 @@ TEST(Interp, MathCallGoesThroughBoundLibrary) {
   KernelArgs args;
   args.fp = {0.0};
   args.ints = {0};
-  EXPECT_EQ(run_kernel(compile_o0(p, opt::Toolchain::Nvcc), args).value, 0.0);
-  EXPECT_EQ(run_kernel(compile_o0(p, opt::Toolchain::Hipcc), args).value, 1.0);
+  EXPECT_EQ(run_kernel(compile_o0(p, "nvcc"), args).value, 0.0);
+  EXPECT_EQ(run_kernel(compile_o0(p, "hipcc"), args).value, 1.0);
+}
+
+TEST(Interp, CycleModelIsDecidedOnceForBothBackends) {
+  fp::FpEnv approx;
+  approx.div32 = fp::Div32Mode::NvApprox;
+  const struct {
+    Precision precision;
+    fp::FpEnv env;
+    const vmath::MathLib* lib;
+    CycleModel want;
+  } cases[] = {
+      {Precision::FP64, {}, &vmath::nv_libdevice(), {16, 24}},
+      {Precision::FP64, approx, &vmath::nv_fast(), {16, 24}},
+      {Precision::FP32, {}, &vmath::amd_ocml(), {8, 24}},
+      {Precision::FP32, approx, &vmath::nv_fast(), {2, 6}},
+      {Precision::FP32, {}, &vmath::hip_cuda_compat_native(), {8, 6}},
+      {Precision::FP32, {}, nullptr, {8, 24}},
+  };
+  for (const auto& c : cases)
+    EXPECT_EQ(cycle_model(c.precision, c.env, c.lib), c.want)
+        << (c.lib != nullptr ? c.lib->name() : "no library");
+
+  // A hand-assembled kernel with no library (it makes no call) costs the
+  // same on both backends.
+  ProgramBuilder b(Precision::FP32);
+  Arena& A = b.arena();
+  const int x = b.add_scalar_param();
+  b.assign_comp(AssignOp::Div, make_param(A, x));
+  opt::Executable exe;
+  exe.program = b.build();
+  exe.env = approx;
+  KernelArgs args;
+  args.fp = {3.0, 2.0};
+  args.ints = {0, 0};
+  EXPECT_EQ(run_kernel(exe, args).cycle_count, 2u);
+  EXPECT_EQ(run_kernel_tree(exe, args).cycle_count, 2u);
 }
 
 TEST(Interp, ArgumentMismatchThrows) {
@@ -346,10 +381,8 @@ TEST(PseudoAsm, ShowsLibrarySymbolsPerVendor) {
   const int x = b.add_scalar_param();
   b.assign_comp(AssignOp::Add, make_call(A, MathFn::Fmod, make_param(A, x), make_literal(A, 2.0)));
   const Program p = b.build();
-  const std::string nv =
-      disassemble(opt::compile(p, {opt::Toolchain::Nvcc, opt::OptLevel::O0, false}));
-  const std::string amd =
-      disassemble(opt::compile(p, {opt::Toolchain::Hipcc, opt::OptLevel::O0, false}));
+  const std::string nv = disassemble(compile_o0(p));
+  const std::string amd = disassemble(compile_o0(p, "hipcc"));
   EXPECT_NE(nv.find("__nv_fmod"), std::string::npos);
   EXPECT_NE(nv.find("PTX-sim"), std::string::npos);
   EXPECT_NE(amd.find("__ocml_fmod_f64"), std::string::npos);
@@ -364,11 +397,10 @@ TEST(PseudoAsm, ShowsFmaAfterContraction) {
                 make_bin(A, BinOp::Add, make_bin(A, BinOp::Mul, make_param(A, x), make_param(A, x)),
                          make_literal(A, 1.0)));
   const Program p = b.build();
-  const std::string o0 =
-      disassemble(opt::compile(p, {opt::Toolchain::Nvcc, opt::OptLevel::O0, false}));
+  const std::string o0 = disassemble(compile_o0(p));
   EXPECT_EQ(o0.find("fma.rn.f64"), std::string::npos);
   const std::string o1 =
-      disassemble(opt::compile(p, {opt::Toolchain::Nvcc, opt::OptLevel::O1, false}));
+      disassemble(opt::compile(p, *opt::find_platform("nvcc"), opt::OptLevel::O1));
   EXPECT_NE(o1.find("fma.rn.f64"), std::string::npos);
 }
 
@@ -381,10 +413,10 @@ TEST(PseudoAsm, MarksIfConversion) {
   b.end_block();
   const Program p = b.build();
   const std::string amd =
-      disassemble(opt::compile(p, {opt::Toolchain::Hipcc, opt::OptLevel::O1, false}));
+      disassemble(opt::compile(p, *opt::find_platform("hipcc"), opt::OptLevel::O1));
   EXPECT_NE(amd.find("if-conversion"), std::string::npos);
   const std::string nv =
-      disassemble(opt::compile(p, {opt::Toolchain::Nvcc, opt::OptLevel::O1, false}));
+      disassemble(opt::compile(p, *opt::find_platform("nvcc"), opt::OptLevel::O1));
   EXPECT_EQ(nv.find("if-conversion"), std::string::npos);
 }
 
@@ -392,22 +424,22 @@ TEST(PseudoAsm, HeaderAndFooterNameTheCompRegister) {
   // comp is the first register allocated (number 1), so its name is fixed
   // per dialect and precision: the header loads it, the footer prints it.
   struct Case {
-    opt::Toolchain tc;
+    const char* platform;
     Precision precision;
     const char* header;
     const char* footer;
   };
   const Case cases[] = {
-      {opt::Toolchain::Nvcc, Precision::FP64,
+      {"nvcc", Precision::FP64,
        ".visible .entry compute(...)\n{\n  ld.param.f64 %fd1, [comp];\n",
        "  // vprintf(\"%.17g\", %fd1)\n}\n"},
-      {opt::Toolchain::Nvcc, Precision::FP32,
+      {"nvcc", Precision::FP32,
        ".visible .entry compute(...)\n{\n  ld.param.f32 %f1, [comp];\n",
        "  // vprintf(\"%.17g\", %f1)\n}\n"},
-      {opt::Toolchain::Hipcc, Precision::FP64,
+      {"hipcc", Precision::FP64,
        "; @compute\n  v[2:3] = s_load b64 [comp]\n",
        "  ; printf \"%.17g\", v[2:3]\ns_endpgm\n"},
-      {opt::Toolchain::Hipcc, Precision::FP32,
+      {"hipcc", Precision::FP32,
        "; @compute\n  v1 = s_load b32 [comp]\n",
        "  ; printf \"%.17g\", v1\ns_endpgm\n"},
   };
@@ -416,8 +448,7 @@ TEST(PseudoAsm, HeaderAndFooterNameTheCompRegister) {
     Arena& A = b.arena();
     const int x = b.add_scalar_param();
     b.assign_comp(AssignOp::Add, make_param(A, x));
-    const std::string text =
-        disassemble(opt::compile(b.build(), {c.tc, opt::OptLevel::O0, false}));
+    const std::string text = disassemble(compile_o0(b.build(), c.platform));
     EXPECT_NE(text.find(c.header), std::string::npos) << text;
     EXPECT_TRUE(text.ends_with(c.footer)) << text;
   }
@@ -433,13 +464,11 @@ TEST(PseudoAsm, BoolToFpSelectNamesItsOperands) {
                 make_bool_to_fp(A, make_cmp(A, CmpOp::Gt, make_param(A, x),
                                             make_literal(A, 0.0))));
   const Program p = b.build();
-  const std::string nv =
-      disassemble(opt::compile(p, {opt::Toolchain::Nvcc, opt::OptLevel::O0, false}));
+  const std::string nv = disassemble(compile_o0(p));
   EXPECT_NE(nv.find("\n  selp.f64 %fd4, 1.0, 0.0, %p1; // if-conversion\n"),
             std::string::npos)
       << nv;
-  const std::string amd =
-      disassemble(opt::compile(p, {opt::Toolchain::Hipcc, opt::OptLevel::O0, false}));
+  const std::string amd = disassemble(compile_o0(p, "hipcc"));
   EXPECT_NE(amd.find("\n  v_cndmask v[8:9], 0, 1.0, s[2:3] ; if-conversion\n"),
             std::string::npos)
       << amd;
@@ -447,11 +476,9 @@ TEST(PseudoAsm, BoolToFpSelectNamesItsOperands) {
 
 TEST(PseudoAsm, LoopsRenderLabels) {
   const Program p = sample_program();
-  const std::string nv =
-      disassemble(opt::compile(p, {opt::Toolchain::Nvcc, opt::OptLevel::O0, false}));
+  const std::string nv = disassemble(compile_o0(p));
   EXPECT_NE(nv.find("LBB_0"), std::string::npos);
-  const std::string amd =
-      disassemble(opt::compile(p, {opt::Toolchain::Hipcc, opt::OptLevel::O0, false}));
+  const std::string amd = disassemble(compile_o0(p, "hipcc"));
   EXPECT_NE(amd.find("BB_0"), std::string::npos);
   EXPECT_NE(amd.find("s_endpgm"), std::string::npos);
 }

@@ -428,12 +428,15 @@ TEST(ScaleByPow2, SubnormalRoundingIsSingle) {
 // ---------------------------------------------------------------------------
 
 TEST(VendorLibs, RegistryFindsAll) {
-  for (const char* name :
-       {"nv-libdevice-sim", "nv-fastmath-sim", "amd-ocml-sim",
-        "amd-ocml-native-sim", "hip-cuda-compat-sim",
-        "hip-cuda-compat-native-sim"}) {
-    ASSERT_NE(find_mathlib(name), nullptr) << name;
-    EXPECT_EQ(find_mathlib(name)->name(), name);
+  const MathLib* libs[] = {&nv_libdevice(),    &nv_fast(),
+                           &amd_ocml(),        &amd_ocml_native(),
+                           &hip_cuda_compat(), &hip_cuda_compat_native()};
+  for (const MathLib* lib : libs) {
+    EXPECT_EQ(find_mathlib(lib->name()), lib) << lib->name();
+    // Only the fast-math intrinsics price an FP32 call below a full call.
+    const bool fast = lib == &nv_fast() || lib == &amd_ocml_native() ||
+                      lib == &hip_cuda_compat_native();
+    EXPECT_EQ(lib->fp32_call_cycles(), fast ? 6u : 24u) << lib->name();
   }
   EXPECT_EQ(find_mathlib("bogus"), nullptr);
 }

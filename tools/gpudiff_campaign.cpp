@@ -47,8 +47,6 @@
 #include <exception>
 #include <string>
 
-#include <unistd.h>
-
 #include "campaign/checkpoint.hpp"
 #include "campaign/scheduler.hpp"
 #include "campaign/shard.hpp"
@@ -124,15 +122,14 @@ void finish_campaign(const support::CliParser& cli,
   const std::string& report_path = cli.get_string("report");
   if (!report_path.empty()) {
     // Every worker that finishes a fleet's campaign writes the same
-    // report path.  The contents are byte-identical, but a shared temp
-    // file could be torn mid-race, so the temp name is per process.
+    // report path with byte-identical contents; each write has its own
+    // temp file, so whichever rename lands last leaves a whole report.
     support::write_file_atomic(
         report_path,
         campaign::results_to_json(results,
                                   cli.get_flag("report-v2") ? &echo : nullptr)
                 .dump(1) +
-            "\n",
-        ".tmp." + std::to_string(::getpid()));
+            "\n");
     std::printf("report written to %s\n", report_path.c_str());
   }
   if (!cli.get_flag("reduce-exemplars")) return;

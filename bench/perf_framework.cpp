@@ -76,19 +76,6 @@ void BM_RunKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_RunKernel);
 
-void BM_RunKernelBytecode(benchmark::State& state) {
-  gen::GenConfig cfg;
-  gen::Generator g(cfg, 42);
-  gen::InputGenerator ig(42);
-  const ir::Program p = g.generate(7);
-  const auto exe = opt::compile(p, *opt::find_platform("nvcc"), opt::OptLevel::O2);
-  const auto args = ig.generate(p, 7, 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(vgpu::run_kernel(exe, args));
-  }
-}
-BENCHMARK(BM_RunKernelBytecode);
-
 void BM_RunKernelTreeWalk(benchmark::State& state) {
   gen::GenConfig cfg;
   gen::Generator g(cfg, 42);

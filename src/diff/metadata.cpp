@@ -256,7 +256,9 @@ CampaignResults Metadata::analyze() const {
 }
 
 void Metadata::save(const std::string& path, int indent) const {
-  support::write_file(path, root_.dump(indent));
+  // System 2 saves over the System-1 file: a kill mid-write must leave
+  // the old file whole.
+  support::write_file_atomic(path, root_.dump(indent));
 }
 
 Metadata Metadata::load(const std::string& path) {
@@ -267,6 +269,10 @@ Metadata Metadata::from_json(Json root) {
   if (!root.is_object() || root.get_or("format", Json()).as_string() !=
                                "gpudiff-metadata")
     throw std::runtime_error("metadata: not a gpudiff metadata document");
+  const Json& version = root.get_or("version", Json());
+  if (version != Json(1))
+    throw std::runtime_error("metadata: unsupported gpudiff metadata version " +
+                             version.dump() + " (this build reads 1)");
   Metadata md;
   md.root_ = std::move(root);
   return md;

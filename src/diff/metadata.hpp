@@ -62,8 +62,10 @@ class Metadata {
   ir::Program test_program(std::size_t index) const;
   std::vector<vgpu::KernelArgs> test_inputs(std::size_t index) const;
 
+  /// Write-then-rename: a reader never sees a torn file.
   void save(const std::string& path, int indent = 1) const;
   static Metadata load(const std::string& path);
+  /// Refuses a foreign document, or any version but 1, by name.
   static Metadata from_json(support::Json root);
   const support::Json& json() const noexcept { return root_; }
 

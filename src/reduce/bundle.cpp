@@ -1,7 +1,7 @@
 #include "reduce/bundle.hpp"
 
-#include <algorithm>
 #include <filesystem>
+#include <set>
 #include <stdexcept>
 
 #include "campaign/checkpoint.hpp"
@@ -160,23 +160,12 @@ std::vector<RecordRef> reduce_exemplars(
     const std::vector<diff::DiscrepancyRecord>& records,
     const std::string& out_dir, int max_exemplars,
     const std::function<void(const Reduction&)>& on_reduced) {
-  const store::ExemplarKeys exemplars = store::select_exemplars(
-      records, config.platforms.size(), max_exemplars);
-  // Union the (pair, class) cells into one deduplicated work list, in
-  // canonical record order — byte-compatible with what a store population
-  // of this report would enumerate.
-  std::vector<std::string> keys;
-  for (const auto& per_class : exemplars)
-    for (const auto& cell : per_class)
-      keys.insert(keys.end(), cell.begin(), cell.end());
-  std::vector<diff::DiscrepancyRecord> selected;
-  for (const diff::DiscrepancyRecord& rec : records) {
-    const std::string key = store::record_key(rec);
-    if (std::find(keys.begin(), keys.end(), key) == keys.end()) continue;
-    selected.push_back(rec);
-    keys.erase(std::remove(keys.begin(), keys.end(), key), keys.end());
-  }
-  return reduce_records(config, selected, out_dir, on_reduced);
+  std::set<std::string> keys;
+  for (const auto& per_class : store::select_exemplars(
+           records, config.platforms.size(), max_exemplars))
+    for (const auto& cell : per_class) keys.insert(cell.begin(), cell.end());
+  return reduce_records(config, store::pick_records(records, keys), out_dir,
+                        on_reduced);
 }
 
 }  // namespace gpudiff::reduce

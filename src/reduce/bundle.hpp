@@ -50,9 +50,9 @@ std::vector<RecordRef> reduce_records(
     const std::string& out_dir,
     const std::function<void(const Reduction&)>& on_reduced = {});
 
-/// The `--reduce-exemplars` driver: select exemplar records exactly as a
-/// store population would (store::select_exemplars), deduplicate across
-/// (pair, class) cells in canonical order, then reduce_records().
+/// What `--reduce-exemplars` runs: pick the exemplar records a store
+/// population would list (store::select_exemplars, store::pick_records),
+/// in canonical order, then reduce_records().
 std::vector<RecordRef> reduce_exemplars(
     const diff::CampaignConfig& config,
     const std::vector<diff::DiscrepancyRecord>& records,

@@ -9,6 +9,7 @@
 #include "fp/hexfloat.hpp"
 #include "gen/generator.hpp"
 #include "gen/inputs.hpp"
+#include "store/store.hpp"
 #include "support/strings.hpp"
 #include "vgpu/interp.hpp"
 
@@ -281,8 +282,11 @@ bool pass_polish(Search& s) {
 }  // namespace
 
 std::string RecordRef::key() const {
-  return std::to_string(program_index) + ":" + std::to_string(input_index) +
-         ":" + opt::to_string(level);
+  diff::DiscrepancyRecord rec;
+  rec.program_index = program_index;
+  rec.input_index = input_index;
+  rec.level = level;
+  return store::record_key(rec);
 }
 
 bool parse_record_key(const std::string& key, RecordRef* out) {

@@ -62,7 +62,7 @@ struct RecordRef {
   int input_index = 0;
   opt::OptLevel level{};
 
-  std::string key() const;
+  std::string key() const;  ///< store::record_key of the record
 };
 
 /// Parse a canonical record key; false on malformed input.

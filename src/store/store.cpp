@@ -5,7 +5,6 @@
 #include <cmath>
 #include <filesystem>
 #include <stdexcept>
-#include <tuple>
 
 #include "campaign/checkpoint.hpp"
 #include "diff/campaign.hpp"
@@ -100,68 +99,48 @@ bool is_benchmark_file(const Json& j) {
          j.at("benchmarks").is_array() && j.contains("context");
 }
 
-std::vector<std::string> report_platforms(const Json& report) {
-  std::vector<std::string> names;
-  if (report.contains("platforms")) {
-    for (const auto& p : report.at("platforms").as_array())
-      names.push_back(p.as_string());
-  } else {
-    names = {"nvcc", "hipcc"};
-  }
-  if (names.size() < 2)
-    throw std::runtime_error("report platform list too short");
+/// The header fields a report and its population share, as the report
+/// spells them.
+Json header_of(const diff::CampaignResults& results) {
+  Json j = Json::object();
+  j["seed"] = static_cast<long long>(results.seed);
+  j["precision"] = ir::to_string(results.precision);
+  j["hipify_converted"] = results.hipify_converted;
+  j["num_programs"] = results.num_programs;
+  j["inputs_per_program"] = results.inputs_per_program;
+  return j;
+}
+
+Json names_of(const std::vector<std::string>& platforms) {
+  Json names = Json::array();
+  for (const auto& name : platforms) names.push_back(name);
   return names;
 }
 
-Json population_of_report(const Json& report, const std::string& commit,
-                          const std::string& fingerprint, int max_exemplars) {
-  const std::int64_t version = report.at("version").as_int();
-  const std::vector<std::string> platforms = report_platforms(report);
-  const std::size_t n_pairs = platforms.size() - 1;
-
-  // Decode through the campaign serializers so the population layer keeps
-  // exactly one reader of the report format (legacy and N-way layouts
-  // both), then re-serialize in the store's always-general shape.
-  std::vector<diff::LevelStats> per_level;
-  for (const auto& stats : report.at("per_level").as_array())
-    per_level.push_back(campaign::stats_from_json(stats, n_pairs));
-  const auto& levels = report.at("levels").as_array();
-  if (per_level.size() != levels.size())
-    throw std::runtime_error("report level count mismatch");
-
-  std::vector<diff::DiscrepancyRecord> records;
-  for (const auto& rj : report.at("records").as_array())
-    records.push_back(campaign::record_from_json(rj, platforms.size()));
+Json population_of(const Report& report, const std::string& commit,
+                   int max_exemplars) {
+  const diff::CampaignResults& results = report.results;
+  const std::vector<std::string>& platforms = results.platforms;
   const ExemplarKeys exemplars =
-      select_exemplars(records, platforms.size(), max_exemplars);
+      select_exemplars(results.records, platforms.size(), max_exemplars);
 
   Json j = Json::object();
   j["format"] = kPopFormat;
   j["version"] = kStoreVersion;
   j["commit"] = commit;
-  j["fingerprint"] = fingerprint;
-  Json source = Json::object();
-  source["report_version"] = static_cast<long long>(version);
-  source["seed"] = report.at("seed");
-  source["precision"] = report.at("precision");
-  source["hipify_converted"] = report.at("hipify_converted");
-  source["num_programs"] = report.at("num_programs");
-  source["inputs_per_program"] = report.at("inputs_per_program");
+  j["fingerprint"] = report.fingerprint;
+  Json source = header_of(results);
+  source["report_version"] = report.config.is_null() ? 1 : 2;
   j["source"] = std::move(source);
-  Json names = Json::array();
-  for (const auto& name : platforms) names.push_back(name);
-  j["platforms"] = std::move(names);
-  j["levels"] = report.at("levels");
+  j["platforms"] = names_of(platforms);
+  j["levels"] = diff::levels_to_json(results.levels);
+  // Always the general N-way stats shape, whichever layout the report has.
   Json stats_arr = Json::array();
-  std::uint64_t comparisons = 0, discrepancies = 0;
-  for (const auto& stats : per_level) {
-    comparisons += stats.comparisons;
-    discrepancies += stats.discrepancy_total();
+  for (const auto& stats : results.per_level)
     stats_arr.push_back(campaign::stats_to_json(stats, /*legacy_pair=*/false));
-  }
   j["per_level"] = std::move(stats_arr);
   Json ex = Json::object();
-  for (std::size_t pi = 0; pi < n_pairs; ++pi) {
+  for (std::size_t pi = 0; pi + 1 < platforms.size(); ++pi) {
     Json per_class = Json::object();
     for (int ci = 0; ci < diff::kDiscrepancyClassCount; ++ci) {
       const auto& keys = exemplars[pi][static_cast<std::size_t>(ci)];
@@ -174,10 +153,10 @@ Json population_of_report(const Json& report, const std::string& commit,
   }
   j["exemplars"] = std::move(ex);
   Json totals = Json::object();
-  totals["comparisons"] = static_cast<long long>(comparisons);
-  totals["discrepancies"] = static_cast<long long>(discrepancies);
-  totals["runs"] =
-      static_cast<long long>(comparisons * platforms.size());
+  totals["comparisons"] = static_cast<long long>(results.comparisons_total());
+  totals["discrepancies"] =
+      static_cast<long long>(results.discrepancies_total());
+  totals["runs"] = static_cast<long long>(results.runs_total());
   j["totals"] = std::move(totals);
   return j;
 }
@@ -296,36 +275,24 @@ pair_class_totals(const Json& pop) {
 
 }  // namespace
 
-std::string fingerprint_of_report(const Json& report) {
-  // Version-2 reports carry the key ready-made; an embedded key that does
-  // not match its own config bytes would mis-file the population, so it
-  // is refused, not trusted.
-  if (report.contains("fingerprint")) {
-    const std::string fp = report.at("fingerprint").as_string();
-    if (report.contains("config") &&
-        fp != campaign::fingerprint_digest(report.at("config")))
-      throw std::runtime_error(
-          "report fingerprint does not match its embedded config");
-    return fp;
+Report decode_report(const Json& report) {
+  Report out{campaign::results_from_json(report), "", Json()};
+  if (report.at("version").as_int() == 2) {
+    // results_from_json checked the embedded key against its config bytes.
+    out.fingerprint = report.at("fingerprint").as_string();
+    out.config = report.at("config");
+    return out;
   }
-  if (report.contains("config"))
-    return campaign::fingerprint_digest(report.at("config"));
   // Version-1 reports carry no embedded fingerprint; derive a weaker key
   // from the header.  Campaigns differing only in generator grammar or
   // record cap collide under this derivation — the "cfg-"/"hdr-" prefixes
   // keep the two key families disjoint, and ingest's immutability check
   // still refuses conflicting payloads under a collided key.
-  Json header = Json::object();
-  header["seed"] = report.at("seed");
-  header["precision"] = report.at("precision");
-  header["hipify_converted"] = report.at("hipify_converted");
-  header["num_programs"] = report.at("num_programs");
-  header["inputs_per_program"] = report.at("inputs_per_program");
-  header["levels"] = report.at("levels");
-  Json names = Json::array();
-  for (const auto& name : report_platforms(report)) names.push_back(name);
-  header["platforms"] = std::move(names);
-  return "hdr-" + support::fnv1a64_hex(header.dump());
+  Json header = header_of(out.results);
+  header["levels"] = diff::levels_to_json(out.results.levels);
+  header["platforms"] = names_of(out.results.platforms);
+  out.fingerprint = "hdr-" + support::fnv1a64_hex(header.dump());
+  return out;
 }
 
 std::string record_key(const diff::DiscrepancyRecord& rec) {
@@ -350,84 +317,39 @@ ExemplarKeys select_exemplars(const std::vector<diff::DiscrepancyRecord>& record
   return exemplars;
 }
 
-std::vector<std::string> exemplar_keys_of_population(const Json& pop) {
-  std::vector<std::string> level_names;
-  for (const auto& l : pop.at("levels").as_array())
-    level_names.push_back(l.as_string());
-
-  struct Ordered {
-    long long program;
-    long long input;
-    std::size_t level;
-    std::string key;
-  };
-  std::vector<Ordered> ordered;
-  for (const auto& [pair_name, per_class] : pop.at("exemplars").as_object()) {
-    (void)pair_name;
-    for (const auto& [cls, arr] : per_class.as_object()) {
-      (void)cls;
-      for (const auto& kj : arr.as_array()) {
-        const std::string& key = kj.as_string();
-        const std::vector<std::string> parts = support::split(key, ':');
-        if (parts.size() != 3)
-          throw std::runtime_error("store: malformed exemplar key \"" + key +
-                                   "\"");
-        const auto level_it =
-            std::find(level_names.begin(), level_names.end(), parts[2]);
-        if (level_it == level_names.end())
-          throw std::runtime_error("store: exemplar key \"" + key +
-                                   "\" names a level outside the population");
-        ordered.push_back({std::stoll(parts[0]), std::stoll(parts[1]),
-                           static_cast<std::size_t>(
-                               level_it - level_names.begin()),
-                           key});
-      }
-    }
+std::vector<diff::DiscrepancyRecord> pick_records(
+    const std::vector<diff::DiscrepancyRecord>& records,
+    std::set<std::string>& keys) {
+  std::vector<diff::DiscrepancyRecord> picked;
+  for (const diff::DiscrepancyRecord& rec : records) {
+    if (keys.empty()) break;
+    if (keys.erase(record_key(rec)) != 0) picked.push_back(rec);
   }
-  std::sort(ordered.begin(), ordered.end(), [](const Ordered& a,
-                                               const Ordered& b) {
-    return std::tie(a.program, a.input, a.level) <
-           std::tie(b.program, b.input, b.level);
-  });
-  std::vector<std::string> keys;
-  for (const Ordered& o : ordered)
-    if (keys.empty() || keys.back() != o.key) keys.push_back(o.key);
-  return keys;
+  return picked;
 }
 
 std::vector<diff::DiscrepancyRecord> resolve_exemplars(
-    const Json& pop, const Json& report, const std::string& pop_name,
+    const Json& pop, const Report& report, const std::string& pop_name,
     const std::string& report_name) {
-  const std::string fp = fingerprint_of_report(report);
+  const std::string& fp = report.fingerprint;
   if (pop.at("fingerprint").as_string() != fp)
     throw std::runtime_error(
         "store: population " + pop_name + " (fingerprint " +
         pop.at("fingerprint").as_string() + ") does not belong to report " +
         report_name + " (fingerprint " + fp + ")");
 
-  const std::vector<std::string> platforms = report_platforms(report);
-  std::map<std::string, diff::DiscrepancyRecord> by_key;
-  for (const auto& rj : report.at("records").as_array()) {
-    diff::DiscrepancyRecord rec =
-        campaign::record_from_json(rj, platforms.size());
-    std::string key = record_key(rec);
-    by_key.emplace(std::move(key), std::move(rec));
-  }
-
-  std::vector<diff::DiscrepancyRecord> out;
-  std::vector<std::string> dangling;
-  for (const std::string& key : exemplar_keys_of_population(pop)) {
-    const auto it = by_key.find(key);
-    if (it == by_key.end()) {
-      dangling.push_back(key);
-      continue;
-    }
-    out.push_back(it->second);
-  }
-  if (!dangling.empty())
+  std::set<std::string> keys;
+  for (const auto& [pair_name, per_class] : pop.at("exemplars").as_object())
+    for (const auto& [cls, arr] : per_class.as_object())
+      for (const auto& key : arr.as_array()) keys.insert(key.as_string());
+  std::vector<diff::DiscrepancyRecord> out =
+      pick_records(report.results.records, keys);
+  if (!keys.empty())
     throw std::runtime_error(
         "store: population " + pop_name + ": exemplar key" +
-        (dangling.size() > 1 ? "s " : " ") + support::join(dangling, ", ") +
+        (keys.size() > 1 ? "s " : " ") +
+        support::join(std::vector<std::string>(keys.begin(), keys.end()),
+                      ", ") +
         " of fingerprint " + fp + " resolve to no record in report " +
         report_name +
         " (the report was re-merged with a tighter record cap, or one of "
@@ -459,15 +381,12 @@ IngestOutcome ingest(const std::string& store_dir, const std::string& commit,
     try {
       const Json doc = Json::parse(support::read_file(path));
       if (is_campaign_report(doc)) {
-        const std::int64_t version = doc.at("version").as_int();
-        if (version < 1 || version > 2)
-          throw std::runtime_error("unsupported campaign report version " +
-                                   std::to_string(version));
-        const std::string fingerprint = fingerprint_of_report(doc);
-        const Json pop = population_of_report(doc, commit, fingerprint,
-                                              options.max_exemplars);
-        write_or_verify(pop_path(store_dir, commit, fingerprint),
-                        pop.dump(1) + "\n", "population");
+        const Report report = decode_report(doc);
+        write_or_verify(
+            pop_path(store_dir, commit, report.fingerprint),
+            population_of(report, commit, options.max_exemplars).dump(1) +
+                "\n",
+            "population");
         ++outcome.reports;
       } else if (is_benchmark_file(doc)) {
         fold_benchmarks(doc, points);

@@ -36,6 +36,7 @@
 
 #include <array>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -48,17 +49,38 @@ namespace gpudiff::store {
 /// in the serve daemon's hello.  Bump on any layout change.
 inline constexpr int kStoreVersion = 1;
 
-/// The store key of a campaign report: "cfg-<fnv1a64>" over the embedded
-/// configuration fingerprint for version-2 reports, "hdr-<fnv1a64>" over
-/// the header fields (seed, precision, hipify, counts, levels, platform
-/// names) for version-1 reports that predate the embedded fingerprint.
-/// The prefixes keep the two derivations from ever colliding.
-std::string fingerprint_of_report(const support::Json& report);
+/// A campaign report as the store and the reducer read it: decoded once,
+/// through campaign::results_from_json (the one decoder of the format,
+/// which refuses unknown versions and a version-2 fingerprint that does not
+/// match its embedded config), plus the store key.
+struct Report {
+  diff::CampaignResults results;
+  /// The store key: a version-2 report's embedded "cfg-<fnv1a64>"
+  /// fingerprint, or "hdr-<fnv1a64>" over the header fields (seed,
+  /// precision, hipify, counts, levels, platform names) of a version-1
+  /// report, which predates it.  The prefixes keep the two derivations
+  /// from ever colliding.
+  std::string fingerprint;
+  /// A version-2 report's embedded config fingerprint
+  /// (campaign::config_to_json); null for version 1.
+  support::Json config;
+};
+Report decode_report(const support::Json& report);
 
 /// The canonical store key of one discrepancy record: "program:input:level".
 /// Every exemplar list, reducer bundle and drill-down refers to records by
-/// this key.
+/// this key (reduce::RecordRef::key spells it through here).
 std::string record_key(const diff::DiscrepancyRecord& rec);
+
+/// The records whose record_key is in `keys`, in the records' own
+/// (canonical) order, at most one per key: a key leaves `keys` when it
+/// picks its record, so the keys left over matched none.  The one way
+/// exemplar records are picked — from a population's keys
+/// (resolve_exemplars) or from the ones select_exemplars chose
+/// (reduce::reduce_exemplars).
+std::vector<diff::DiscrepancyRecord> pick_records(
+    const std::vector<diff::DiscrepancyRecord>& records,
+    std::set<std::string>& keys);
 
 /// Exemplar record keys per (pair, class): `result[pair - 1][class_index]`
 /// holds the first `max_exemplars` canonical-order keys whose record is
@@ -73,18 +95,15 @@ using ExemplarKeys =
 ExemplarKeys select_exemplars(const std::vector<diff::DiscrepancyRecord>& records,
                               std::size_t n_platforms, int max_exemplars);
 
-/// The union of every exemplar key of a population document, deduplicated
-/// and in canonical record order (program, input, level position) — the
-/// batch work list of `gpudiff-reduce --from-report`.
-std::vector<std::string> exemplar_keys_of_population(const support::Json& pop);
-
-/// Resolve every exemplar key of `pop` to its full record in `report`.
+/// Every exemplar record of `pop`, picked from `report` in canonical
+/// record order (the batch work list of `gpudiff-reduce --from-report`).
 /// The report must carry the population's fingerprint, and *every* key
-/// must resolve: a dangling key (a record the report no longer contains,
-/// e.g. after a tightened --max-records cap) is a named-file error listing
-/// every missing key against both documents — never a silent skip.
+/// must pick a record: a dangling or malformed key (a record the report no
+/// longer contains, e.g. after a tightened --max-records cap) is a
+/// named-file error listing every such key against both documents — never
+/// a silent skip.
 std::vector<diff::DiscrepancyRecord> resolve_exemplars(
-    const support::Json& pop, const support::Json& report,
+    const support::Json& pop, const Report& report,
     const std::string& pop_name, const std::string& report_name);
 
 struct IngestOptions {

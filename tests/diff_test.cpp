@@ -381,8 +381,11 @@ TEST(Metadata, TestsRegenerateFromFile) {
 }
 
 TEST(Metadata, RejectsForeignJson) {
-  EXPECT_THROW(Metadata::from_json(support::Json::parse(R"({"format":"other"})")),
-               std::runtime_error);
+  for (const char* doc : {R"({"format":"other"})",
+                          R"({"format":"gpudiff-metadata","version":2})"})
+    EXPECT_THROW(Metadata::from_json(support::Json::parse(doc)),
+                 std::runtime_error)
+        << doc;
 }
 
 // ---------------------------------------------------------------------------

@@ -15,12 +15,18 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include "campaign/checkpoint.hpp"
 #include "diff/campaign.hpp"
 #include "diff/discrepancy.hpp"
 #include "ir/mutate.hpp"
@@ -303,6 +309,90 @@ TEST(ReduceBundle, TamperedBundleIsRefusedOnReload) {
   // The untouched original still loads.
   support::write_file(dir.file("ok.json"), original);
   EXPECT_NO_THROW(reduce::load_bundle(dir.file("ok.json")));
+}
+
+// ---------------------------------------------------------------------------
+// The gpudiff-reduce CLI refuses, by name, inputs it cannot trust.
+// ---------------------------------------------------------------------------
+
+/// Run the gpudiff-reduce binary (its path wired in by CMake) with `args`
+/// to completion; its exit code, with its stderr in `*err`.
+int run_reduce(const std::vector<std::string>& args, const TempDir& dir,
+               std::string* err) {
+  const std::string err_path = dir.file("stderr.txt");
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    std::vector<char*> argv;
+    argv.push_back(const_cast<char*>(GPUDIFF_REDUCE_BIN));
+    for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
+    argv.push_back(nullptr);
+    std::freopen("/dev/null", "w", stdout);
+    std::freopen(err_path.c_str(), "w", stderr);
+    ::execv(GPUDIFF_REDUCE_BIN, argv.data());
+    std::_Exit(127);
+  }
+  int status = 0;
+  EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+  *err = support::read_file(err_path);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(ReduceCli, RefusesNegativeInputsAndTamperedReportsByName) {
+  TempDir dir("gpudiff_reduce_cli_refusals");
+  const std::string out = dir.file("out");
+  std::string err;
+
+  EXPECT_EQ(run_reduce({"--record", "8:2:O3", "--seed", "1234", "--programs",
+                        "60", "--inputs", "-1", "--out", out},
+                       dir, &err),
+            1);
+  EXPECT_NE(err.find("--inputs must not be negative"), std::string::npos)
+      << err;
+
+  // A version-2 report whose embedded fingerprint no longer matches its
+  // config: the config it carries is not trusted, and nothing is reduced.
+  const diff::CampaignConfig config = golden_config();
+  const Json echo = campaign::config_to_json(config);
+  Json tampered =
+      campaign::results_to_json(diff::run_campaign(config), &echo);
+  tampered["fingerprint"] = "cfg-0000000000000000";
+  const std::string report = dir.file("tampered.json");
+  support::write_file(report, tampered.dump(1) + "\n");
+  EXPECT_EQ(run_reduce({"--record", "8:2:O3", "--report", report, "--out",
+                        out},
+                       dir, &err),
+            2);
+  EXPECT_NE(err.find(report), std::string::npos) << err;
+  EXPECT_NE(err.find("fingerprint"), std::string::npos) << err;
+  EXPECT_FALSE(std::filesystem::exists(out));
+}
+
+TEST(ReduceCli, MalformedExemplarKeyNamedWithBothFiles) {
+  TempDir dir("gpudiff_reduce_cli_key");
+  const std::string report = dir.file("report.json");
+  support::write_file(
+      report,
+      campaign::results_to_json(diff::run_campaign(golden_config())).dump(1) +
+          "\n");
+  const std::string db = dir.file("db");
+  store::ingest(db, "head", {report});
+  const std::string fp =
+      store::decode_report(Json::parse(support::read_file(report)))
+          .fingerprint;
+  const std::string pop_path = db + "/pop/head/" + fp + ".json";
+  Json pop = Json::parse(support::read_file(pop_path));
+  Json& cell =
+      pop["exemplars"].as_object().begin()->second.as_object().begin()->second;
+  cell.as_array().at(0) = "x:1:O3";
+  support::write_file(pop_path, pop.dump(1) + "\n");
+
+  std::string err;
+  EXPECT_EQ(run_reduce({"--from-report", report, "--store", db, "--commit",
+                        "head", "--out", dir.file("out")},
+                       dir, &err),
+            2);
+  for (const std::string& named : {std::string("x:1:O3"), pop_path, report})
+    EXPECT_NE(err.find(named), std::string::npos) << named << "\n" << err;
 }
 
 // ---------------------------------------------------------------------------

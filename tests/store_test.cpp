@@ -19,8 +19,10 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <sys/wait.h>
@@ -112,7 +114,7 @@ std::string all_answers(const store::StoreIndex& index,
 
 TEST(StoreFingerprint, HeaderDerivedForV1CfgForV2) {
   const Json v1 = golden_report();
-  const std::string hdr = store::fingerprint_of_report(v1);
+  const std::string hdr = store::decode_report(v1).fingerprint;
   EXPECT_EQ(hdr.rfind("hdr-", 0), 0u) << hdr;
   EXPECT_EQ(hdr.size(), 4u + 16u);
 
@@ -123,14 +125,14 @@ TEST(StoreFingerprint, HeaderDerivedForV1CfgForV2) {
   const auto results = diff::run_campaign(cfg);
   const Json v2 = campaign::results_to_json(results, &echo);
   EXPECT_EQ(v2.at("version").as_int(), 2);
-  const std::string cfgfp = store::fingerprint_of_report(v2);
+  const std::string cfgfp = store::decode_report(v2).fingerprint;
   EXPECT_EQ(cfgfp.rfind("cfg-", 0), 0u) << cfgfp;
   EXPECT_EQ(cfgfp, campaign::fingerprint_digest(echo));
 
   // A lying embedded fingerprint is refused, not trusted.
   Json tampered = v2;
   tampered["fingerprint"] = "cfg-0000000000000000";
-  EXPECT_THROW(store::fingerprint_of_report(tampered), std::runtime_error);
+  EXPECT_THROW(store::decode_report(tampered), std::runtime_error);
   EXPECT_THROW(campaign::results_from_json(tampered), std::runtime_error);
 }
 
@@ -160,7 +162,7 @@ TEST(StoreIngest, GoldenPopulationLocksOnDiskFormat) {
   TempDir dir("gpudiff_store_golden");
   const std::string db = dir.file("db");
   store::ingest(db, "golden", {kGoldenReport});
-  const std::string fp = store::fingerprint_of_report(golden_report());
+  const std::string fp = store::decode_report(golden_report()).fingerprint;
   const std::string pop_path = db + "/pop/golden/" + fp + ".json";
   ASSERT_TRUE(std::filesystem::exists(pop_path));
   // Byte-compare against the committed golden: any change to the
@@ -172,31 +174,63 @@ TEST(StoreIngest, GoldenPopulationLocksOnDiskFormat) {
 
 // Exemplar keys of a population must resolve against the report they were
 // selected from; a key with no record (the report was re-merged under a
-// tighter --max-records cap, or one of the files is stale) is a named-file
-// error, never a silent skip.
+// tighter --max-records cap, one of the files is stale, or the key was
+// edited into something no record has) is a named-file error, never a
+// silent skip.
 TEST(StoreIngest, DanglingExemplarKeyNamedNotSilentlySkipped) {
   TempDir dir("gpudiff_store_dangling");
   const std::string db = dir.file("db");
   store::ingest(db, "head", {kGoldenReport});
-  const Json report = golden_report();
-  const std::string fp = store::fingerprint_of_report(report);
+  const Json report_doc = golden_report();
+  const store::Report report = store::decode_report(report_doc);
   const auto index = store::load_store(db);
-  const Json& pop = store::population(index, "head", fp);
-  const std::string pop_name = db + "/pop/head/" + fp + ".json";
+  const Json& pop = store::population(index, "head", report.fingerprint);
+  const std::string pop_name =
+      db + "/pop/head/" + report.fingerprint + ".json";
+  const auto expect_named = [&](const Json& p, const store::Report& r,
+                                const std::string& report_name,
+                                const std::string& key) {
+    try {
+      store::resolve_exemplars(p, r, pop_name, report_name);
+      ADD_FAILURE() << "dangling exemplar key " << key
+                    << " was silently accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(key), std::string::npos) << message;
+      EXPECT_NE(message.find(pop_name), std::string::npos) << message;
+      EXPECT_NE(message.find(report_name), std::string::npos) << message;
+    }
+  };
 
-  // Happy path: every exemplar key resolves, in canonical order.
-  const std::vector<std::string> keys =
-      store::exemplar_keys_of_population(pop);
+  // Happy path: every exemplar key resolves to one record, in canonical
+  // record order (program, input, level position).
+  std::set<std::string> keys;
+  for (const auto& [pair, per_class] : pop.at("exemplars").as_object())
+    for (const auto& [cls, arr] : per_class.as_object())
+      for (const auto& key : arr.as_array()) keys.insert(key.as_string());
   ASSERT_FALSE(keys.empty());
   const auto records =
       store::resolve_exemplars(pop, report, pop_name, kGoldenReport);
-  ASSERT_EQ(records.size(), keys.size());
-  for (std::size_t i = 0; i < records.size(); ++i)
-    EXPECT_EQ(store::record_key(records[i]), keys[i]);
+  const auto& levels = report.results.levels;
+  const auto rank = [&](const diff::DiscrepancyRecord& r) {
+    return std::make_tuple(
+        r.program_index, r.input_index,
+        std::find(levels.begin(), levels.end(), r.level) - levels.begin());
+  };
+  std::set<std::string> resolved;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    resolved.insert(store::record_key(records[i]));
+    if (i > 0) {
+      EXPECT_LT(rank(records[i - 1]), rank(records[i])) << i;
+    }
+  }
+  EXPECT_EQ(records.size(), keys.size());
+  EXPECT_EQ(resolved, keys);
 
-  // Re-merge simulation: drop the record behind the first exemplar key
-  // (the v1 fingerprint is header-derived, so it still matches).
-  Json capped = report;
+  // Re-merge simulation: drop the record behind one exemplar key (the v1
+  // fingerprint is header-derived, so it still matches).
+  const std::string dropped = *keys.begin();
+  Json capped = report_doc;
   auto& recs = capped["records"].as_array();
   const std::size_t before = recs.size();
   recs.erase(std::remove_if(
@@ -205,27 +239,28 @@ TEST(StoreIngest, DanglingExemplarKeyNamedNotSilentlySkipped) {
                    return std::to_string(r.at("program").as_int()) + ":" +
                               std::to_string(r.at("input").as_int()) + ":" +
                               r.at("level").as_string() ==
-                          keys.front();
+                          dropped;
                  }),
              recs.end());
   ASSERT_LT(recs.size(), before);
-  try {
-    store::resolve_exemplars(pop, capped, pop_name, "capped.json");
-    FAIL() << "dangling exemplar key was silently accepted";
-  } catch (const std::runtime_error& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find(keys.front()), std::string::npos) << message;
-    EXPECT_NE(message.find(pop_name), std::string::npos) << message;
-    EXPECT_NE(message.find("capped.json"), std::string::npos) << message;
-  }
+  expect_named(pop, store::decode_report(capped), "capped.json", dropped);
+
+  // A key edited into something no record spells is named the same way:
+  // keys are matched against the records, never parsed.
+  Json edited = pop;
+  Json& cell =
+      edited["exemplars"].as_object().begin()->second.as_object().begin()
+          ->second;
+  cell.as_array().at(0) = "x:1:O3";
+  expect_named(edited, report, kGoldenReport, "x:1:O3");
 
   // A population checked against a foreign report is refused up front,
   // naming both documents.
-  Json foreign = report;
-  foreign["seed"] = report.at("seed").as_int() + 1;
-  EXPECT_THROW(
-      store::resolve_exemplars(pop, foreign, pop_name, "foreign.json"),
-      std::runtime_error);
+  Json foreign = report_doc;
+  foreign["seed"] = report_doc.at("seed").as_int() + 1;
+  EXPECT_THROW(store::resolve_exemplars(pop, store::decode_report(foreign),
+                                        pop_name, "foreign.json"),
+               std::runtime_error);
 }
 
 TEST(StoreIngest, IdempotentReingestConflictRefused) {
@@ -415,7 +450,7 @@ std::string build_two_commit_store(const TempDir& dir, const std::string& db,
     for (const auto& [commit, files] : plan)
       store::ingest(db, commit, files);
   }
-  return store::fingerprint_of_report(patched);
+  return store::decode_report(patched).fingerprint;
 }
 
 TEST(StoreDiff, DeterministicAcrossRunsAndIngestOrders) {
@@ -472,7 +507,7 @@ TEST(StoreQuery, PopulationAndDrilldownErrors) {
   const std::string db = dir.file("db");
   store::ingest(db, "c1", {kGoldenReport});
   const auto index = store::load_store(db);
-  const std::string fp = store::fingerprint_of_report(golden_report());
+  const std::string fp = store::decode_report(golden_report()).fingerprint;
 
   // Empty fingerprint selects the only population.
   EXPECT_EQ(store::population(index, "c1", "").at("fingerprint").as_string(),
@@ -502,7 +537,7 @@ TEST(StoreLoad, TempLitterSkippedMislabeledRefused) {
   EXPECT_EQ(store::load_store(db).populations.at("c1").size(), 1u);
 
   // A population copied under the wrong commit must not silently relabel.
-  const std::string fp = store::fingerprint_of_report(golden_report());
+  const std::string fp = store::decode_report(golden_report()).fingerprint;
   std::filesystem::create_directories(db + "/pop/c2");
   std::filesystem::copy_file(db + "/pop/c1/" + fp + ".json",
                              db + "/pop/c2/" + fp + ".json");

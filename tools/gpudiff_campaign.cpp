@@ -45,11 +45,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <optional>
 #include <string>
 
 #include "campaign/checkpoint.hpp"
 #include "campaign/scheduler.hpp"
 #include "campaign/shard.hpp"
+#include "campaign_flags.hpp"
 #include "diff/report.hpp"
 #include "opt/platform.hpp"
 #include "reduce/bundle.hpp"
@@ -168,22 +170,13 @@ int main(int argc, char** argv) {
       "gpudiff-campaign",
       "Differential-testing campaigns, in memory or as resumable lease "
       "workers");
-  cli.add_int("programs", 'p', "number of random programs in the campaign", 354);
-  cli.add_int("inputs", 'i', "inputs per program", 7);
-  cli.add_int("seed", 'S', "campaign seed", 42);
-  cli.add_string("precision", 'P', "fp64 or fp32", "fp64");
-  cli.add_string("platforms", 'F',
-                 "comma-separated platform selection; the first entry is the "
-                 "comparison baseline (see --list-platforms)",
-                 "nvcc,hipcc");
+  tools::add_campaign_flags(cli);
   cli.add_flag("list-platforms",
                "print the platform registry (name, toolchain, FP-env) and exit");
   cli.add_flag("json",
                "with --list-platforms: dump the registry as JSON (full "
                "PlatformSpec fields, fingerprint spelling)");
-  cli.add_flag("hipify", "test the HIPIFY-converted binding (Tables VII/VIII)");
   cli.add_int("threads", 't', "worker threads (0 = hardware concurrency)", 0);
-  cli.add_int("max-records", 'm', "cap on retained discrepancy records", 50000);
   cli.add_string("merge", 0,
                  "merge the finished leases of this lease or coordinator "
                  "state directory instead of running",
@@ -236,13 +229,15 @@ int main(int argc, char** argv) {
               "(the store's population rule)",
               5);
   if (!cli.parse(argc, argv)) return 1;
-  // Both become unsigned counts inside: refuse a negative one up front.
-  for (const char* flag : {"threads", "inputs"}) {
-    if (cli.get_int(flag) < 0) {
-      std::fprintf(stderr, "gpudiff-campaign: --%s must not be negative\n",
-                   flag);
-      return 1;
-    }
+  // Strict flag checks (an unknown or duplicate platform names the entry
+  // and the registry) before any lease directory is touched.
+  std::optional<diff::CampaignConfig> flags =
+      tools::campaign_of_flags(cli, "gpudiff-campaign");
+  if (!flags) return 1;
+  // An unsigned count inside: refuse a negative one up front.
+  if (cli.get_int("threads") < 0) {
+    std::fprintf(stderr, "gpudiff-campaign: --threads must not be negative\n");
+    return 1;
   }
 
   try {
@@ -290,31 +285,8 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    diff::CampaignConfig config;
-    config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    config.num_programs = static_cast<int>(cli.get_int("programs"));
-    config.inputs_per_program = static_cast<int>(cli.get_int("inputs"));
-    config.hipify_converted = cli.get_flag("hipify");
+    diff::CampaignConfig config = std::move(*flags);
     config.threads = static_cast<unsigned>(cli.get_int("threads"));
-    config.max_records = static_cast<std::size_t>(cli.get_int("max-records"));
-    // Strict platform parsing: an unknown or duplicate name aborts with a
-    // message naming the entry and the registry (exit 1, not a stack
-    // trace), before any lease directory is touched.
-    try {
-      config.platforms = opt::parse_platform_list(cli.get_string("platforms"));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "gpudiff-campaign: --%s (try --list-platforms)\n",
-                   e.what());
-      return 1;
-    }
-    const std::string precision = cli.get_string("precision");
-    if (precision == "fp32" || precision == "FP32") {
-      config.gen.precision = ir::Precision::FP32;
-    } else if (precision != "fp64" && precision != "FP64") {
-      std::fprintf(stderr, "gpudiff-campaign: bad --precision '%s'\n",
-                   precision.c_str());
-      return 1;
-    }
 
     std::signal(SIGINT, handle_signal);
     std::signal(SIGTERM, handle_signal);

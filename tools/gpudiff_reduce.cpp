@@ -5,7 +5,8 @@
 //   # one record, configuration spelled out on the command line
 //   gpudiff-reduce --record 41:2:O3 --seed 1234 --programs 90 --inputs 5
 //
-//   # one record, configuration taken from a version-2 campaign report
+//   # one record, configuration taken from a campaign report (version 2
+//   # pins it exactly; version 1 falls back to defaults, with a warning)
 //   gpudiff-reduce --record 41:2:O3 --report merged.json
 //
 //   # batch: every exemplar key of a results-store population, resolved
@@ -18,14 +19,16 @@
 // bytecode VM or the tree-walk oracle — which the reduce-drill CI job
 // enforces with a byte-for-byte cmp of one run on each.
 
-#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "campaign/checkpoint.hpp"
+#include "campaign_flags.hpp"
 #include "opt/platform.hpp"
 #include "reduce/bundle.hpp"
 #include "reduce/reduce.hpp"
@@ -37,23 +40,31 @@ namespace {
 
 using namespace gpudiff;
 
-/// Campaign configuration of a report document.  Version-2 reports embed
-/// the full fingerprint and reconstruct exactly; version-1 reports carry
-/// only header fields, so the generator grammar and record cap fall back
-/// to defaults (correct unless the producing campaign customized them —
+/// A report file decoded once (store::decode_report); a file it refuses
+/// is named.
+store::Report read_report(const std::string& path) {
+  try {
+    return store::decode_report(support::Json::parse(support::read_file(path)));
+  } catch (const std::exception& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
+}
+
+/// Campaign configuration of a report.  Version-2 reports embed the full
+/// fingerprint and reconstruct exactly; version-1 reports carry only
+/// header fields, so the generator grammar and record cap fall back to
+/// defaults (correct unless the producing campaign customized them —
 /// warned about, and any drift is caught by the not-discrepant check of
 /// the first reduction).
-diff::CampaignConfig config_of_report(const support::Json& report) {
-  campaign::check_format(report, "gpudiff-campaign-results",
-                         "campaign report", /*max_version=*/2);
-  if (report.contains("config"))
-    return campaign::config_from_json(report.at("config"));
+diff::CampaignConfig config_of_report(const store::Report& report) {
+  if (!report.config.is_null())
+    return campaign::config_from_json(report.config);
 
   std::fprintf(stderr,
                "gpudiff-reduce: version-1 report carries no config "
                "fingerprint; assuming the default generator grammar and "
                "record cap (re-merge with --report-v2 to pin them)\n");
-  const diff::CampaignResults header = campaign::results_from_json(report);
+  const diff::CampaignResults& header = report.results;
   diff::CampaignConfig config;
   config.seed = header.seed;
   config.gen.precision = header.precision;
@@ -98,7 +109,7 @@ int main(int argc, char** argv) {
                  "");
   cli.add_string("report", 'r',
                  "campaign report supplying the configuration (--record "
-                 "mode) and the record payloads (--from-report mode)",
+                 "mode; --from-report names its own)",
                  "");
   cli.add_string("from-report", 'b',
                  "batch mode: reduce every exemplar key of a results-store "
@@ -113,18 +124,13 @@ int main(int argc, char** argv) {
   cli.add_string("out", 'o', "directory reproducer bundles are written to",
                  "reduced");
   cli.add_flag("json", "stream the bundle document(s) to stdout");
-  // Configuration flags for --record without --report (mirroring
-  // gpudiff-campaign's campaign definition).
-  cli.add_int("programs", 'p', "number of programs in the campaign", 354);
-  cli.add_int("inputs", 'i', "inputs per program", 7);
-  cli.add_int("seed", 'S', "campaign seed", 42);
-  cli.add_string("precision", 'P', "fp64 or fp32", "fp64");
-  cli.add_string("platforms", 'F',
-                 "comma-separated platform selection; first = baseline",
-                 "nvcc,hipcc");
-  cli.add_flag("hipify", "the campaign tested the HIPIFY-converted binding");
-  cli.add_int("max-records", 'm', "campaign record cap", 50000);
+  // The campaign definition for --record without --report, exactly as
+  // gpudiff-campaign spells it.
+  tools::add_campaign_flags(cli);
   if (!cli.parse(argc, argv)) return 1;
+  const std::optional<diff::CampaignConfig> flags =
+      tools::campaign_of_flags(cli, "gpudiff-reduce");
+  if (!flags) return 1;
 
   try {
     const std::string record_key = cli.get_string("record");
@@ -142,8 +148,7 @@ int main(int argc, char** argv) {
                      "--commit\n");
         return 1;
       }
-      const support::Json report =
-          support::Json::parse(support::read_file(batch_report));
+      const store::Report report = read_report(batch_report);
       const diff::CampaignConfig config = config_of_report(report);
       const store::StoreIndex index = store::load_store(store_dir);
       const support::Json& pop =
@@ -181,32 +186,9 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    diff::CampaignConfig config;
-    if (!report_path.empty()) {
-      config = config_of_report(
-          support::Json::parse(support::read_file(report_path)));
-    } else {
-      config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-      config.num_programs = static_cast<int>(cli.get_int("programs"));
-      config.inputs_per_program = static_cast<int>(cli.get_int("inputs"));
-      config.hipify_converted = cli.get_flag("hipify");
-      config.max_records = static_cast<std::size_t>(cli.get_int("max-records"));
-      try {
-        config.platforms =
-            opt::parse_platform_list(cli.get_string("platforms"));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "gpudiff-reduce: --%s\n", e.what());
-        return 1;
-      }
-      const std::string precision = cli.get_string("precision");
-      if (precision == "fp32" || precision == "FP32") {
-        config.gen.precision = ir::Precision::FP32;
-      } else if (precision != "fp64" && precision != "FP64") {
-        std::fprintf(stderr, "gpudiff-reduce: bad --precision '%s'\n",
-                     precision.c_str());
-        return 1;
-      }
-    }
+    const diff::CampaignConfig config =
+        report_path.empty() ? *flags
+                            : config_of_report(read_report(report_path));
 
     const reduce::Reduction reduction = reduce::reduce_record(config, ref);
     print_reduction(reduction);

@@ -183,6 +183,12 @@ support::Json Coordinator::handle(const support::Json& request,
     resp["beating"] = board.heartbeat(lease_of());
   } else if (op == "release") {
     board.release(lease_of());
+  } else if (op == "maintain") {
+    const support::Json& window = request.get_or("stale_after", kAbsent);
+    if (!window.is_number() || window.as_double() < 0.0)
+      throw std::invalid_argument(
+          "maintain carries no stale_after window of 0 or more seconds");
+    board.maintain(window.as_double());
   } else if (op == "done") {
     resp["done"] = board.is_done(lease_of());
   } else if (op == "list_done") {

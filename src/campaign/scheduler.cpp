@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <filesystem>
 #include <mutex>
@@ -16,6 +17,7 @@
 #include "campaign/transport.hpp"
 #include "net/socket.hpp"
 #include "support/lockfile.hpp"
+#include "support/strings.hpp"
 
 namespace gpudiff::campaign {
 
@@ -96,23 +98,36 @@ std::string claim_owner(const std::string& path) {
   return "";
 }
 
-int done_lease_of(std::string_view file_name) {
+namespace {
+
+/// k when `file_name` is "lease-<k>" + `suffix` as the path helpers spell
+/// it, else -1.
+int lease_of_name(std::string_view file_name, std::string_view suffix) {
   constexpr std::string_view kPrefix = "lease-";
-  constexpr std::string_view kSuffix = ".done.json";
-  if (file_name.size() <= kPrefix.size() + kSuffix.size() ||
+  if (file_name.size() <= kPrefix.size() + suffix.size() ||
       file_name.substr(0, kPrefix.size()) != kPrefix ||
-      file_name.substr(file_name.size() - kSuffix.size()) != kSuffix)
+      file_name.substr(file_name.size() - suffix.size()) != suffix)
     return -1;
   const std::string_view digits = file_name.substr(
-      kPrefix.size(), file_name.size() - kPrefix.size() - kSuffix.size());
+      kPrefix.size(), file_name.size() - kPrefix.size() - suffix.size());
   const char* end = digits.data() + digits.size();
   int k = -1;
-  // The round trip refuses what from_chars takes but done_path never
-  // writes: a sign, leading zeros.
+  // The round trip refuses what from_chars takes but the path helpers
+  // never write: a sign, leading zeros.
   if (std::from_chars(digits.data(), end, k).ptr != end || k < 0 ||
       std::to_string(k) != digits)
     return -1;
   return k;
+}
+
+}  // namespace
+
+int done_lease_of(std::string_view file_name) {
+  return lease_of_name(file_name, ".done.json");
+}
+
+int claim_lease_of(std::string_view file_name) {
+  return lease_of_name(file_name, ".claim");
 }
 
 std::string default_worker_id() {
@@ -205,8 +220,26 @@ ResultBlock execute_lease(const diff::CampaignConfig& config,
 
 }  // namespace
 
+void check_worker_options(const WorkerOptions& options) {
+  const auto refuse = [](const char* flag, const char* rule, double value) {
+    throw std::invalid_argument(
+        support::format("%s must be %s (got %g)", flag, rule, value));
+  };
+  if (options.lease_size < 1)
+    refuse("--lease-size", "at least 1", options.lease_size);
+  if (!(std::isfinite(options.heartbeat_seconds) &&
+        options.heartbeat_seconds > 0.0))
+    refuse("--heartbeat", "a positive, finite number of seconds",
+           options.heartbeat_seconds);
+  if (!(std::isfinite(options.stale_after_seconds) &&
+        options.stale_after_seconds >= 0.0))
+    refuse("--stale-after", "a finite number of seconds, 0 or more",
+           options.stale_after_seconds);
+}
+
 WorkerOutcome run_worker(const diff::CampaignConfig& config,
                          const WorkerOptions& options) {
+  check_worker_options(options);  // before any transport touches the board
   if (!options.coordinator.empty()) {
     if (!options.dir.empty())
       throw std::invalid_argument(
@@ -235,8 +268,8 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
 WorkerOutcome run_worker(const diff::CampaignConfig& config,
                          const WorkerOptions& options,
                          LeaseTransport& transport) {
-  const int lease_size = std::max(1, options.lease_size);
-  const int count = lease_count(config.num_programs, lease_size);
+  check_worker_options(options);
+  const int count = lease_count(config.num_programs, options.lease_size);
   const support::Json echo = config_to_json(config);
   const auto stop = [&] {
     return options.stop_requested && options.stop_requested();
@@ -257,7 +290,7 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
   for (;;) {
     if (stop()) return outcome;
     try {
-      transport.publish_or_verify_manifest(echo, lease_size, count);
+      transport.publish_or_verify_manifest(echo, options.lease_size, count);
       break;
     } catch (const TransportError&) {
       if (!support::interruptible_sleep(reconnect.backoff_for(down_spells++),
@@ -275,18 +308,17 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
   }
   down_spells = 0;
 
-  // What the worker knows of each lease.  The done set comes from one
+  // Which leases the worker knows are done.  The done set comes from one
   // list_done() when a pass starts and when a claim is refused — never one
   // request per lease, and not after every lease either, which would make
   // a large campaign quadratic in its lease count.
-  enum Known : char { kOpen, kDone, kPublished };  // kPublished: by this worker
-  std::vector<Known> known(static_cast<std::size_t>(count), kOpen);
+  std::vector<char> done(static_cast<std::size_t>(count), 0);
   int n_done = 0;
   const auto refresh = [&] {
     for (const int k : transport.list_done()) {
-      Known& state = known[static_cast<std::size_t>(k)];
-      if (state == kOpen) {
-        state = kDone;
+      char& known = done[static_cast<std::size_t>(k)];
+      if (known == 0) {
+        known = 1;
         ++n_done;
       }
     }
@@ -321,7 +353,7 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
       refresh();
       for (int step = 0; step < count && n_done < count; ++step) {
         const int k = (offset + step) % count;
-        if (known[static_cast<std::size_t>(k)] != kOpen) continue;
+        if (done[static_cast<std::size_t>(k)] != 0) continue;
         if ((stopped = stop())) break;
         bool stolen = false;
         // Check the claim's age before attempting one, so workers waiting
@@ -341,7 +373,8 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
           if (age < options.stale_after_seconds) continue;
           // A stale claim on a finished lease (its owner was killed
           // between the done file and the end of its claim) is reaped by
-          // the steal, which then refuses the lease.
+          // this housekeeping or by the steal, which then refuses the
+          // lease.
           transport.maintain(options.stale_after_seconds);
           if (!transport.try_steal(k)) {
             refresh();
@@ -366,7 +399,7 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
           transport.release(k);
           throw;
         }
-        known[static_cast<std::size_t>(k)] = kPublished;
+        done[static_cast<std::size_t>(k)] = 1;
         ++n_done;
         ++outcome.leases_completed;
         if (stolen) ++outcome.leases_stolen;
@@ -409,13 +442,11 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
   }
   try {
     // A claim lingering on a lease a peer finished is garbage — its owner
-    // was killed between the done file and the end of its claim.  Reap it
-    // so a finished directory holds no claim files.  The leases this
-    // worker published ended their own claims.
-    for (int k = 0; k < count; ++k)
-      if (known[static_cast<std::size_t>(k)] == kDone &&
-          transport.claim_age_seconds(k) >= 0.0)
-        transport.reap_claim(k);
+    // was killed between the done file and the end of its claim.  One
+    // housekeeping request reaps every such claim, so a finished directory
+    // holds no claim files.  The leases this worker published ended their
+    // own claims.
+    transport.maintain(options.stale_after_seconds);
   } catch (const TransportError&) {
     // Final housekeeping is best-effort; stale claims age out anyway.
   }

@@ -14,28 +14,15 @@ namespace gpudiff::campaign {
 
 namespace {
 
-/// Reap temp files stranded by workers killed mid-publish: claim temps
+/// A temp file a publisher writes before its link or rename: claim temps
 /// and tombstones ("lease-<k>.claim.tmp.<unique>",
 /// "lease-<k>.claim.stale.<worker>"), done-file temps
 /// ("lease-<k>.done.json.tmp.<unique>") and manifest temps
-/// ("campaign.json.tmp.<unique>") older than the staleness window.  Without
-/// this, every SIGKILL between a temp write and its link/rename leaks one
-/// file into the shared directory forever.  A *live* publisher whose temp
-/// is this old is indistinguishable from a dead one; reaping its temp
-/// makes its publish return "not acquired" (see publish_file_exclusive),
-/// which the protocol already treats as losing a race.
-void sweep_stale_temps(const std::string& dir, double older_than) {
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    const bool temp = name.find(".claim.") != std::string::npos ||
-                      name.find(".done.json.tmp.") != std::string::npos ||
-                      name.rfind("campaign.json.", 0) == 0;
-    if (!temp) continue;
-    const std::string path = entry.path().string();
-    const double age = support::file_age_seconds(path);
-    if (age > std::max(0.0, older_than)) support::remove_file(path);
-  }
+/// ("campaign.json.tmp.<unique>").
+bool is_temp_name(const std::string& name) {
+  return name.find(".claim.") != std::string::npos ||
+         name.find(".done.json.tmp.") != std::string::npos ||
+         name.rfind("campaign.json.", 0) == 0;
 }
 
 /// The journal's blocks — done files named as in a lease directory, never
@@ -187,7 +174,35 @@ void FsLeaseTransport::release(int lease) {
 }
 
 void FsLeaseTransport::maintain(double stale_after_seconds) {
-  sweep_stale_temps(dir_, stale_after_seconds);
+  // Temps older than the window were stranded by publishers killed
+  // between a temp write and its link or rename; without this sweep each
+  // such kill leaks a file into the directory forever.  A *live*
+  // publisher whose temp is this old is indistinguishable from a dead
+  // one; reaping its temp makes its publish return "not acquired" (see
+  // publish_file_exclusive), which the protocol already treats as losing
+  // a race.  A claim beside its lease's done file was left by an owner
+  // killed between the two (or is one a live owner is about to end, and
+  // release tolerates a claim already gone); the same directory pass
+  // finds both, so one call reaps every such claim.
+  std::vector<int> claims;
+  std::vector<int> finished;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    if (!entry.is_regular_file()) continue;
+    const std::string name = entry.path().filename().string();
+    if (const int k = claim_lease_of(name); k >= 0) {
+      claims.push_back(k);
+    } else if (const int d = done_lease_of(name); d >= 0) {
+      finished.push_back(d);
+    } else if (is_temp_name(name)) {
+      const std::string path = entry.path().string();
+      if (support::file_age_seconds(path) > std::max(0.0, stale_after_seconds))
+        support::remove_file(path);
+    }
+  }
+  std::sort(finished.begin(), finished.end());
+  for (const int k : claims)
+    if (std::binary_search(finished.begin(), finished.end(), k))
+      tombstone_claim(k);
 }
 
 // ---------------------------------------------------------------------------
@@ -421,15 +436,18 @@ void TcpLeaseTransport::release(int lease) {
   }
 }
 
-void TcpLeaseTransport::maintain(double /*stale_after_seconds*/) {
-  // Staleness housekeeping lives on the coordinator; the worker-side
-  // concern is the journal.  Opportunistically flush it (connecting
-  // triggers flush_journal_locked).
-  if (journaled_blocks() == 0) return;
+void TcpLeaseTransport::maintain(double stale_after_seconds) {
+  // One request: the coordinator runs the board's housekeeping
+  // (FsLeaseTransport::maintain) on its state directory at this window.
+  // A reconnect on the way re-publishes the journal first.
+  support::Json req = support::Json::object();
+  req["op"] = "maintain";
+  req["stale_after"] = stale_after_seconds;
   try {
-    request(support::Json());
+    request(std::move(req));
   } catch (const TransportError&) {
-    // Still unreachable; the journal keeps waiting.
+    // Best-effort: the coordinator is still unreachable, and the journal
+    // keeps waiting for the next connection.
   }
 }
 

@@ -111,9 +111,12 @@ class LeaseTransport {
   /// given up unpublished.
   virtual void release(int lease) = 0;
 
-  /// Periodic housekeeping at the caller's staleness window: the
-  /// filesystem backend reaps temp litter stranded by killed publishers,
-  /// the TCP backend flushes any journaled blocks it can.
+  /// Housekeeping at the caller's staleness window, in one backend
+  /// request: reap temp litter older than the window (stranded by killed
+  /// publishers) and every claim on a finished lease (its owner was
+  /// killed between the done file and the end of its claim).  The TCP
+  /// backend asks the coordinator to run the board's housekeeping, and
+  /// re-publishes any journaled blocks when it reconnects to do so.
   virtual void maintain(double stale_after_seconds) = 0;
   /// Flush everything pending (journaled blocks).  True when nothing
   /// remains buffered locally — only then may a worker report the
@@ -157,6 +160,8 @@ class FsLeaseTransport : public LeaseTransport {
   bool heartbeat(int lease) override;
   void publish_done(int lease, int count, const ResultBlock& block) override;
   void release(int lease) override;
+  /// One read of the directory; the claims it reaps are tombstoned as
+  /// reap_claim does.
   void maintain(double stale_after_seconds) override;
   bool drain() override { return true; }
 

@@ -29,6 +29,10 @@
 //   {"op":"publish","block":{...},...}   -> {"ok":true}  (ends the claim)
 //   {"op":"release","lease":k,...}       -> {"ok":true}
 //   {"op":"reap","lease":k,...}          -> {"ok":true,"reaped":b}
+//   {"op":"maintain","stale_after":s,...} -> {"ok":true}
+//                                           (one directory pass: temps
+//                                           older than s and claims on
+//                                           finished leases are reaped)
 //   {"op":"done","lease":k,...}          -> {"ok":true,"done":b}
 //   {"op":"list_done",...}               -> {"ok":true,"done":[k,...]}
 //                                           (one directory read, ascending)
@@ -47,7 +51,9 @@
 // end the claim.  A version-2 worker relies on both — it neither releases
 // after a publish nor re-checks done under a claim — so against a
 // version-1 coordinator it would leave claims behind; the hello refuses
-// the mix.
+// the mix.  Version 3 added maintain, which a worker sends once when it
+// starts and once when the campaign is done; a version-2 coordinator
+// would refuse it as an unknown op.
 
 #include <string>
 
@@ -59,7 +65,7 @@ namespace gpudiff::net {
 /// Wire protocol version, carried by every hello.  Bump on any change to
 /// message shapes or to what an op means; both daemons refuse other
 /// versions at connect.
-inline constexpr int kWireVersion = 2;
+inline constexpr int kWireVersion = 3;
 
 /// Send one message as a compact JSON line.
 IoStatus send_message(Socket& socket, const support::Json& message,

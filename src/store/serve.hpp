@@ -16,7 +16,8 @@
 // After the hello, each request carries a client-chosen monotonically
 // increasing "seq" echoed by the response.
 //
-//   {"op":"hello","version":1,"store_version":1,"seq":n}
+//   {"op":"hello","version":v,"store_version":1,"seq":n}
+//       (v: net::kWireVersion, shared with the coordinator)
 //       -> {"ok":true,"commits":c,"store_version":1,"seq":n}
 //   {"op":"summary",...}        -> {"ok":true,"summary":{...}}
 //   {"op":"population","commit":c,"fingerprint":f?,...}

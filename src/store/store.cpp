@@ -44,10 +44,6 @@ std::string marker_path(const std::string& root) {
 std::string pop_dir(const std::string& root, const std::string& commit) {
   return root + "/pop/" + commit;
 }
-std::string pop_path(const std::string& root, const std::string& commit,
-                     const std::string& fingerprint) {
-  return pop_dir(root, commit) + "/" + fingerprint + ".json";
-}
 std::string perf_path(const std::string& root, const std::string& commit) {
   return root + "/perf/" + commit + ".json";
 }
@@ -275,6 +271,11 @@ pair_class_totals(const Json& pop) {
 
 }  // namespace
 
+std::string population_path(const std::string& root, const std::string& commit,
+                            const std::string& fingerprint) {
+  return pop_dir(root, commit) + "/" + fingerprint + ".json";
+}
+
 Report decode_report(const Json& report) {
   Report out{campaign::results_from_json(report), "", Json()};
   if (report.at("version").as_int() == 2) {
@@ -383,7 +384,7 @@ IngestOutcome ingest(const std::string& store_dir, const std::string& commit,
       if (is_campaign_report(doc)) {
         const Report report = decode_report(doc);
         write_or_verify(
-            pop_path(store_dir, commit, report.fingerprint),
+            population_path(store_dir, commit, report.fingerprint),
             population_of(report, commit, options.max_exemplars).dump(1) +
                 "\n",
             "population");

@@ -149,6 +149,12 @@ StoreIndex load_store(const std::string& store_dir);
 /// count, comparisons, discrepancies and benchmark count.
 support::Json summary(const StoreIndex& index);
 
+/// The file that holds the population of (commit, fingerprint) under
+/// `store_dir`: <store_dir>/pop/<commit>/<fingerprint>.json.
+std::string population_path(const std::string& store_dir,
+                            const std::string& commit,
+                            const std::string& fingerprint);
+
 /// The full population document for (commit, fingerprint).  An empty
 /// fingerprint selects the commit's only population (errors if ambiguous).
 const support::Json& population(const StoreIndex& index,

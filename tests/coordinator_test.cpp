@@ -510,6 +510,69 @@ TEST(Coordinator, ClaimsOnFinishedLeasesAreRefusedOverTcp) {
   EXPECT_EQ(count_files_with_suffix(state.str(), ".claim"), 0);
 }
 
+TEST(Coordinator, MaintainRunsTheBoardsHousekeepingOverTcp) {
+  // One maintain request reaps, in the state directory, a claim left on a
+  // finished lease and a temp older than the window; it keeps a fresh
+  // temp and the claim of an unfinished lease.  A maintain without a
+  // usable window is refused fatally and touches nothing.
+  const auto cfg = small_config();
+  const int count = campaign::lease_count(45, 4);
+  const support::Json echo = campaign::config_to_json(cfg);
+  TempDir state("gpudiff_coord_maintain");
+  TempDir journal("gpudiff_coord_maintain_journal");
+  CoordinatorOptions copts;
+  copts.dir = state.str();
+  Coordinator coordinator(copts);
+  coordinator.start();
+  TcpLeaseTransport a(
+      transport_options(coordinator.port(), "a", journal.str()));
+  a.publish_or_verify_manifest(echo, 4, count);
+  ASSERT_TRUE(a.try_claim(2));
+  a.publish_done(2, count, lease_block(cfg, count, 2));
+
+  const std::string finished_claim = campaign::claim_path(state.str(), 2);
+  const std::string open_claim = campaign::claim_path(state.str(), 3);
+  const std::string aged_temp = state.str() + "/lease-5.done.json.tmp.dead";
+  const std::string fresh_temp = state.str() + "/lease-6.done.json.tmp.live";
+  support::write_file(finished_claim, campaign::claim_document(2, "killed"));
+  support::write_file(open_claim, campaign::claim_document(3, "live"));
+  support::write_file(aged_temp, "{");
+  support::write_file(fresh_temp, "{");
+  ASSERT_TRUE(support::age_file(aged_temp, 3600.0));
+  ASSERT_TRUE(support::age_file(open_claim, 3600.0));
+
+  // Refusals first: none of them may reap anything.
+  const auto expect_fatal = [&](support::Json maintain,
+                                const std::string& what) {
+    maintain["op"] = "maintain";
+    const support::Json resp = raw_exchange(
+        coordinator.port(), raw_hello(echo, 4, count), std::move(maintain));
+    EXPECT_FALSE(resp.get_or("ok", true).as_bool()) << what;
+    EXPECT_TRUE(resp.get_or("fatal", false).as_bool()) << what;
+  };
+  support::Json missing = support::Json::object();
+  support::Json text = support::Json::object();
+  text["stale_after"] = "60";
+  support::Json negative = support::Json::object();
+  negative["stale_after"] = -1.0;
+  expect_fatal(missing, "no stale_after");
+  expect_fatal(text, "stale_after not a number");
+  expect_fatal(negative, "negative stale_after");
+  EXPECT_TRUE(std::filesystem::exists(finished_claim));
+  EXPECT_TRUE(std::filesystem::exists(aged_temp));
+
+  a.maintain(60.0);
+  EXPECT_FALSE(std::filesystem::exists(finished_claim))
+      << "the claim on a finished lease survived";
+  EXPECT_FALSE(std::filesystem::exists(aged_temp))
+      << "a temp past the window survived";
+  EXPECT_TRUE(std::filesystem::exists(fresh_temp))
+      << "a fresh temp was reaped";
+  EXPECT_EQ(campaign::claim_owner(open_claim), "live")
+      << "the claim of an unfinished lease was reaped";
+  coordinator.stop();
+}
+
 TEST(Coordinator, ConnectionsWithoutHelloAreClosedAtTheDeadline) {
   // Every connection holds a server thread; one that never says hello is
   // closed after net::kHelloDeadlineTicks I/O timeouts, while a greeted

@@ -18,8 +18,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -386,6 +388,13 @@ TEST(Scheduler, ListDoneReadsOnlyDoneFilesOfThisPartition) {
   EXPECT_EQ(campaign::done_lease_of("lease-12.done.json"), 12);
   EXPECT_EQ(campaign::done_lease_of("lease-07.done.json"), -1);
   EXPECT_EQ(campaign::done_lease_of("lease-99999999999.done.json"), -1);
+  // Claim names parse the same way (the board's housekeeping reaps the
+  // claims it finds beside done files).
+  EXPECT_EQ(campaign::claim_lease_of("lease-12.claim"), 12);
+  for (const char* name : {"lease-07.claim", "lease-5.claim.stale.w",
+                           "lease-5.claim.tmp.1", "lease-.claim",
+                           "lease-5.done.json"})
+    EXPECT_EQ(campaign::claim_lease_of(name), -1) << name;
 }
 
 /// Counts the calls a worker makes into the board it forwards them to.
@@ -397,7 +406,9 @@ class CountingTransport final : public campaign::LeaseTransport {
   // Atomic: heartbeats arrive from the lease's timer thread.
   std::atomic<int> is_done_calls{0}, list_done_calls{0}, claim_calls{0},
       age_calls{0}, steal_calls{0}, reap_calls{0}, publish_calls{0},
-      release_calls{0};
+      release_calls{0}, maintain_calls{0};
+  /// The lease of every age check, in order (the worker's own thread).
+  std::vector<int> aged;
 
   const std::string& worker_id() const noexcept override {
     return inner_.worker_id();
@@ -420,6 +431,7 @@ class CountingTransport final : public campaign::LeaseTransport {
   }
   double claim_age_seconds(int lease) override {
     ++age_calls;
+    aged.push_back(lease);
     return inner_.claim_age_seconds(lease);
   }
   bool try_steal(int lease) override {
@@ -441,6 +453,7 @@ class CountingTransport final : public campaign::LeaseTransport {
     inner_.release(lease);
   }
   void maintain(double stale_after_seconds) override {
+    ++maintain_calls;
     inner_.maintain(stale_after_seconds);
   }
   bool drain() override { return inner_.drain(); }
@@ -452,7 +465,8 @@ class CountingTransport final : public campaign::LeaseTransport {
 TEST(Scheduler, LoneWorkerClaimsAndPublishesEachLeaseOnce) {
   // The request budget of a worker with no peer: one claim and one
   // publish per lease, at most one age check per lease, the done set
-  // listed at most twice, and nothing asked of one lease at a time.
+  // listed at most twice, housekeeping once at the start and once at the
+  // end, and nothing asked of one lease at a time.
   const auto cfg = small_config(24);
   TempDir dir("gpudiff_sched_budget");
   FsLeaseTransport board(dir.str(), "solo");
@@ -471,9 +485,114 @@ TEST(Scheduler, LoneWorkerClaimsAndPublishesEachLeaseOnce) {
   EXPECT_EQ(counted.release_calls, 0);
   EXPECT_EQ(counted.steal_calls, 0);
   EXPECT_EQ(counted.reap_calls, 0);
+  EXPECT_EQ(counted.maintain_calls, 2);
   EXPECT_EQ(count_files_with_suffix(dir.str(), ".claim"), 0);
   EXPECT_EQ(canonical(campaign::merge_lease_dir(dir.str())),
             canonical(diff::run_campaign(cfg)));
+}
+
+TEST(Scheduler, EndOfCampaignReapIsOneMaintain) {
+  // A worker that joins after a peer published some leases never asks
+  // about those leases one at a time: not while it works, and not at the
+  // end, where one maintain reaps the claims killed peers left on
+  // finished leases.  The claim here is planted once the worker is past
+  // its start-up housekeeping, so only the end-of-campaign call can
+  // reap it.
+  const auto cfg = small_config(24);
+  const int lease_size = 2;
+  const int count = campaign::lease_count(24, lease_size);
+  const int published = 5;
+  TempDir dir("gpudiff_sched_end_reap");
+  FsLeaseTransport peer(dir.str(), "peer");
+  peer.publish_or_verify_manifest(campaign::config_to_json(cfg), lease_size,
+                                  count);
+  for (int k = 0; k < published; ++k) {
+    const auto [begin, end] = campaign::lease_range(24, count, k);
+    peer.publish_done(k, count, make_block(cfg, begin, end));
+  }
+  const std::string planted = campaign::claim_path(dir.str(), 2);
+
+  FsLeaseTransport board(dir.str(), "late");
+  CountingTransport counted(board);
+  WorkerOptions options;
+  options.lease_size = lease_size;
+  options.on_lease = [&](const WorkerOptions::LeaseEvent&) {
+    if (!std::filesystem::exists(planted))
+      support::write_file(planted, campaign::claim_document(2, "killed"));
+  };
+  const WorkerOutcome outcome = campaign::run_worker(cfg, options, counted);
+  EXPECT_TRUE(outcome.campaign_complete);
+  EXPECT_EQ(outcome.leases_completed, count - published);
+  for (const int k : counted.aged)
+    EXPECT_GE(k, published) << "age check on lease " << k
+                            << ", which the peer published";
+  EXPECT_EQ(counted.maintain_calls, 2);
+  EXPECT_EQ(counted.reap_calls, 0);
+  EXPECT_FALSE(std::filesystem::exists(planted))
+      << "the claim on a finished lease survived the worker";
+  EXPECT_EQ(count_files_with_suffix(dir.str(), ".claim"), 0);
+  EXPECT_EQ(canonical(campaign::merge_lease_dir(dir.str())),
+            canonical(diff::run_campaign(cfg)));
+}
+
+TEST(Scheduler, DefaultLeaseIsThirtyTwoPrograms) {
+  // A worker with default options carves 100 programs into 4 leases.
+  auto cfg = small_config(100);
+  cfg.inputs_per_program = 2;
+  TempDir dir("gpudiff_sched_default_lease");
+  WorkerOptions options;
+  options.dir = dir.str();
+  options.worker_id = "w0";
+  const WorkerOutcome outcome = campaign::run_worker(cfg, options);
+  EXPECT_TRUE(outcome.campaign_complete);
+  EXPECT_EQ(outcome.leases_completed, 4);
+  EXPECT_EQ(count_files_with_suffix(dir.str(), ".done.json"), 4);
+  EXPECT_EQ(campaign::load_manifest(dir.str()).at("lease_size").as_int(), 32);
+}
+
+TEST(Scheduler, RefusesOptionsThatBreakTheLeaseProtocol) {
+  // Each refusal names the option as gpudiff-campaign spells it, and comes
+  // before the lease directory exists.  A lease size below 1 used to run
+  // as 1; a negative stale-after let workers reap each other's in-flight
+  // done-file temps.
+  const auto cfg = small_config(4);
+  TempDir dir("gpudiff_sched_bad_options");
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<std::string, std::function<void(WorkerOptions&)>>>
+      refused = {
+          {"--lease-size", [](WorkerOptions& o) { o.lease_size = 0; }},
+          {"--lease-size", [](WorkerOptions& o) { o.lease_size = -7; }},
+          {"--heartbeat", [](WorkerOptions& o) { o.heartbeat_seconds = 0.0; }},
+          {"--heartbeat", [](WorkerOptions& o) { o.heartbeat_seconds = -1.0; }},
+          {"--heartbeat", [&](WorkerOptions& o) { o.heartbeat_seconds = inf; }},
+          {"--stale-after",
+           [](WorkerOptions& o) { o.stale_after_seconds = -1.0; }},
+          {"--stale-after",
+           [&](WorkerOptions& o) { o.stale_after_seconds = inf; }},
+      };
+  for (const auto& [flag, spoil] : refused) {
+    WorkerOptions options;
+    options.dir = dir.str();
+    options.worker_id = "w0";
+    spoil(options);
+    try {
+      campaign::run_worker(cfg, options);
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir.str())) << flag;
+    FsLeaseTransport board(dir.str() + "-board", "w0");
+    EXPECT_THROW(campaign::run_worker(cfg, options, board),
+                 std::invalid_argument)
+        << flag;
+    std::filesystem::remove_all(dir.str() + "-board");
+  }
+  // A zero window stays legal: a lone rescuer reaps at once.
+  WorkerOptions rescuer;
+  rescuer.stale_after_seconds = 0.0;
+  EXPECT_NO_THROW(campaign::check_worker_options(rescuer));
 }
 
 TEST(Scheduler, WorkerIdsMustEndFileNames) {
@@ -954,6 +1073,52 @@ TEST(FaultInjection, ConflictingModesAreRefusedBeforeAnyWork) {
     EXPECT_FALSE(std::filesystem::exists(dir.str())) << line;
     EXPECT_FALSE(std::filesystem::exists(report)) << line;
   }
+}
+
+TEST(FaultInjection, WorkerOptionsThatBreakTheLeaseProtocolAreRefused) {
+  // The command line runs the library's check right after parsing, in
+  // every mode: each bad value exits 1 naming its flag before a lease
+  // directory or report exists.
+  if (campaign_binary() == nullptr)
+    GTEST_SKIP() << "GPUDIFF_CAMPAIGN_BIN not set (run under CTest)";
+  TempDir dir("gpudiff_sched_bad_flags");
+  const std::string report = dir.str() + "-report.json";
+  const std::string err = dir.str() + "-stderr.txt";
+  const std::vector<std::pair<std::string, std::string>> refused = {
+      {"--lease-size", "0"}, {"--lease-size", "-7"},
+      {"--heartbeat", "0"},  {"--heartbeat", "-1"},
+      {"--stale-after", "-1"},
+  };
+  const std::vector<std::vector<std::string>> modes = {
+      {"--worker", dir.str()},
+      {"--report", report},
+      {"--merge", dir.str()},
+  };
+  for (const auto& [flag, value] : refused) {
+    for (auto args : modes) {
+      const std::string line = args[0] + " " + flag + " " + value;
+      args.insert(args.end(), {"--programs", "1", flag, value});
+      const pid_t pid = spawn_campaign(args, err);
+      ASSERT_GT(pid, 0);
+      const int status = wait_for_exit_within(pid, 30.0);
+      ASSERT_NE(status, -1) << line << ": still running after 30 s";
+      ASSERT_TRUE(WIFEXITED(status)) << line;
+      EXPECT_EQ(WEXITSTATUS(status), 1) << line;
+      EXPECT_NE(support::read_file(err).find(flag), std::string::npos)
+          << line << ": " << support::read_file(err);
+      EXPECT_FALSE(std::filesystem::exists(dir.str())) << line;
+      EXPECT_FALSE(std::filesystem::exists(report)) << line;
+    }
+  }
+  // A zero stale-after window runs.
+  const pid_t pid = spawn_campaign(
+      {"--worker", dir.str(), "--programs", "1", "--stale-after", "0"}, err);
+  ASSERT_GT(pid, 0);
+  const int status = wait_for_exit_within(pid, 30.0);
+  ASSERT_TRUE(status != -1 && WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << support::read_file(err);
+  std::filesystem::remove(err);
+  std::filesystem::remove(report);
 }
 
 TEST(FaultInjection, NegativeThreadsAndInputsAreRefusedBeforeAnyWork) {

@@ -40,7 +40,9 @@
 // publishes the in-flight lease and releases every claim it holds, so an
 // interrupted worker never strands claimed work.
 
+#include <algorithm>
 #include <atomic>
+#include <climits>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -185,15 +187,19 @@ int main(int argc, char** argv) {
                  "run as a self-balancing work-stealing worker against this "
                  "shared lease directory (re-running skips finished leases)",
                  "");
+  const campaign::WorkerOptions worker_defaults;
   cli.add_int("lease-size", 'L',
               "programs per lease: the unit of stealing, of progress and of "
-              "work lost to a kill",
-              16);
-  cli.add_double("heartbeat", 'H', "seconds between lease heartbeats", 5.0);
+              "work lost to a kill; each lease also pays a fixed claim and "
+              "publish cost",
+              worker_defaults.lease_size);
+  cli.add_double("heartbeat", 'H', "seconds between lease heartbeats",
+                 worker_defaults.heartbeat_seconds);
   cli.add_double("stale-after", 'A',
                  "steal a lease whose heartbeat is older than this many "
-                 "seconds",
-                 60.0);
+                 "seconds, and reap temp files older than that (0 also reaps "
+                 "live peers' in-flight temps)",
+                 worker_defaults.stale_after_seconds);
   cli.add_string("worker-id", 'W', "unique worker name (default: host-pid)",
                  "");
   cli.add_string("coordinator", 'C',
@@ -237,6 +243,17 @@ int main(int argc, char** argv) {
   // An unsigned count inside: refuse a negative one up front.
   if (cli.get_int("threads") < 0) {
     std::fprintf(stderr, "gpudiff-campaign: --threads must not be negative\n");
+    return 1;
+  }
+  campaign::WorkerOptions wopts;
+  wopts.lease_size = static_cast<int>(std::clamp<std::int64_t>(
+      cli.get_int("lease-size"), INT_MIN, INT_MAX));
+  wopts.heartbeat_seconds = cli.get_double("heartbeat");
+  wopts.stale_after_seconds = cli.get_double("stale-after");
+  try {
+    campaign::check_worker_options(wopts);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "gpudiff-campaign: %s\n", e.what());
     return 1;
   }
 
@@ -292,13 +309,9 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, handle_signal);
 
     if (!worker_dir.empty() || !coordinator.empty()) {
-      campaign::WorkerOptions wopts;
       wopts.dir = worker_dir;
       wopts.coordinator = coordinator;
       wopts.journal_dir = cli.get_string("journal-dir");
-      wopts.lease_size = static_cast<int>(cli.get_int("lease-size"));
-      wopts.heartbeat_seconds = cli.get_double("heartbeat");
-      wopts.stale_after_seconds = cli.get_double("stale-after");
       wopts.worker_id = cli.get_string("worker-id");
       wopts.stop_requested = stop_requested;
       if (cli.get_flag("progress")) {

@@ -153,9 +153,8 @@ int main(int argc, char** argv) {
       const store::StoreIndex index = store::load_store(store_dir);
       const support::Json& pop =
           store::population(index, commit, cli.get_string("fingerprint"));
-      const std::string pop_name =
-          store_dir + "/pop/" + commit + "/" +
-          pop.at("fingerprint").as_string() + ".json";
+      const std::string pop_name = store::population_path(
+          store_dir, commit, pop.at("fingerprint").as_string());
       const std::vector<diff::DiscrepancyRecord> records =
           store::resolve_exemplars(pop, report, pop_name, batch_report);
       support::Json bundles = support::Json::array();

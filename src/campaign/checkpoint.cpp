@@ -84,9 +84,12 @@ Json platform_to_json(const opt::PlatformSpec& spec) {
   p["fast_math"] = spec.fast_math;
   p["ftz32"] = spec.force_ftz32;
   p["daz32"] = spec.force_daz32;
-  p["fma"] = opt::to_string(spec.fma);
-  p["div32"] = opt::to_string(spec.div32);
-  p["mathlib"] = spec.mathlib;
+  // Constants, spelled as every fingerprint has spelled them: manifests,
+  // store keys and reduce bundles embed these bytes, and config_from_json's
+  // round trip refuses a document naming any other value.
+  p["fma"] = "auto";
+  p["div32"] = "auto";
+  p["mathlib"] = "";
   return p;
 }
 
@@ -143,28 +146,13 @@ Json config_to_json(const diff::CampaignConfig& config) {
 
 namespace {
 
-// Inverse spellings of the opt:: to_string overloads.  Kept local: the
-// round-trip check below re-serializes through those same overloads, so a
+// Inverse spelling of opt::to_string(Toolchain).  Kept local: the
+// round-trip check below re-serializes through that same overload, so a
 // stale entry here can reject but never mis-parse.
 opt::Toolchain toolchain_from_string(const std::string& s) {
   if (s == "nvcc-sim") return opt::Toolchain::Nvcc;
   if (s == "hipcc-sim") return opt::Toolchain::Hipcc;
   throw std::runtime_error("campaign: bad toolchain " + s);
-}
-
-opt::FmaMode fma_from_string(const std::string& s) {
-  if (s == "auto") return opt::FmaMode::Auto;
-  if (s == "left") return opt::FmaMode::LeftProduct;
-  if (s == "right") return opt::FmaMode::RightProduct;
-  throw std::runtime_error("campaign: bad fma mode " + s);
-}
-
-opt::Div32Override div32_from_string(const std::string& s) {
-  if (s == "auto") return opt::Div32Override::Auto;
-  if (s == "ieee") return opt::Div32Override::IEEE;
-  if (s == "nv-approx") return opt::Div32Override::NvApprox;
-  if (s == "amd-approx") return opt::Div32Override::AmdApprox;
-  throw std::runtime_error("campaign: bad div32 override " + s);
 }
 
 }  // namespace
@@ -192,9 +180,6 @@ diff::CampaignConfig config_from_json(const Json& config_echo) {
     spec.fast_math = p.at("fast_math").as_bool();
     spec.force_ftz32 = p.at("ftz32").as_bool();
     spec.force_daz32 = p.at("daz32").as_bool();
-    spec.fma = fma_from_string(p.at("fma").as_string());
-    spec.div32 = div32_from_string(p.at("div32").as_string());
-    spec.mathlib = p.at("mathlib").as_string();
     // `blurb` is display-only and not part of the fingerprint; it stays
     // empty on reconstructed specs.
     config.platforms.push_back(std::move(spec));

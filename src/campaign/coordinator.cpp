@@ -107,21 +107,15 @@ support::Json Coordinator::hello(const support::Json& request,
   if (!id.is_string())
     throw std::invalid_argument("hello carries no worker id");
   // A campaign that could never merge is refused before it reaches the
-  // board.
-  const support::Json& config = request.get_or("config", kAbsent);
-  int num_programs = 0;
+  // board, by the rule campaign.json obeys.
   try {
-    num_programs = config_from_json(config).num_programs;
+    check_manifest_members(request);
   } catch (const std::exception& e) {
-    throw std::invalid_argument(
-        std::string("hello carries no valid campaign configuration: ") +
-        e.what());
+    throw std::invalid_argument(std::string("hello refused: ") + e.what());
   }
-  const int lease_size = index_member(request, "lease_size");
-  const int count = index_member(request, "lease_count");
-  if (lease_size < 1 || count != lease_count(num_programs, lease_size))
-    throw std::invalid_argument(
-        "hello's lease geometry does not partition its campaign");
+  const support::Json& config = request.at("config");
+  const int lease_size = static_cast<int>(request.at("lease_size").as_int());
+  const int count = static_cast<int>(request.at("lease_count").as_int());
 
   std::lock_guard<std::mutex> lock(mu_);
   // A worker id that cannot end a file name is refused here, fatally.

@@ -56,7 +56,7 @@ class Coordinator {
   /// Binds the listener, reads the campaign manifest if options.dir has
   /// one, and gives every claim there a fresh heartbeat.  Throws
   /// std::runtime_error if the port cannot be bound or the manifest is
-  /// unreadable.
+  /// unreadable or breaks the manifest rule (load_manifest names the file).
   explicit Coordinator(CoordinatorOptions options);
 
   /// The bound port (resolves ephemeral port 0).

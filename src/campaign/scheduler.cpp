@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <condition_variable>
 #include <filesystem>
@@ -71,13 +72,47 @@ std::string done_path(const std::string& dir, int lease) {
   return dir + "/lease-" + std::to_string(lease) + ".done.json";
 }
 
+void check_manifest_members(const support::Json& doc) {
+  int num_programs = 0;
+  try {
+    num_programs = config_from_json(doc.at("config")).num_programs;
+  } catch (const std::exception& e) {
+    throw std::runtime_error(
+        std::string("no valid campaign configuration: ") + e.what());
+  }
+  // The member's integer value, -1 when it is missing or not an integer.
+  const auto int_member = [&doc](const char* key) -> std::int64_t {
+    const bool ok = doc.contains(key) &&
+                    doc.at(key).type() == support::Json::Type::Int;
+    return ok ? doc.at(key).as_int() : -1;
+  };
+  const std::int64_t size = int_member("lease_size");
+  if (num_programs < 0 || size < 1 || size > INT_MAX ||
+      int_member("lease_count") !=
+          lease_count(num_programs, static_cast<int>(size))) {
+    const auto text = [&doc](const char* key) {
+      return doc.contains(key) ? doc.at(key).dump() : std::string("missing");
+    };
+    throw std::runtime_error(
+        "lease_size " + text("lease_size") + " and lease_count " +
+        text("lease_count") + " do not partition the campaign's " +
+        std::to_string(num_programs) + " programs");
+  }
+}
+
 support::Json load_manifest(const std::string& dir) {
   const std::string path = manifest_path(dir);
   if (!std::filesystem::exists(path))
     throw std::runtime_error("scheduler: no campaign manifest at " + path);
-  const support::Json j = support::Json::parse(support::read_file(path));
-  check_format(j, kManifestFormat, "campaign manifest");
-  return j;
+  try {
+    support::Json j = support::Json::parse(support::read_file(path));
+    check_format(j, kManifestFormat, "campaign manifest");
+    check_manifest_members(j);
+    return j;
+  } catch (const std::exception& e) {
+    throw std::runtime_error("scheduler: campaign manifest " + path +
+                             " refused: " + e.what());
+  }
 }
 
 std::string claim_document(int lease, const std::string& worker) {
@@ -482,11 +517,6 @@ diff::CampaignResults merge_lease_dir(const std::string& dir,
   const int count = static_cast<int>(manifest.at("lease_count").as_int());
   const int num_programs =
       static_cast<int>(echo.at("num_programs").as_int());
-  if (count != lease_count(num_programs,
-                           static_cast<int>(
-                               manifest.at("lease_size").as_int())))
-    throw std::runtime_error(
-        "merge_lease_dir: manifest lease geometry is inconsistent");
   std::vector<ResultBlock> blocks;
   blocks.reserve(static_cast<std::size_t>(count));
   std::vector<std::string> quarantined;

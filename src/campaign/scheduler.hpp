@@ -83,8 +83,9 @@ std::pair<std::uint64_t, std::uint64_t> lease_range(int num_programs,
 std::string manifest_path(const std::string& dir);
 std::string claim_path(const std::string& dir, int lease);
 std::string done_path(const std::string& dir, int lease);
-/// Load and validate a directory's manifest; throws std::runtime_error if
-/// it is missing or not a manifest.
+/// Load and validate a directory's manifest; throws std::runtime_error,
+/// naming the file, if it is missing, not a manifest, or fails
+/// check_manifest_members.
 support::Json load_manifest(const std::string& dir);
 /// The bytes of lease `lease`'s claim file: {"lease":k,"worker":w}.
 std::string claim_document(int lease, const std::string& worker);
@@ -108,6 +109,14 @@ std::string default_worker_id();
 /// coordinator alike.
 support::Json make_manifest(const support::Json& config_echo, int lease_size,
                             int count);
+
+/// The rule every manifest obeys, in campaign.json (load_manifest) and in
+/// a coordinator hello, which carries the same "config", "lease_size" and
+/// "lease_count" members: the config decodes (config_from_json), the lease
+/// size is an integer of at least 1, and the lease count is
+/// lease_count(num_programs, lease_size).  Throws std::runtime_error
+/// saying which member fails.
+void check_manifest_members(const support::Json& doc);
 
 struct WorkerOptions {
   /// The shared lease directory (required unless `coordinator` is set).

@@ -5,8 +5,8 @@
 //  * FTZ (flush-to-zero of subnormal *results*) — nvcc -use_fast_math sets
 //    .ftz on FP32 ops; AMD keeps denormals in FP32 on MI2xx by default.
 //  * DAZ (treat subnormal *inputs* as zero).
-// FP64 denormals are always supported on both real targets, so FTZ/DAZ here
-// apply to the precision they are configured for by the virtual compiler.
+// FP64 denormals are always supported on both real targets, so FTZ/DAZ
+// apply to binary32 only: FP64 values pass apply_daz/apply_ftz untouched.
 
 #include "fp/bits.hpp"
 #include "fp/exceptions.hpp"
@@ -24,8 +24,6 @@ enum class Div32Mode : std::uint8_t {
 struct FpEnv {
   bool ftz32 = false;  ///< flush binary32 subnormal results to zero
   bool daz32 = false;  ///< treat binary32 subnormal inputs as zero
-  bool ftz64 = false;  ///< modeled for completeness; off on both real targets
-  bool daz64 = false;
   Div32Mode div32 = Div32Mode::IEEE;
   /// -ffinite-math-only fmin/fmax simplification: (a<b)?a:b instead of the
   /// IEEE minNum/maxNum NaN handling.
@@ -40,11 +38,7 @@ inline float apply_daz(float x, const FpEnv& env) noexcept {
     return copysign_bits(0.0f, x);
   return x;
 }
-inline double apply_daz(double x, const FpEnv& env) noexcept {
-  if (env.daz64 && is_subnormal_bits(x))
-    return copysign_bits(0.0, x);
-  return x;
-}
+inline double apply_daz(double x, const FpEnv&) noexcept { return x; }
 
 /// Apply FTZ to a result under `env`; reports Underflow when it flushes.
 inline float apply_ftz(float x, const FpEnv& env, ExceptionFlags* flags = nullptr) noexcept {
@@ -54,11 +48,7 @@ inline float apply_ftz(float x, const FpEnv& env, ExceptionFlags* flags = nullpt
   }
   return x;
 }
-inline double apply_ftz(double x, const FpEnv& env, ExceptionFlags* flags = nullptr) noexcept {
-  if (env.ftz64 && is_subnormal_bits(x)) {
-    if (flags) flags->raise(kUnderflow | kInexact);
-    return copysign_bits(0.0, x);
-  }
+inline double apply_ftz(double x, const FpEnv&, ExceptionFlags* = nullptr) noexcept {
   return x;
 }
 

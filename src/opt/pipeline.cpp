@@ -9,25 +9,6 @@ std::string to_string(Toolchain t) {
   return t == Toolchain::Nvcc ? "nvcc-sim" : "hipcc-sim";
 }
 
-std::string to_string(FmaMode m) {
-  switch (m) {
-    case FmaMode::Auto: return "auto";
-    case FmaMode::LeftProduct: return "left";
-    case FmaMode::RightProduct: return "right";
-  }
-  return "?";
-}
-
-std::string to_string(Div32Override d) {
-  switch (d) {
-    case Div32Override::Auto: return "auto";
-    case Div32Override::IEEE: return "ieee";
-    case Div32Override::NvApprox: return "nv-approx";
-    case Div32Override::AmdApprox: return "amd-approx";
-  }
-  return "?";
-}
-
 std::string to_string(OptLevel level) {
   switch (level) {
     case OptLevel::O0: return "O0";
@@ -80,7 +61,7 @@ Executable compile(const ir::Program& program, const PipelineKey& key,
     // for what the passes add instead.
     exe.program = program.copy_with_headroom(program.arena().expr_count());
     fold_constants(exe.program);
-    contract_fma(exe.program, key.fma == FmaMode::LeftProduct
+    contract_fma(exe.program, key.toolchain == Toolchain::Nvcc
                                   ? FmaPreference::LeftProduct
                                   : FmaPreference::RightProduct);
     if (key.toolchain == Toolchain::Hipcc) if_convert(exe.program);

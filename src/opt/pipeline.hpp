@@ -18,10 +18,12 @@
 // identical per-level counts of paper Tables V/VII/IX.
 //
 // A build is a platform spec at a level (opt/platform.hpp).  pipeline_key()
-// resolves it into the PipelineKey below — the level's pass class and FP
-// environment, the spec's overrides, and the math library (HIPIFY-converted
-// hipcc sources bind the CUDA-compat wrapper instead of plain OCML, see
-// compat_math.cpp) — and compile() runs the pipeline that key names.
+// resolves it into the PipelineKey below — the toolchain, the level's pass
+// class, the FP environment after the level and the spec's forced FP32
+// FTZ/DAZ, and the toolchain's math library (HIPIFY-converted hipcc sources
+// bind the CUDA-compat wrapper instead of plain OCML, see compat_math.cpp)
+// — and compile() runs the pipeline that key names.  The contraction side
+// and the reassociation shape are the toolchain's, as in the table above.
 
 #include <memory>
 #include <string>
@@ -39,18 +41,6 @@ namespace gpudiff::opt {
 enum class Toolchain : std::uint8_t { Nvcc, Hipcc };
 std::string to_string(Toolchain t);
 
-/// FMA contraction shape override.  Auto keeps the toolchain's own
-/// preference (nvcc contracts the left product, hipcc the right); the
-/// other values pin it, which is what lets a registry platform model "the
-/// same compiler, different codegen" scenarios.
-enum class FmaMode : std::uint8_t { Auto, LeftProduct, RightProduct };
-std::string to_string(FmaMode m);
-
-/// FP32 division override.  Auto keeps whatever the pipeline configures
-/// for the level (IEEE below fast-math, the vendor approximation at it).
-enum class Div32Override : std::uint8_t { Auto, IEEE, NvApprox, AmdApprox };
-std::string to_string(Div32Override d);
-
 enum class OptLevel : std::uint8_t { O0, O1, O2, O3, O3_FastMath };
 std::string to_string(OptLevel level);
 /// Parse "O0".."O3"/"O3_FM" (returns false on unknown spelling).
@@ -66,18 +56,17 @@ inline constexpr OptLevel kAllOptLevels[] = {
 enum class PassClass : std::uint8_t { None, Optimized, FastMath };
 
 /// Everything compile() branches on, resolved by opt::pipeline_key from a
-/// platform spec, a level and the program's precision: the toolchain, the
-/// pass class, the FMA contraction side, the FP environment after the
-/// level and the platform overrides, and the bound math library after the
-/// HIPIFY binding and any override.  compile() reads only the key's
-/// fields, so compiles of one program under equal keys produce the same
-/// kernel (vgpu::BytecodeProgram::same_kernel); diff::compile_set compiles
-/// each distinct key once.
+/// platform spec, a level and the program's precision: the toolchain
+/// (which also picks the FMA contraction side and the reassociation
+/// shape), the pass class, the FP environment after the level and the
+/// spec's forced FTZ/DAZ, and the bound math library after the HIPIFY
+/// binding.  compile() reads only the key's fields, so compiles of one
+/// program under equal keys produce the same kernel
+/// (vgpu::BytecodeProgram::same_kernel); diff::compile_set compiles each
+/// distinct key once.
 struct PipelineKey {
   Toolchain toolchain = Toolchain::Nvcc;
   PassClass passes = PassClass::None;
-  /// LeftProduct or RightProduct; Auto when no passes run.
-  FmaMode fma = FmaMode::Auto;
   fp::FpEnv env;
   const vmath::MathLib* mathlib = nullptr;
 

@@ -114,18 +114,7 @@ PipelineKey pipeline_key(const PlatformSpec& spec, OptLevel level,
                                                 : PassClass::Optimized;
   const bool nvcc = spec.toolchain == Toolchain::Nvcc;
   const bool fast = key.passes == PassClass::FastMath;
-  if (key.passes != PassClass::None)
-    key.fma = spec.fma != FmaMode::Auto ? spec.fma
-              : nvcc                    ? FmaMode::LeftProduct
-                                        : FmaMode::RightProduct;
-
-  if (!spec.mathlib.empty()) {
-    key.mathlib = vmath::find_mathlib(spec.mathlib);
-    if (key.mathlib == nullptr)
-      throw std::runtime_error("platform '" + spec.name +
-                               "': unknown math library '" + spec.mathlib +
-                               "'");
-  } else if (nvcc) {
+  if (nvcc) {
     key.mathlib = fast ? &vmath::nv_fast() : &vmath::nv_libdevice();
   } else if (hipify_converted) {
     key.mathlib =
@@ -151,17 +140,11 @@ PipelineKey pipeline_key(const PlatformSpec& spec, OptLevel level,
       if (precision == ir::Precision::FP32) env.naive_minmax = true;
     }
   }
-  // The spec's overrides land after the level pipeline so a registry entry
-  // can pin the FP environment independently of the level ("hipcc with FTZ
-  // on at every level").
+  // The forced flags land after the level pipeline so a registry entry can
+  // pin the FP environment independently of the level ("hipcc with FTZ on
+  // at every level").
   if (spec.force_ftz32) env.ftz32 = true;
   if (spec.force_daz32) env.daz32 = true;
-  switch (spec.div32) {
-    case Div32Override::Auto: break;
-    case Div32Override::IEEE: env.div32 = fp::Div32Mode::IEEE; break;
-    case Div32Override::NvApprox: env.div32 = fp::Div32Mode::NvApprox; break;
-    case Div32Override::AmdApprox: env.div32 = fp::Div32Mode::AmdApprox; break;
-  }
   return key;
 }
 

@@ -3,14 +3,14 @@
 //
 // The paper's pipeline compares exactly two platforms, and that pair used
 // to be baked into every layer as an {nvcc, hipcc} field pair.  The
-// numerically interesting space, however, is per *configuration* — FTZ and
-// denormal policy, FP32 division mode, FMA contraction shape, fast-math
-// flags, math-library variant (Khattak & Mikaitis 2025) — which a two-slot
-// struct cannot express ("hipcc with FTZ on vs off", "nvcc -O3 vs
-// nvcc -O3 -use_fast_math over the same program").
+// numerically interesting space, however, is per *configuration* (Khattak
+// & Mikaitis 2025) — "hipcc with FTZ on vs off", "nvcc -O3 vs nvcc -O3
+// -use_fast_math over the same program" — which a two-slot struct cannot
+// express.
 //
-// A PlatformSpec bundles a Toolchain (pass schedule + math-library family)
-// with the FP-environment knobs; pipeline_key() resolves a spec at a level
+// A PlatformSpec is a Toolchain (pass schedule, FMA contraction side and
+// math-library family) plus the knobs the registry's entries set: fast
+// math and forced FP32 FTZ/DAZ.  pipeline_key() resolves a spec at a level
 // into the pipeline compile() runs.  The differential core
 // (diff/runner.hpp) runs any list of specs against the first entry — the
 // baseline.  The built-in registry ships the two paper platforms plus
@@ -33,7 +33,8 @@ inline constexpr std::size_t kMaxPlatforms = 8;
 
 /// One named platform configuration.  Equality is field-wise, which is
 /// what the campaign configuration fingerprint serializes — two specs that
-/// share a name but differ in any knob fingerprint differently.
+/// share a name but differ in any knob fingerprint differently.  Every
+/// field is set by some registry entry.
 struct PlatformSpec {
   std::string name;  ///< registry key, CLI spelling and report label
   Toolchain toolchain = Toolchain::Nvcc;
@@ -44,10 +45,6 @@ struct PlatformSpec {
   bool fast_math = false;
   bool force_ftz32 = false;  ///< flush FP32 subnormal results at every level
   bool force_daz32 = false;  ///< treat FP32 subnormal inputs as zero
-  FmaMode fma = FmaMode::Auto;
-  Div32Override div32 = Div32Override::Auto;
-  /// Math-library binding by vmath registry name ("" = toolchain default).
-  std::string mathlib;
   /// One-line description for `gpudiff-campaign --list-platforms`.
   std::string blurb;
 
@@ -78,11 +75,9 @@ std::vector<std::string> platform_names(std::span<const PlatformSpec> specs);
 
 /// The pipeline `spec` builds at `level` for a program of `precision`: the
 /// one place a spec's build fields are read (the table in opt/pipeline.hpp).
-/// fast_math maps every optimized level to O3 fast math, the spec's
-/// overrides land on the level's FP environment, and `hipify_converted`
-/// binds hipcc-based specs to the CUDA-compat library.  Throws
-/// std::runtime_error naming the platform and the library when the spec
-/// names an unknown math library (a manifest or version-2 report can).
+/// fast_math maps every optimized level to O3 fast math, the forced FP32
+/// FTZ/DAZ land on the level's FP environment, and `hipify_converted`
+/// binds hipcc-based specs to the CUDA-compat library.
 PipelineKey pipeline_key(const PlatformSpec& spec, OptLevel level,
                          bool hipify_converted, ir::Precision precision);
 

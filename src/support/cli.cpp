@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "support/strings.hpp"
+
 namespace gpudiff::support {
 
 void CliParser::add_flag(const std::string& name, const std::string& help_text) {
@@ -153,7 +155,9 @@ std::string CliParser::help() const {
     if (o.short_name) left += std::string(", -") + o.short_name;
     switch (o.kind) {
       case Kind::Int: left += " <int> (default " + std::to_string(o.int_value) + ")"; break;
-      case Kind::Double: left += " <num>"; break;
+      case Kind::Double:
+        left += format(" <num> (default %g)", o.double_value);
+        break;
       case Kind::String:
         left += " <str>";
         if (!o.string_value.empty()) left += " (default " + o.string_value + ")";

@@ -87,13 +87,4 @@ std::string MathLib::symbol(ir::MathFn fn, ir::Precision p) const {
   return base;
 }
 
-const MathLib* find_mathlib(std::string_view name) {
-  for (const MathLib* lib : {&nv_libdevice(), &nv_fast(), &amd_ocml(),
-                             &amd_ocml_native(), &hip_cuda_compat(),
-                             &hip_cuda_compat_native()}) {
-    if (lib->name() == name) return lib;
-  }
-  return nullptr;
-}
-
 }  // namespace gpudiff::vmath

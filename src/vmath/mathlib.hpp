@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "ir/expr.hpp"
 
@@ -85,8 +84,5 @@ const MathLib& amd_ocml();
 const MathLib& amd_ocml_native();
 const MathLib& hip_cuda_compat();
 const MathLib& hip_cuda_compat_native();
-
-/// Look a library up by name() — used when reloading campaign metadata.
-const MathLib* find_mathlib(std::string_view name);
 
 }  // namespace gpudiff::vmath

@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/checkpoint.hpp"
@@ -388,6 +390,49 @@ TEST(PlatformCampaign, FingerprintCoversThePlatformSet) {
   options.worker_id = "w0";
   ASSERT_TRUE(campaign::run_worker(cfg2, options).campaign_complete);
   EXPECT_THROW(campaign::run_worker(cfg3, options), std::runtime_error);
+}
+
+TEST(PlatformCampaign, RegistrySpecsSerializeAsBefore) {
+  // The fingerprint bytes of every registry platform, as written before
+  // specs lost their FMA-side, FP32-division and math-library overrides:
+  // manifests, store keys and reduce bundles embed them.
+  const char* const want[] = {
+      R"({"daz32":false,"div32":"auto","fast_math":false,"fma":"auto",)"
+      R"("ftz32":false,"mathlib":"","name":"nvcc","toolchain":"nvcc-sim"})",
+      R"({"daz32":false,"div32":"auto","fast_math":false,"fma":"auto",)"
+      R"("ftz32":false,"mathlib":"","name":"hipcc","toolchain":"hipcc-sim"})",
+      R"({"daz32":true,"div32":"auto","fast_math":false,"fma":"auto",)"
+      R"("ftz32":true,"mathlib":"","name":"hipcc-ftz",)"
+      R"("toolchain":"hipcc-sim"})",
+      R"({"daz32":false,"div32":"auto","fast_math":true,"fma":"auto",)"
+      R"("ftz32":false,"mathlib":"","name":"nvcc-fastmath",)"
+      R"("toolchain":"nvcc-sim"})"};
+  const auto& registry = opt::platform_registry();
+  ASSERT_EQ(registry.size(), std::size(want));
+  for (std::size_t i = 0; i < registry.size(); ++i)
+    EXPECT_EQ(campaign::platform_to_json(registry[i]).dump(), want[i])
+        << registry[i].name;
+}
+
+TEST(PlatformCampaign, FingerprintsNamingRetiredOverridesAreRefused) {
+  // "fma", "div32" and "mathlib" keep one value each; a fingerprint naming
+  // any other cannot be rebuilt, so the round trip refuses it.
+  const support::Json echo = campaign::config_to_json(three_platform_config());
+  ASSERT_EQ(campaign::config_to_json(campaign::config_from_json(echo)), echo);
+  const std::pair<const char*, const char*> cases[] = {
+      {"fma", "left"}, {"div32", "ieee"}, {"mathlib", "nv-fastmath-sim"}};
+  for (const auto& [key, value] : cases) {
+    support::Json doc = echo;
+    doc["platforms"].as_array()[1][key] = value;
+    try {
+      (void)campaign::config_from_json(doc);
+      ADD_FAILURE() << key << " " << value << " was decoded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("does not round-trip"),
+                std::string::npos)
+          << key << ": " << e.what();
+    }
+  }
 }
 
 TEST(PlatformCampaign, ThreeWayResultsJsonRoundTrips) {

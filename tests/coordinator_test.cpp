@@ -713,6 +713,45 @@ TEST(Coordinator, RecoversClaimsAndDoneBlocksAcrossRestart) {
 // publishes locally and republishes on reconnect.
 // ---------------------------------------------------------------------------
 
+TEST(Coordinator, StartupRefusesAManifestThatCouldNeverMerge) {
+  // A state dir of 2 leases whose campaign.json says 3: the coordinator
+  // must refuse it by name rather than trust the count (it touches one
+  // claim path per listed lease at startup), and the merge names it too.
+  const auto cfg = small_config(8);
+  TempDir state("gpudiff_coord_bad_manifest");
+  WorkerOptions wopts;
+  wopts.dir = state.str();
+  wopts.lease_size = 4;
+  wopts.worker_id = "w0";
+  ASSERT_TRUE(campaign::run_worker(cfg, wopts).campaign_complete);
+  const std::string path = campaign::manifest_path(state.str());
+  support::Json manifest = support::Json::parse(support::read_file(path));
+  ASSERT_EQ(manifest.at("lease_count").as_int(), 2);
+  manifest["lease_count"] = 3;
+  support::write_file(path, manifest.dump(1));
+
+  const auto expect_refused = [](const std::function<void()>& load,
+                                 const char* what) {
+    try {
+      load();
+      ADD_FAILURE() << what << " accepted a 2-lease directory listing 3";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("campaign.json"),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  expect_refused(
+      [&] {
+        CoordinatorOptions copts;
+        copts.dir = state.str();
+        Coordinator coordinator(copts);
+      },
+      "Coordinator");
+  expect_refused([&] { (void)campaign::merge_lease_dir(state.str()); },
+                 "merge_lease_dir");
+}
+
 TEST(Coordinator, DisconnectedWorkerJournalsAndRepublishes) {
   const auto cfg = small_config();
   const int count = campaign::lease_count(45, 4);

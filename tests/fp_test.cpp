@@ -272,10 +272,7 @@ TEST(Env, DazZeroesSubnormalInputs) {
   env.daz32 = true;
   EXPECT_EQ(apply_daz(1e-44f, env), 0.0f);
   EXPECT_TRUE(sign_bit(apply_daz(-1e-44f, env)));
-  EXPECT_EQ(apply_daz(1e-44, env), 1e-44);  // double side has its own switch
-  FpEnv env64;
-  env64.daz64 = true;
-  EXPECT_EQ(apply_daz(1e-310, env64), 0.0);
+  EXPECT_EQ(apply_daz(1e-44, env), 1e-44);  // FP64 keeps its subnormals
 }
 
 TEST(Env, DefaultEnvIsTransparent) {

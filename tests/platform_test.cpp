@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "diff/runner.hpp"
 #include "fp/bits.hpp"
@@ -141,6 +144,109 @@ TEST(PlatformCompile, DazReadsSubnormalInputsAsSignedZero) {
       }
     }
   }
+}
+
+// Probes after Khattak & Mikaitis: hand-built kernels whose bits follow
+// from what each toolchain does, run through registry platforms on the
+// bytecode VM and the tree-walk oracle alike.
+
+/// comp's bits after `p` runs on `args` under `platform` at `level`, the
+/// same on both backends.
+std::uint64_t probe_bits(const ir::Program& p, const vgpu::KernelArgs& args,
+                         const std::string& platform, opt::OptLevel level) {
+  const opt::Executable exe =
+      opt::compile(p, *opt::find_platform(platform), level);
+  const std::uint64_t bits = vgpu::run_kernel(exe, args).value_bits;
+  EXPECT_EQ(vgpu::run_kernel_tree(exe, args).value_bits, bits)
+      << platform << " " << opt::to_string(level) << " (tree oracle)";
+  return bits;
+}
+
+/// A kernel of `precision` whose scalar params are var_1..var_`n` and
+/// whose body is comp = build(params).
+template <typename Build>
+ir::Program comp_kernel(ir::Precision precision, int n, Build build) {
+  ir::ProgramBuilder b(precision);
+  ir::Arena& A = b.arena();
+  std::vector<ir::ExprId> params;
+  for (int i = 0; i < n; ++i)
+    params.push_back(ir::make_param(A, b.add_scalar_param()));
+  b.assign_comp(ir::AssignOp::Set, build(A, params));
+  return b.build();
+}
+
+// x*y = 1 - 2^-54 exactly, which rounds to 1: a fused product keeps the
+// -2^-54 that rounding the product drops.
+constexpr double kFmaX = 1 + 0x1p-27;
+constexpr double kFmaY = 1 - 0x1p-27;
+
+TEST(PlatformCompile, FmaContractionFusesALoneProductWhenOptimized) {
+  // comp = a*b - c with c = fl(x*y) = 1: +0 unfused, -2^-54 fused.  Both
+  // toolchains contract at every optimized level and never at O0.
+  const ir::Program p =
+      comp_kernel(ir::Precision::FP64, 3, [](ir::Arena& A, const auto& v) {
+        return ir::make_bin(A, ir::BinOp::Sub,
+                            ir::make_bin(A, ir::BinOp::Mul, v[0], v[1]), v[2]);
+      });
+  vgpu::KernelArgs args;
+  args.fp = {0.0, kFmaX, kFmaY, kFmaX * kFmaY};
+  args.ints.assign(4, 0);
+  for (const opt::PlatformSpec& spec : opt::platform_registry())
+    for (const auto level : opt::kAllOptLevels)
+      EXPECT_EQ(probe_bits(p, args, spec.name, level),
+                fp::to_bits(level == opt::OptLevel::O0 ? 0.0 : -0x1p-54))
+          << spec.name << " " << opt::to_string(level);
+}
+
+TEST(PlatformCompile, FmaContractionOfTwoProductsFusesTheToolchainsSide) {
+  // comp = a*b + c*d with (a, b, c, d) = (x, y, 1, -1): nvcc fuses the left
+  // product, fma(x, y, -1) = -2^-54; hipcc the right one,
+  // fma(1, -1, fl(x*y)) = +0.  Unfused at O0, both round x*y: +0.
+  const ir::Program p =
+      comp_kernel(ir::Precision::FP64, 4, [](ir::Arena& A, const auto& v) {
+        return ir::make_bin(A, ir::BinOp::Add,
+                            ir::make_bin(A, ir::BinOp::Mul, v[0], v[1]),
+                            ir::make_bin(A, ir::BinOp::Mul, v[2], v[3]));
+      });
+  vgpu::KernelArgs args;
+  args.fp = {0.0, kFmaX, kFmaY, 1.0, -1.0};
+  args.ints.assign(5, 0);
+  const double left = -0x1p-54;
+  const std::tuple<const char*, opt::OptLevel, double> expected[] = {
+      {"nvcc", opt::OptLevel::O0, 0.0},
+      {"nvcc", opt::OptLevel::O1, left},
+      {"nvcc-fastmath", opt::OptLevel::O1, left},
+      {"hipcc", opt::OptLevel::O0, 0.0},
+      {"hipcc", opt::OptLevel::O1, 0.0},
+      {"hipcc-ftz", opt::OptLevel::O1, 0.0}};
+  for (const auto& [name, level, want] : expected)
+    EXPECT_EQ(probe_bits(p, args, name, level), fp::to_bits(want))
+        << name << " " << opt::to_string(level);
+}
+
+TEST(PlatformCompile, FastDivisionFlushesQuotientsOfHugeDivisors) {
+  // FP32 comp = x / y with x = 2^100, y = 1.5 * 2^126.  __fdividef returns
+  // 0 for 2^126 < |y| < 2^128, so nvcc's fast-math division gives +0;
+  // IEEE division and AMD's v_rcp-based approximation both give the
+  // correctly rounded 0x1.555556p-27.
+  const ir::Program p =
+      comp_kernel(ir::Precision::FP32, 2, [](ir::Arena& A, const auto& v) {
+        return ir::make_bin(A, ir::BinOp::Div, v[0], v[1]);
+      });
+  vgpu::KernelArgs args;
+  args.fp = {0.0, 0x1p100, 0x1.8p126};
+  args.ints.assign(3, 0);
+  const float quotient = 0x1.555556p-27f;
+  const std::tuple<const char*, opt::OptLevel, float> expected[] = {
+      {"nvcc", opt::OptLevel::O1, quotient},
+      {"nvcc", opt::OptLevel::O3_FastMath, 0.0f},
+      {"nvcc-fastmath", opt::OptLevel::O1, 0.0f},
+      {"nvcc-fastmath", opt::OptLevel::O3_FastMath, 0.0f},
+      {"hipcc", opt::OptLevel::O1, quotient},
+      {"hipcc", opt::OptLevel::O3_FastMath, quotient}};
+  for (const auto& [name, level, want] : expected)
+    EXPECT_EQ(probe_bits(p, args, name, level), fp::to_bits(want))
+        << name << " " << opt::to_string(level);
 }
 
 TEST(PlatformCompile, NvccFastmathTakesTheFastPipelineWhenOptimized) {

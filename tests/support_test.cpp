@@ -346,6 +346,19 @@ TEST(Cli, EqualsSyntaxAndDefaults) {
   EXPECT_DOUBLE_EQ(cli.get_double("ratio"), 0.5);
 }
 
+TEST(Cli, HelpShowsEveryDefault) {
+  CliParser cli("prog", "test");
+  cli.add_int("n", 0, "n", 7);
+  cli.add_double("ratio", 0, "r", 0.25);
+  cli.add_string("name", 0, "a name", "zed");
+  const std::string help = cli.help();
+  EXPECT_NE(help.find("--n <int> (default 7)"), std::string::npos) << help;
+  EXPECT_NE(help.find("--ratio <num> (default 0.25)"), std::string::npos)
+      << help;
+  EXPECT_NE(help.find("--name <str> (default zed)"), std::string::npos)
+      << help;
+}
+
 TEST(Cli, RejectsBadInput) {
   CliParser cli("prog", "test");
   cli.add_int("n", 0, "n", 7);

@@ -85,16 +85,13 @@ void list_platforms_json() {
 
 void list_platforms() {
   support::Table t("Platform registry (--platforms a,b,c; first = baseline)");
-  t.set_header({"Name", "Toolchain", "Fast math", "FTZ32", "DAZ32", "FMA",
-                "Div32", "Mathlib", "Description"},
+  t.set_header({"Name", "Toolchain", "Fast math", "FTZ32", "DAZ32",
+                "Description"},
                {support::Align::Left});
   for (const opt::PlatformSpec& spec : opt::platform_registry()) {
     t.add_row({spec.name, opt::to_string(spec.toolchain),
                spec.fast_math ? "yes" : "no", spec.force_ftz32 ? "on" : "-",
-               spec.force_daz32 ? "on" : "-", opt::to_string(spec.fma),
-               opt::to_string(spec.div32),
-               spec.mathlib.empty() ? "(toolchain default)" : spec.mathlib,
-               spec.blurb});
+               spec.force_daz32 ? "on" : "-", spec.blurb});
   }
   std::fputs(t.render().c_str(), stdout);
 }
